@@ -1,10 +1,10 @@
-"""Random structure generation and the counter-example search loop.
+"""Random counter-example search.
 
-Structures are generated Erdos-Renyi style: every relation tuple is
-included independently with a fixed probability, and every function
-output and constant is drawn uniformly from the universe. The search
-walks universe sizes in ascending order and returns the first generated
-theory model on which the two formulas disagree.
+Structures are generated Erdos-Renyi style by `models.random_structure`:
+every relation tuple is included independently with a fixed probability,
+and every function output and constant is drawn uniformly from the
+universe. The search walks universe sizes in ascending order and returns
+the first generated theory model on which the two formulas disagree.
 
 A witness satisfying the solution but not the attempt marks the attempt
 as too restrictive (it misses an intended model); the opposite
@@ -19,7 +19,9 @@ from typing import Callable
 
 from .syntax import Formula, Vocabulary
 from .theory import Theory
-from .models import Structure, close_formulas, eval_formula, satisfies_all
+from .models import (
+    Structure, close_formulas, eval_formula, random_structure, satisfies_all,
+)
 
 TOO_RESTRICTIVE = "too-restrictive"
 TOO_PERMISSIVE = "too-permissive"
@@ -58,38 +60,6 @@ class CounterExample:
         if self.opposite is not None:
             out["opposite"] = self.opposite.to_json()
         return out
-
-
-def random_structure(vocab: Vocabulary, size: int, p: float,
-                     rng: random.Random) -> Structure:
-    """One random structure; deterministic given the rng state.
-
-    Draw order is fixed: relations, functions, constants, each sorted by
-    name, tuples in lexicographic order.
-    """
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    universe = range(size)
-    relations = {}
-    for name in sorted(vocab.relations):
-        arity = vocab.relations[name]
-        table = set()
-        for tup in _tuples(universe, arity):
-            if rng.random() < p:
-                table.add(tup)
-        relations[name] = frozenset(table)
-    functions = {}
-    for name in sorted(vocab.functions):
-        arity = vocab.functions[name]
-        functions[name] = {tup: rng.randrange(size) for tup in _tuples(universe, arity)}
-    constants = {name: rng.randrange(size) for name in sorted(vocab.constants)}
-    return Structure(size=size, relations=relations, functions=functions,
-                     constants=constants)
-
-
-def _tuples(universe, arity: int):
-    import itertools
-    return itertools.product(universe, repeat=arity)
 
 
 def pregenerate_gamma_models(theory: Theory,

@@ -19,7 +19,6 @@ the rewrite.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 
 from .syntax import (
@@ -29,7 +28,7 @@ from .syntax import (
 )
 from .theory import Theory
 from .models import close_formulas
-from .prover import SatQuery
+from .prover import JsonlCache, SatQuery
 
 NECESSARY = "necessary"
 NOT_SHOWN = "not-shown-necessary"
@@ -210,42 +209,21 @@ def encode_padoa(solution: Formula, theory: Theory, tested: set[str]) -> SatQuer
     return SatQuery(axioms=tuple(axioms), vocabulary=query_vocab, origin="definability")
 
 
-class NecessityCache:
+class NecessityCache(JsonlCache):
     """Necessity reports keyed by the canonicalized (formula, theory) pair."""
 
-    def __init__(self, path: str | None = None):
-        self._data: dict[str, NecessityReport] = {}
-        self._lock = threading.Lock()
-        self._path = path
-        if path:
-            import os
-            if os.path.exists(path):
-                with open(path, encoding="utf-8") as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        obj = json.loads(line)
-                        self._data[obj["key"]] = NecessityReport(
-                            statuses=obj["statuses"], query_ids=obj.get("queries", {}))
+    def _decode(self, record: dict) -> NecessityReport:
+        return NecessityReport(statuses=record["statuses"],
+                               query_ids=record.get("queries", {}))
+
+    def _encode(self, report: NecessityReport) -> dict:
+        return report.to_json()
 
     @staticmethod
     def key(solution: Formula, theory: Theory) -> str:
         axioms = sorted(to_str(alpha_normalize(ax)) for ax in theory.axioms)
         return json.dumps({"formula": to_str(alpha_normalize(solution)),
                            "axioms": axioms}, sort_keys=True)
-
-    def get(self, key: str) -> NecessityReport | None:
-        with self._lock:
-            return self._data.get(key)
-
-    def put(self, key: str, report: NecessityReport) -> None:
-        with self._lock:
-            self._data[key] = report
-            if self._path:
-                record = {"key": key, **report.to_json()}
-                with open(self._path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(record) + "\n")
 
 
 def symbol_necessity(solution: Formula, theory: Theory, symbol: str, backend,

@@ -13,6 +13,11 @@ and only the attempt is ever edited. They come in two flavours:
   test, so strategies enumerate few, plausible candidates in a
   deterministic order and report the first confirmed one.
 
+Each bugfix strategy is a generator of `(candidate, message, evidence)`
+triples; `first_confirmed` confirms them in order, skipping the attempt
+itself and repeated candidates, and gives up after a fixed number of
+distinct candidates (PER_STRATEGY, or COMBINED for Q-1+G-1).
+
 Strategy identifiers: S-1 missing symbols, S-2 permuted arguments,
 S-3 wrong relation symbol, S-4 differing terms, Q-1 wrong quantifier
 prefix, Q-2 wrong quantifier order, Q-3 differing free variables,
@@ -24,18 +29,19 @@ prefix, B-2 swapped implication.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .syntax import (
-    Address, And, Atom, Eq, Exists, Forall, Formula, Implies, Not,
-    QUANTIFIERS, Var, children, formula_terms, free_variables, prenex_decompose,
-    prenex_recompose, rewrite_at, subformula_at, symbols_of, term_variables,
-    to_str, with_children,
+    Address, And, Atom, Const, Eq, Exists, Forall, Formula, Func, Implies, Not,
+    QUANTIFIERS, Var, children, formula_terms, free_variables, map_term_variables,
+    prenex_decompose, prenex_recompose, rewrite_at, subformula_at, subformulas,
+    symbols_of, term_variables, to_str, with_children,
 )
 from .theory import Theory
 from .profiles import (
     FORALL, AtomOccurrence, GuardRecord, atom_occurrences, binder_chain,
-    extract_guards,
+    extract_guards, flip_guard_operator, remove_guard,
 )
 from .countermodel import CounterExample, RandomModelConfig, search_countermodel
 from .prover import DecisionCache, ProverConfig, Verdict, decide_equivalence
@@ -45,6 +51,10 @@ from .definability import (
 
 ALL_STRATEGIES = ("S-1", "S-2", "S-3", "S-4", "Q-1", "Q-2", "Q-3",
                   "G-1", "G-2", "Q-1+G-1", "B-1", "B-2")
+
+# distinct candidates confirmed per bugfix strategy before it gives up
+PER_STRATEGY = 16
+COMBINED = 32                     # Q-1+G-1
 
 
 @dataclass(frozen=True)
@@ -67,13 +77,6 @@ class Explanation:
 
 
 @dataclass
-class StrategyCaps:
-    permutations_per_atom: int = 24   # S-2; atoms of arity > 4 are skipped
-    per_strategy: int = 16
-    combined: int = 32                # Q-1+G-1
-
-
-@dataclass
 class StrategyContext:
     solution: Formula
     attempt: Formula
@@ -82,7 +85,6 @@ class StrategyContext:
     cache: DecisionCache | None = None
     necessity_cache: NecessityCache | None = None
     timeout_ms: int = 30_000
-    caps: StrategyCaps = field(default_factory=StrategyCaps)
 
     def __post_init__(self):
         self.sol_occurrences = atom_occurrences(self.solution)
@@ -96,8 +98,6 @@ class StrategyContext:
 
     def confirm(self, candidate: Formula) -> bool:
         """A candidate counts only when proven equivalent to the solution."""
-        if candidate == self.attempt:
-            return False
         verdict = decide_equivalence(self.solution, candidate, self.theory,
                                      self.backend, self.cache,
                                      timeout_ms=self.timeout_ms,
@@ -105,27 +105,39 @@ class StrategyContext:
         return verdict.status == "equivalent"
 
 
-def build_context(solution: Formula, attempt: Formula, theory: Theory, backend,
-                  cache: DecisionCache | None = None,
-                  necessity_cache: NecessityCache | None = None,
-                  timeout_ms: int = 30_000,
-                  caps: StrategyCaps | None = None) -> StrategyContext:
-    return StrategyContext(solution=solution, attempt=attempt, theory=theory,
-                           backend=backend, cache=cache,
-                           necessity_cache=necessity_cache, timeout_ms=timeout_ms,
-                           caps=caps or StrategyCaps())
+Candidate = tuple[Formula, str, dict]     # (candidate, message, evidence)
 
 
-def _bugfix(strategy: str, message: str, ctx: StrategyContext, candidate: Formula,
-            address: Address, before: Formula | str, after: Formula | str) -> Explanation:
-    return Explanation(
-        strategy=strategy, kind="bugfix", message=message,
-        evidence={
-            "address": list(address),
-            "before": before if isinstance(before, str) else to_str(before),
-            "after": after if isinstance(after, str) else to_str(after),
-        },
-        modified=candidate)
+def first_confirmed(ctx: StrategyContext, strategy: str,
+                    candidates: Iterable[Candidate],
+                    cap: int = PER_STRATEGY) -> Explanation | None:
+    """The first candidate confirmed equivalent to the solution, as a
+    bugfix. The attempt itself and repeated candidates are skipped; after
+    `cap` distinct candidates the strategy gives up."""
+    seen = {ctx.attempt}
+    for candidate, message, evidence in candidates:
+        if candidate in seen:
+            continue
+        seen.add(candidate)
+        if ctx.confirm(candidate):
+            return Explanation(strategy=strategy, kind="bugfix", message=message,
+                               evidence=evidence, modified=candidate)
+        if len(seen) > cap:
+            return None
+    return None
+
+
+def _found(*explanations: Explanation | None) -> list[Explanation]:
+    return [e for e in explanations if e is not None]
+
+
+def _edit_evidence(address: Address, before: Formula | str,
+                   after: Formula | str) -> dict:
+    return {
+        "address": list(address),
+        "before": before if isinstance(before, str) else to_str(before),
+        "after": after if isinstance(after, str) else to_str(after),
+    }
 
 
 def _occurrences_with_core(occs, core) -> list[AtomOccurrence]:
@@ -147,18 +159,10 @@ def _make_atom(symbol: str, args) -> Formula:
 
 
 def symbol_strategies(ctx: StrategyContext) -> list[Explanation]:
-    out: list[Explanation] = []
-    out.extend(_s1_missing_symbols(ctx))
-    fix = _s2_permuted_arguments(ctx)
-    if fix:
-        out.append(fix)
-    fix = _s3_wrong_symbol(ctx)
-    if fix:
-        out.append(fix)
-    fix = _s4_different_terms(ctx)
-    if fix:
-        out.append(fix)
-    return out
+    return _s1_missing_symbols(ctx) + _found(
+        first_confirmed(ctx, "S-2", _s2_permuted_arguments(ctx)),
+        first_confirmed(ctx, "S-3", _s3_wrong_symbol(ctx)),
+        first_confirmed(ctx, "S-4", _s4_different_terms(ctx)))
 
 
 def _used_symbols(f: Formula) -> set[str]:
@@ -197,76 +201,57 @@ def _profile_pairs(ctx, same: tuple[str, ...]):
     """(attempt-only profile, solution-only profile) pairs agreeing on the
     named profile fields. Only-ness is judged on full profiles including
     the term fingerprint, which is what distinguishes occurrences of one
-    relation applied to different terms."""
-    att_only = sorted(ctx.att_extended - ctx.sol_extended, key=str)
-    sol_only = sorted(ctx.sol_extended - ctx.att_extended, key=str)
+    relation applied to different terms; the fingerprint also orders
+    profiles whose text is the same."""
+    def order(profile):
+        return str(profile), profile.fingerprint
+
+    att_only = sorted(ctx.att_extended - ctx.sol_extended, key=order)
+    sol_only = sorted(ctx.sol_extended - ctx.att_extended, key=order)
     for a in att_only:
         for s in sol_only:
             if all(getattr(a, name) == getattr(s, name) for name in same):
                 yield a, s
 
 
-def _s2_permuted_arguments(ctx: StrategyContext) -> Explanation | None:
-    tried = 0
+def _s2_permuted_arguments(ctx: StrategyContext) -> Iterator[Candidate]:
     for ap, sp in _profile_pairs(ctx, same=("symbol", "valence")):
         if ap.prefix_type == sp.prefix_type:
             continue
         for occ in _occurrences_with_profile(ctx.att_occurrences, ap):
             args = formula_terms(occ.atom)
+            # at most 4! = 24 permutations; atoms of higher arity are skipped
             if not 2 <= len(args) <= 4:
                 continue
-            considered = 0
-            for perm in itertools.permutations(range(len(args))):
-                if considered >= ctx.caps.permutations_per_atom:
-                    break
-                considered += 1
-                if perm == tuple(range(len(args))):
-                    continue
-                new_atom = _make_atom(occ.profile.symbol, [args[i] for i in perm])
+            for perm in itertools.permutations(args):
+                new_atom = _make_atom(occ.profile.symbol, perm)
                 candidate = rewrite_at(ctx.attempt, occ.address, new_atom)
                 moved = next(o for o in atom_occurrences(candidate)
                              if o.address == occ.address)
-                if moved.profile != sp:
-                    continue
-                if tried >= ctx.caps.per_strategy:
-                    return None
-                tried += 1
-                if ctx.confirm(candidate):
-                    return _bugfix(
-                        "S-2",
-                        f"wrong quantification pattern due to permuted arguments "
-                        f"of {occ.profile.symbol}",
-                        ctx, candidate, occ.address, occ.atom, new_atom)
-    return None
+                if moved.profile == sp:
+                    yield (candidate,
+                           f"wrong quantification pattern due to permuted arguments "
+                           f"of {occ.profile.symbol}",
+                           _edit_evidence(occ.address, occ.atom, new_atom))
 
 
-def _s3_wrong_symbol(ctx: StrategyContext) -> Explanation | None:
-    tried = 0
+def _s3_wrong_symbol(ctx: StrategyContext) -> Iterator[Candidate]:
     for ap, sp in _profile_pairs(ctx, same=("valence", "prefix_type", "fingerprint")):
         if ap.symbol == sp.symbol:
             continue
+        arity = (2 if sp.symbol == EQUALITY
+                 else ctx.theory.vocabulary.relations.get(sp.symbol))
         for occ in _occurrences_with_profile(ctx.att_occurrences, ap):
-            args = list(formula_terms(occ.atom))
-            if sp.symbol == EQUALITY:
-                if len(args) != 2:
-                    continue
-            elif ctx.theory.vocabulary.relations.get(sp.symbol) != len(args):
+            args = formula_terms(occ.atom)
+            if len(args) != arity:
                 continue
             new_atom = _make_atom(sp.symbol, args)
-            candidate = rewrite_at(ctx.attempt, occ.address, new_atom)
-            if tried >= ctx.caps.per_strategy:
-                return None
-            tried += 1
-            if ctx.confirm(candidate):
-                return _bugfix(
-                    "S-3",
-                    f"wrong relation symbol: {ap.symbol} instead of {sp.symbol}",
-                    ctx, candidate, occ.address, occ.atom, new_atom)
-    return None
+            yield (rewrite_at(ctx.attempt, occ.address, new_atom),
+                   f"wrong relation symbol: {ap.symbol} instead of {sp.symbol}",
+                   _edit_evidence(occ.address, occ.atom, new_atom))
 
 
-def _s4_different_terms(ctx: StrategyContext) -> Explanation | None:
-    tried = 0
+def _s4_different_terms(ctx: StrategyContext) -> Iterator[Candidate]:
     for ap, sp in _profile_pairs(ctx, same=("symbol", "valence", "prefix_type")):
         if ap.fingerprint == sp.fingerprint:
             continue
@@ -280,17 +265,9 @@ def _s4_different_terms(ctx: StrategyContext) -> Explanation | None:
                 if any(a is None for a in new_args):
                     continue
                 new_atom = _make_atom(ap.symbol, new_args)
-                if new_atom == att_occ.atom:
-                    continue
-                candidate = rewrite_at(ctx.attempt, att_occ.address, new_atom)
-                if tried >= ctx.caps.per_strategy:
-                    return None
-                tried += 1
-                if ctx.confirm(candidate):
-                    return _bugfix(
-                        "S-4", f"terms in {ap.symbol}(...) differ",
-                        ctx, candidate, att_occ.address, att_occ.atom, new_atom)
-    return None
+                yield (rewrite_at(ctx.attempt, att_occ.address, new_atom),
+                       f"terms in {ap.symbol}(...) differ",
+                       _edit_evidence(att_occ.address, att_occ.atom, new_atom))
 
 
 def _prefix_variable_map(sol_occ: AtomOccurrence, att_occ: AtomOccurrence
@@ -303,7 +280,6 @@ def _prefix_variable_map(sol_occ: AtomOccurrence, att_occ: AtomOccurrence
 def _translate_term(t, mapping: dict[str, str]):
     """Solution-side term rebuilt over attempt-side variables (None = free
     variable mismatch is fine; unmapped bound names stay, they are free)."""
-    from .syntax import Const, Func
     if isinstance(t, Var):
         return Var(mapping.get(t.name, t.name))
     if isinstance(t, Const):
@@ -319,17 +295,9 @@ def _translate_term(t, mapping: dict[str, str]):
 
 
 def quantifier_strategies(ctx: StrategyContext) -> list[Explanation]:
-    out: list[Explanation] = []
-    blocker = _q3_free_variables(ctx)
-    if blocker:
-        out.append(blocker)
-    fix = _q1_prefix(ctx)
-    if fix:
-        out.append(fix)
-    fix = _q2_quantifier_order(ctx)
-    if fix:
-        out.append(fix)
-    return out
+    return _found(_q3_free_variables(ctx),
+                  first_confirmed(ctx, "Q-1", _q1_prefix(ctx)),
+                  first_confirmed(ctx, "Q-2", _q2_quantifier_order(ctx)))
 
 
 def _q3_free_variables(ctx: StrategyContext) -> Explanation | None:
@@ -346,36 +314,22 @@ def _q3_free_variables(ctx: StrategyContext) -> Explanation | None:
         evidence={"only_attempt": only_att, "only_solution": only_sol})
 
 
-def _q1_candidates(ctx: StrategyContext) -> list[tuple[Formula, dict]]:
-    """Prefix replacements (syntactic only, not yet confirmed)."""
+def _q1_prefix(ctx: StrategyContext) -> Iterator[Candidate]:
+    """The attempt's matrix under the solution's quantifier kinds."""
     if ctx.sol_prenex is None or ctx.att_prenex is None:
-        return []
+        return
     sol_prefix, _ = ctx.sol_prenex
     att_prefix, att_matrix = ctx.att_prenex
-    if sol_prefix == att_prefix or len(sol_prefix) != len(att_prefix):
-        return []
+    if len(sol_prefix) != len(att_prefix):
+        return
     new_prefix = tuple((kind, att_var) for (kind, _), (_, att_var)
                        in zip(sol_prefix, att_prefix))
-    if new_prefix == att_prefix:
-        return []
-    candidate = prenex_recompose(new_prefix, att_matrix)
-    if set(free_variables(candidate)) != set(free_variables(ctx.attempt)):
-        return []
-    evidence = {
-        "address": [],
-        "before": " ".join(f"{k} {v}" for k, v in att_prefix),
-        "after": " ".join(f"{k} {v}" for k, v in new_prefix),
-    }
-    return [(candidate, evidence)]
-
-
-def _q1_prefix(ctx: StrategyContext) -> Explanation | None:
-    for candidate, evidence in _q1_candidates(ctx)[:ctx.caps.per_strategy]:
-        if ctx.confirm(candidate):
-            return Explanation(strategy="Q-1", kind="bugfix",
-                               message="wrong quantifier prefix",
-                               evidence=evidence, modified=candidate)
-    return None
+    if new_prefix == att_prefix:     # Q-1+G-1 would repeat G-1 on the attempt
+        return
+    # only quantifier kinds change, so the free variables stay the attempt's
+    yield (prenex_recompose(new_prefix, att_matrix), "wrong quantifier prefix",
+           _edit_evidence((), " ".join(f"{k} {v}" for k, v in att_prefix),
+                          " ".join(f"{k} {v}" for k, v in new_prefix)))
 
 
 def _retarget_binders(f: Formula, plan: dict[Address, tuple[str, str, str]]) -> Formula:
@@ -395,20 +349,15 @@ def _retarget_binders(f: Formula, plan: dict[Address, tuple[str, str, str]]) -> 
             inner = {k: v for k, v in env.items() if k != g.var}
             return type(g)(g.var, walk(g.body, address + (0,), inner))
         if isinstance(g, (Atom, Eq)):
-            mapping = {old: Var(new) for old, new in env.items()}
-            from .syntax import map_term_variables
-            if isinstance(g, Atom):
-                return Atom(g.rel, tuple(map_term_variables(t, mapping) for t in g.args))
-            return Eq(map_term_variables(g.left, mapping),
-                      map_term_variables(g.right, mapping))
+            return _mapped_atom(g, env)
         return with_children(
             g, tuple(walk(c, address + (i,), env) for i, c in enumerate(children(g))))
 
     return walk(f, (), {})
 
 
-def _q2_quantifier_order(ctx: StrategyContext) -> Explanation | None:
-    tried = 0
+def _q2_quantifier_order(ctx: StrategyContext) -> Iterator[Candidate]:
+    att_free = set(free_variables(ctx.attempt))
     for ap, sp in _profile_pairs(ctx, same=("symbol", "valence")):
         att_q, sol_q = ap.prefix_type, sp.prefix_type
         if att_q == sol_q or len(att_q) != len(sol_q):
@@ -423,42 +372,22 @@ def _q2_quantifier_order(ctx: StrategyContext) -> Explanation | None:
             slot_options = [by_positions.get(entry.positions, []) for entry in sol_q]
             if any(not opts for opts in slot_options):
                 continue
-            taken = set(free_variables(ctx.attempt))
-            for occ_binder in occ.prefix:
-                taken.add(occ_binder.var)
+            taken = att_free | {b.var for b in occ.prefix}
             fresh = [_fresh_var(i, taken) for i in range(len(sol_q))]
-            assignments = 0
+            message = f"wrong quantification pattern for {to_str(occ.atom)}"
+            evidence = _edit_evidence(occ.address, "".join(map(str, att_q)),
+                                      "".join(map(str, sol_q)))
             for combo in itertools.product(*slot_options):
                 if len({b.var for b in combo}) != len(combo):
                     continue
-                assignments += 1
-                if assignments > ctx.caps.per_strategy:
-                    break
-                plan = {}
-                usable = True
-                for i, (entry, bound) in enumerate(zip(sol_q, combo)):
-                    slot_binder = occ.prefix[i]
-                    if slot_binder.address in plan:
-                        usable = False
-                        break
-                    plan[slot_binder.address] = (entry.kind, fresh[i], bound.var)
-                if not usable:
-                    continue
+                # slot i of the occurrence's prefix now binds combo[i]'s
+                # variable with the solution's i-th quantifier kind
+                plan = {slot.address: (entry.kind, fresh[i], bound.var)
+                        for i, (slot, entry, bound)
+                        in enumerate(zip(occ.prefix, sol_q, combo))}
                 candidate = _retarget_binders(ctx.attempt, plan)
-                if set(free_variables(candidate)) != set(free_variables(ctx.attempt)):
-                    continue
-                if candidate == ctx.attempt:
-                    continue
-                if tried >= ctx.caps.per_strategy:
-                    return None
-                tried += 1
-                if ctx.confirm(candidate):
-                    atom_txt = to_str(occ.atom)
-                    return _bugfix(
-                        "Q-2", f"wrong quantification pattern for {atom_txt}",
-                        ctx, candidate, occ.address,
-                        "".join(map(str, att_q)), "".join(map(str, sol_q)))
-    return None
+                if set(free_variables(candidate)) == att_free:
+                    yield candidate, message, evidence
 
 
 def _fresh_var(i: int, taken: set[str]) -> str:
@@ -474,17 +403,11 @@ def _fresh_var(i: int, taken: set[str]) -> str:
 
 
 def guard_strategies(ctx: StrategyContext) -> list[Explanation]:
-    out: list[Explanation] = []
-    fix = _g1_guards(ctx)
-    if fix:
-        out.append(fix)
-    fix = _g2_guard_operator(ctx)
-    if fix:
-        out.append(fix)
-    fix = _q1g1_combined(ctx)
-    if fix:
-        out.append(fix)
-    return out
+    return _found(
+        first_confirmed(ctx, "G-1", _g1_guards(ctx, ctx.attempt, ctx.att_occurrences,
+                                               ctx.att_guards)),
+        first_confirmed(ctx, "G-2", _g2_guard_operator(ctx)),
+        first_confirmed(ctx, "Q-1+G-1", _q1g1_combined(ctx), cap=COMBINED))
 
 
 def _guarded_positions(records, atom_address: Address, variable: str) -> bool:
@@ -492,10 +415,10 @@ def _guarded_positions(records, atom_address: Address, variable: str) -> bool:
                and r.kind == "guarded" for r in records)
 
 
-def _g1_add_candidates(ctx: StrategyContext, attempt: Formula,
-                       att_occs, att_guards) -> list[tuple[Formula, dict]]:
-    """Insert into the attempt a guard that the solution has."""
-    candidates: list[tuple[Formula, dict]] = []
+def _g1_guards(ctx: StrategyContext, attempt: Formula, att_occs,
+               att_guards) -> Iterator[Candidate]:
+    """Guards the solution has inserted into the attempt, then guards the
+    solution lacks removed from it."""
     for record in sorted((r for r in ctx.sol_guards if r.kind == "guarded"), key=str):
         sol_occ = next((o for o in ctx.sol_occurrences
                         if o.address == record.guarded_address), None)
@@ -517,16 +440,32 @@ def _g1_add_candidates(ctx: StrategyContext, attempt: Formula,
                 body = subformula_at(attempt, body_addr)
                 wrapped = (Implies(guard, body) if att_binder.kind == FORALL
                            else And(guard, body))
-                candidate = rewrite_at(attempt, body_addr, wrapped)
                 kind_word = "universal" if att_binder.kind == FORALL else "existential"
-                evidence = {
-                    "address": list(body_addr),
-                    "before": to_str(body),
-                    "after": to_str(wrapped),
-                    "edit": f"add {kind_word} guard {to_str(guard)} for {att_binder.var}",
-                }
-                candidates.append((candidate, evidence))
-    return candidates
+                edit = f"add {kind_word} guard {to_str(guard)} for {att_binder.var}"
+                yield (rewrite_at(attempt, body_addr, wrapped), edit,
+                       {**_edit_evidence(body_addr, body, wrapped), "edit": edit})
+
+    for record in sorted((r for r in att_guards if r.kind == "guarded"), key=str):
+        att_occ = next((o for o in att_occs if o.address == record.guarded_address), None)
+        if att_occ is None:
+            continue
+        slot = next((i for i, b in enumerate(att_occ.prefix)
+                     if b.var == record.variable), None)
+        matching = _occurrences_with_core(ctx.sol_occurrences, att_occ.profile.core)
+        unguarded_in_sol = any(
+            slot is not None and slot < len(o.prefix) and not _guarded_positions(
+                ctx.sol_guards, o.address, o.prefix[slot].var)
+            for o in matching)
+        if not unguarded_in_sol:
+            continue
+        removed = remove_guard(attempt, record)
+        kind_word = "universal" if record.binder_kind == FORALL else "existential"
+        edit = (f"remove superfluous {kind_word} guard "
+                f"{to_str(record.guard_atom)} for {record.variable}")
+        at = record.pattern_address
+        yield removed, edit, {
+            **_edit_evidence(at, subformula_at(attempt, at), subformula_at(removed, at)),
+            "edit": edit}
 
 
 def _translate_guards(ctx: StrategyContext, record: GuardRecord,
@@ -584,7 +523,6 @@ def _translate_guards(ctx: StrategyContext, record: GuardRecord,
 
 
 def _mapped_atom(atom: Formula, mapping: dict[str, str]) -> Formula:
-    from .syntax import map_term_variables
     terms = {old: Var(new) for old, new in mapping.items()}
     if isinstance(atom, Atom):
         return Atom(atom.rel, tuple(map_term_variables(t, terms) for t in atom.args))
@@ -592,170 +530,25 @@ def _mapped_atom(atom: Formula, mapping: dict[str, str]) -> Formula:
               map_term_variables(atom.right, terms))
 
 
-def _g1_remove_candidates(ctx: StrategyContext, attempt: Formula,
-                          att_occs, att_guards) -> list[tuple[Formula, dict]]:
-    """Remove from the attempt a guard the solution does not have."""
-    candidates = []
-    for record in sorted((r for r in att_guards if r.kind == "guarded"), key=str):
-        att_occ = next((o for o in att_occs if o.address == record.guarded_address), None)
-        if att_occ is None:
-            continue
-        slot = next((i for i, b in enumerate(att_occ.prefix)
-                     if b.var == record.variable), None)
-        matching = _occurrences_with_core(ctx.sol_occurrences, att_occ.profile.core)
-        if not matching:
-            continue
-        unguarded_in_sol = any(
-            slot is not None and slot < len(o.prefix) and not _guarded_positions(
-                ctx.sol_guards, o.address, o.prefix[slot].var)
-            for o in matching)
-        if not unguarded_in_sol:
-            continue
-        removed = remove_guard(attempt, record)
-        if removed is None:
-            continue
-        kind_word = "universal" if record.binder_kind == FORALL else "existential"
-        evidence = {
-            "address": list(record.pattern_address),
-            "before": to_str(subformula_at(attempt, record.pattern_address)),
-            "after": to_str(subformula_at(removed, record.pattern_address)),
-            "edit": f"remove superfluous {kind_word} guard "
-                    f"{to_str(record.guard_atom)} for {record.variable}",
-        }
-        candidates.append((removed, evidence))
-    return candidates
-
-
-def conjunct_list(g: Formula) -> list[Formula]:
-    if isinstance(g, And):
-        return conjunct_list(g.left) + conjunct_list(g.right)
-    return [g]
-
-
-def fold_and(parts: list[Formula]) -> Formula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
-
-
-def remove_guard(attempt: Formula, record: GuardRecord) -> Formula | None:
-    core = subformula_at(attempt, record.pattern_address)
-    rel = record.guard_address[len(record.pattern_address):]
-    if record.operator == "&":
-        parts = conjunct_list(core)
-        kept = [p for i, p in enumerate(parts)
-                if conjunct_address(core, i) != rel]
-        if len(kept) == len(parts) or not kept:
-            return None
-        return rewrite_at(attempt, record.pattern_address, fold_and(kept))
-    assert isinstance(core, Implies)
-    if rel == (0,):
-        return rewrite_at(attempt, record.pattern_address, core.right)
-    ante = core.left
-    parts = conjunct_list(ante)
-    kept = [p for i, p in enumerate(parts)
-            if (0,) + conjunct_address(ante, i) != rel]
-    if len(kept) == len(parts):
-        return None
-    if not kept:
-        return rewrite_at(attempt, record.pattern_address, core.right)
-    return rewrite_at(attempt, record.pattern_address, Implies(fold_and(kept), core.right))
-
-
-def conjunct_address(chain: Formula, index: int) -> Address:
-    """Address of the index-th conjunct relative to the chain root."""
-    parts = conjunct_list(chain)
-    assert 0 <= index < len(parts)
-
-    def locate(g: Formula, i: int, addr: Address) -> tuple[Address, int] | int:
-        if isinstance(g, And):
-            res = locate(g.left, i, addr + (0,))
-            if isinstance(res, tuple):
-                return res
-            return locate(g.right, res, addr + (1,))
-        if i == 0:
-            return (addr, i)
-        return i - 1
-
-    res = locate(chain, index, ())
-    assert isinstance(res, tuple)
-    return res[0]
-
-
-def _g1_guards(ctx: StrategyContext) -> Explanation | None:
-    candidates = (_g1_add_candidates(ctx, ctx.attempt, ctx.att_occurrences,
-                                     ctx.att_guards) +
-                  _g1_remove_candidates(ctx, ctx.attempt, ctx.att_occurrences,
-                                        ctx.att_guards))
-    seen = set()
-    tried = 0
-    for candidate, evidence in candidates:
-        if candidate in seen:
-            continue
-        seen.add(candidate)
-        if tried >= ctx.caps.per_strategy:
-            return None
-        tried += 1
-        if ctx.confirm(candidate):
-            return Explanation(strategy="G-1", kind="bugfix",
-                               message=evidence.get("edit", "different guards"),
-                               evidence=evidence, modified=candidate)
-    return None
-
-
-def _g2_guard_operator(ctx: StrategyContext) -> Explanation | None:
-    tried = 0
-    seen = set()
+def _g2_guard_operator(ctx: StrategyContext) -> Iterator[Candidate]:
     for record in sorted(ctx.att_wrong, key=str):
-        core = subformula_at(ctx.attempt, record.pattern_address)
-        if record.operator == "&":
-            parts = conjunct_list(core)
-            rel = record.guard_address[len(record.pattern_address):]
-            kept = [p for i, p in enumerate(parts) if conjunct_address(core, i) != rel]
-            if not kept:
-                continue
-            flipped = Implies(record.guard_atom, fold_and(kept))
-            op_text = "'&' is the wrong guard operator for universally quantified"
-        else:
-            assert isinstance(core, Implies)
-            flipped = And(core.left, core.right)
-            op_text = "'->' is the wrong guard operator for existentially quantified"
-        candidate = rewrite_at(ctx.attempt, record.pattern_address, flipped)
-        if candidate in seen:
-            continue
-        seen.add(candidate)
-        if tried >= ctx.caps.per_strategy:
-            return None
-        tried += 1
-        if ctx.confirm(candidate):
-            return _bugfix("G-2", f"{op_text} {record.variable}",
-                           ctx, candidate, record.pattern_address, core, flipped)
-    return None
+        at = record.pattern_address
+        flipped = flip_guard_operator(ctx.attempt, record)
+        quantified = ("universally" if record.operator == "&" else "existentially")
+        yield (flipped,
+               f"'{record.operator}' is the wrong guard operator for {quantified} "
+               f"quantified {record.variable}",
+               _edit_evidence(at, subformula_at(ctx.attempt, at),
+                              subformula_at(flipped, at)))
 
 
-def _q1g1_combined(ctx: StrategyContext) -> Explanation | None:
-    tried = 0
-    for prefixed, q1_evidence in _q1_candidates(ctx):
-        att_occs = atom_occurrences(prefixed)
-        att_guards, _ = extract_guards(prefixed)
-        candidates = (_g1_add_candidates(ctx, prefixed, att_occs, att_guards) +
-                      _g1_remove_candidates(ctx, prefixed, att_occs, att_guards))
-        seen = set()
-        for candidate, evidence in candidates:
-            if candidate in seen:
-                continue
-            seen.add(candidate)
-            if tried >= ctx.caps.combined:
-                return None
-            tried += 1
-            if ctx.confirm(candidate):
-                return Explanation(
-                    strategy="Q-1+G-1", kind="bugfix",
-                    message="wrong quantifier prefix and guards",
-                    evidence={"prefix": q1_evidence, "guard": evidence},
-                    modified=candidate)
-    return None
+def _q1g1_combined(ctx: StrategyContext) -> Iterator[Candidate]:
+    for prefixed, _, q1_evidence in _q1_prefix(ctx):
+        guards, _ = extract_guards(prefixed)
+        for candidate, _, evidence in _g1_guards(ctx, prefixed,
+                                                 atom_occurrences(prefixed), guards):
+            yield (candidate, "wrong quantifier prefix and guards",
+                   {"prefix": q1_evidence, "guard": evidence})
 
 
 # ---------------------------------------------------------------------------
@@ -763,14 +556,8 @@ def _q1g1_combined(ctx: StrategyContext) -> Explanation | None:
 
 
 def boolean_strategies(ctx: StrategyContext) -> list[Explanation]:
-    out = []
-    fix = _b1_negation(ctx)
-    if fix:
-        out.append(fix)
-    fix = _b2_swapped_implication(ctx)
-    if fix:
-        out.append(fix)
-    return out
+    return _found(first_confirmed(ctx, "B-1", _b1_negation(ctx)),
+                  first_confirmed(ctx, "B-2", _b2_swapped_implication(ctx)))
 
 
 def _direct_negations(f: Formula, atom_address: Address) -> int:
@@ -784,66 +571,44 @@ def _direct_negations(f: Formula, atom_address: Address) -> int:
     return count
 
 
-def _b1_negation(ctx: StrategyContext) -> Explanation | None:
-    tried = 0
+def _b1_negation(ctx: StrategyContext) -> Iterator[Candidate]:
     for ap, sp in _profile_pairs(ctx, same=("symbol", "prefix_type", "fingerprint")):
         if ap.valence == sp.valence:
             continue
         for occ in _occurrences_with_profile(ctx.att_occurrences, ap):
-            candidates: list[tuple[Formula, str]] = []
+            atom_txt = to_str(occ.atom)
+            message = f"wrong negation prefix for {atom_txt}"
             depth = _direct_negations(ctx.attempt, occ.address)
             if depth > 0:
-                parent_addr = occ.address[:-1]
-                candidates.append((
-                    rewrite_at(ctx.attempt, parent_addr,
-                               subformula_at(ctx.attempt, occ.address)),
-                    "remove the negation"))
+                yield (rewrite_at(ctx.attempt, occ.address[:-1], occ.atom), message,
+                       _edit_evidence(occ.address, atom_txt, "remove the negation"))
             else:
-                candidates.append((
-                    rewrite_at(ctx.attempt, occ.address, Not(occ.atom)),
-                    "add a negation"))
+                yield (rewrite_at(ctx.attempt, occ.address, Not(occ.atom)), message,
+                       _edit_evidence(occ.address, atom_txt, "add a negation"))
             sol_occ = next(iter(_occurrences_with_profile(
                 ctx.sol_occurrences, sp)), None)
-            if sol_occ is not None:
-                target_depth = _direct_negations(ctx.solution, sol_occ.address)
-                if target_depth != depth:
-                    base_addr = occ.address[:len(occ.address) - depth]
-                    replacement: Formula = occ.atom
-                    for _ in range(target_depth):
-                        replacement = Not(replacement)
-                    candidates.append((
-                        rewrite_at(ctx.attempt, base_addr, replacement),
-                        f"use {target_depth} direct negation(s) as in the solution"))
-            seen = set()
-            for candidate, edit in candidates:
-                if candidate in seen or candidate == ctx.attempt:
-                    continue
-                seen.add(candidate)
-                if tried >= ctx.caps.per_strategy:
-                    return None
-                tried += 1
-                if ctx.confirm(candidate):
-                    return _bugfix(
-                        "B-1", f"wrong negation prefix for {to_str(occ.atom)}",
-                        ctx, candidate, occ.address, to_str(occ.atom), edit)
-    return None
+            if sol_occ is None:
+                continue
+            target_depth = _direct_negations(ctx.solution, sol_occ.address)
+            if target_depth != depth:
+                replacement: Formula = occ.atom
+                for _ in range(target_depth):
+                    replacement = Not(replacement)
+                yield (rewrite_at(ctx.attempt, occ.address[:len(occ.address) - depth],
+                                  replacement),
+                       message,
+                       _edit_evidence(occ.address, atom_txt,
+                                      f"use {target_depth} direct negation(s) "
+                                      f"as in the solution"))
 
 
-def _b2_swapped_implication(ctx: StrategyContext) -> Explanation | None:
-    tried = 0
-    from .syntax import subformulas
+def _b2_swapped_implication(ctx: StrategyContext) -> Iterator[Candidate]:
     for address, node in sorted(subformulas(ctx.attempt), key=lambda p: p[0]):
-        if not isinstance(node, Implies):
-            continue
-        candidate = rewrite_at(ctx.attempt, address, Implies(node.right, node.left))
-        if tried >= ctx.caps.per_strategy:
-            return None
-        tried += 1
-        if ctx.confirm(candidate):
-            return _bugfix("B-2", "implication in the wrong direction",
-                           ctx, candidate, address, node,
-                           Implies(node.right, node.left))
-    return None
+        if isinstance(node, Implies):
+            swapped = Implies(node.right, node.left)
+            yield (rewrite_at(ctx.attempt, address, swapped),
+                   "implication in the wrong direction",
+                   _edit_evidence(address, node, swapped))
 
 
 # ---------------------------------------------------------------------------
@@ -873,8 +638,7 @@ def explain_nonequivalence(solution: Formula, attempt: Formula, theory: Theory,
                            prover_config: ProverConfig | None = None,
                            random_config: RandomModelConfig | None = None,
                            first_only: bool = False,
-                           with_countermodel: bool = True,
-                           caps: StrategyCaps | None = None) -> ExplanationBundle:
+                           with_countermodel: bool = True) -> ExplanationBundle:
     """Decide the pair and, when non-equivalent, run every strategy family.
 
     Multiple explanations can coexist (at most one bugfix per strategy,
@@ -899,9 +663,10 @@ def explain_nonequivalence(solution: Formula, attempt: Formula, theory: Theory,
         counterexample = search_countermodel(solution, attempt, theory,
                                              config=random_config)
 
-    ctx = build_context(solution, attempt, theory, backend, cache=cache,
-                        necessity_cache=necessity_cache,
-                        timeout_ms=cfg.strategy_timeout_ms, caps=caps)
+    ctx = StrategyContext(solution=solution, attempt=attempt, theory=theory,
+                          backend=backend, cache=cache,
+                          necessity_cache=necessity_cache,
+                          timeout_ms=cfg.strategy_timeout_ms)
     explanations: list[Explanation] = []
     for family in (symbol_strategies, quantifier_strategies, guard_strategies,
                    boolean_strategies):

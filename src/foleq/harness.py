@@ -28,7 +28,7 @@ from .prover import (
 )
 from .definability import NecessityCache
 from .countermodel import CounterExample, RandomModelConfig, search_countermodel
-from .explain import StrategyCaps, explain_nonequivalence
+from .explain import explain_nonequivalence
 
 
 ENV_PROVER = "FOLEQ_PROVER"
@@ -88,7 +88,6 @@ class Engine:
     cache: DecisionCache
     necessity_cache: NecessityCache
     seed: int = 0
-    caps: StrategyCaps = field(default_factory=StrategyCaps)
 
     @staticmethod
     def make(prover_path: str | None = None, modes: tuple[str, ...] | None = None,
@@ -155,18 +154,25 @@ def run_pair(record: PairRecord, engine: Engine, both_methods: bool = False,
         record.solution, record.attempt, record.theory, engine.backend,
         cache=engine.cache, necessity_cache=engine.necessity_cache,
         prover_config=engine.prover_config, random_config=random_config,
-        first_only=first_only, with_countermodel=not both_methods,
-        caps=engine.caps)
+        first_only=first_only, with_countermodel=not both_methods)
 
     methods: dict[str, bool] = {}
     counterexample = bundle.counterexample
     if bundle.verdict.status == "non-equivalent" and both_methods:
-        # both methods get a dedicated attempt so that attribution does not
-        # depend on cache state (cached verdicts carry no structures)
+        # both methods get an attempt of their own so that attribution does
+        # not depend on cache state: a cached verdict carries no structure,
+        # so the backend is asked again; otherwise decide_equivalence has
+        # just asked it and revalidated its model
         backend_method = ("brute-force"
                           if getattr(engine.backend, "name", "prover") == "bounded"
                           else "prover-fmb")
-        backend_counter = _backend_countermodel(record, engine)
+        verdict = bundle.verdict
+        if verdict.method == "cache":
+            backend_counter = _backend_countermodel(record, engine)
+        elif verdict.counter is not None:
+            backend_counter = verdict.counter, verdict.direction
+        else:
+            backend_counter = None
         random_hit = search_countermodel(record.solution, record.attempt,
                                          record.theory, config=random_config)
         methods = {backend_method: backend_counter is not None,

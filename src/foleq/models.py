@@ -1,4 +1,5 @@
-"""Finite structures, Tarskian evaluation, and the brute-force oracle.
+"""Finite structures, Tarskian evaluation, random structures, and the
+brute-force oracle.
 
 The universe of a size-n structure is {0, ..., n-1}; reports render
 elements 1-based for readability. The enumerator yields every structure
@@ -9,6 +10,7 @@ ground truth for small instances.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -186,6 +188,34 @@ def enumerate_structures(vocab: Vocabulary, size: int,
             functions=dict(zip(func_names, combo[nr:nr + nf])),
             constants=dict(zip(const_names, combo[nr + nf:])),
         )
+
+
+def random_structure(vocab: Vocabulary, size: int, p: float,
+                     rng: random.Random) -> Structure:
+    """One random structure; deterministic given the rng state.
+
+    Every relation tuple is included independently with probability p;
+    function outputs and constants are drawn uniformly. Draw order is
+    fixed: relations, functions, constants, each sorted by name, tuples
+    in lexicographic order.
+    """
+    if size < 1:
+        raise ValueError("size must be >= 1")
+    universe = range(size)
+    relations = {}
+    for name in sorted(vocab.relations):
+        table = set()
+        for tup in itertools.product(universe, repeat=vocab.relations[name]):
+            if rng.random() < p:
+                table.add(tup)
+        relations[name] = frozenset(table)
+    functions = {}
+    for name in sorted(vocab.functions):
+        functions[name] = {tup: rng.randrange(size) for tup
+                           in itertools.product(universe, repeat=vocab.functions[name])}
+    constants = {name: rng.randrange(size) for name in sorted(vocab.constants)}
+    return Structure(size=size, relations=relations, functions=functions,
+                     constants=constants)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ from .syntax import (
     Atom, Eq, Exists, Forall, Formula, Implies, Not, QUANTIFIERS, rewrite_at,
     subformula_at, subformulas,
 )
-from .profiles import extract_guards
-from .explain import conjunct_address, conjunct_list, fold_and, remove_guard
+from .profiles import extract_guards, flip_guard_operator, remove_guard
 
 QUANTIFIER_FLIP = "quantifier-flip"
 GUARD_DROP = "guard-drop"
@@ -49,33 +48,10 @@ def mutate_all(f: Formula, family: str) -> list[Formula]:
                     node.var, node.body)
                 out.append(rewrite_at(f, addr, flipped))
         return _dedup(out, f)
-    if family == GUARD_DROP:
+    if family in (GUARD_DROP, GUARD_OPERATOR_FLIP):
+        edit = remove_guard if family == GUARD_DROP else flip_guard_operator
         guarded, _ = extract_guards(f)
-        out = []
-        for record in sorted(guarded, key=str):
-            dropped = remove_guard(f, record)
-            if dropped is not None:
-                out.append(dropped)
-        return _dedup(out, f)
-    if family == GUARD_OPERATOR_FLIP:
-        guarded, _ = extract_guards(f)
-        out = []
-        for record in sorted(guarded, key=str):
-            core = subformula_at(f, record.pattern_address)
-            if record.operator == "&":
-                parts = conjunct_list(core)
-                rel = record.guard_address[len(record.pattern_address):]
-                kept = [p for i, p in enumerate(parts)
-                        if conjunct_address(core, i) != rel]
-                if not kept:
-                    continue
-                flipped = Implies(record.guard_atom, fold_and(kept))
-            else:
-                assert isinstance(core, Implies)
-                from .syntax import And
-                flipped = And(core.left, core.right)
-            out.append(rewrite_at(f, record.pattern_address, flipped))
-        return _dedup(out, f)
+        return _dedup([edit(f, record) for record in sorted(guarded, key=str)], f)
     if family == IMPLICATION_SWAP:
         out = []
         for addr, node in subformulas(f):

@@ -22,10 +22,11 @@ would destroy the implication); binder kinds are NNF-resolved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .syntax import (
     Address, And, Atom, Eq, Forall, Formula, Iff, Implies, Not,
-    QUANTIFIERS, children, formula_terms, subformula_at,
+    QUANTIFIERS, children, formula_terms, rewrite_at, subformula_at,
     subformulas, term_variables, Term, Var, Const, Func,
 )
 
@@ -356,6 +357,40 @@ def extract_guards(f: Formula) -> tuple[frozenset[GuardRecord], frozenset[GuardR
                 (guarded if record_kind == "guarded" else wrong).add(record)
 
     return frozenset(guarded), frozenset(wrong)
+
+
+# ---------------------------------------------------------------------------
+# Guard edits, shared by the explanation strategies and the mutations
+
+
+def _conjuncts_without(g: Formula, address: Address, drop: Address) -> list[Formula]:
+    return [part for a, part in _conjuncts(g, address) if a != drop]
+
+
+def remove_guard(f: Formula, record: GuardRecord) -> Formula:
+    """f without the record's guard: `G & H` and `G -> H` become `H`,
+    `(G & K) -> H` becomes `K -> H`."""
+    at = record.pattern_address
+    core = subformula_at(f, at)
+    if record.operator == "&":
+        edited = reduce(And, _conjuncts_without(core, at, record.guard_address))
+    else:
+        rest = _conjuncts_without(core.left, at + (0,), record.guard_address)
+        edited = Implies(reduce(And, rest), core.right) if rest else core.right
+    return rewrite_at(f, at, edited)
+
+
+def flip_guard_operator(f: Formula, record: GuardRecord) -> Formula:
+    """f with the record's pattern under the other guard operator:
+    `G & H` becomes `G -> H` and `G -> H` becomes `G & H`."""
+    at = record.pattern_address
+    core = subformula_at(f, at)
+    if record.operator == "&":
+        rest = _conjuncts_without(core, at, record.guard_address)
+        edited = Implies(record.guard_atom, reduce(And, rest))
+    else:
+        edited = And(core.left, core.right)
+    return rewrite_at(f, at, edited)
 
 
 def profiles_to_json(f: Formula) -> dict:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import subprocess
 import tempfile
@@ -54,7 +55,7 @@ from .syntax import (
 from .theory import Theory
 from .models import (
     Structure, close_formulas, count_structures, enumerate_structures,
-    eval_formula, satisfies_all,
+    eval_formula, random_structure, satisfies_all,
 )
 
 
@@ -307,8 +308,8 @@ def parse_finite_model(output: str, vocab: Vocabulary) -> Structure:
 class ExternalProverBackend:
     """Races one prover process per mode; first decisive SZS status wins.
 
-    With debug_agreement=True every mode is awaited and their decisive
-    answers are asserted to agree (verdicts must not depend on which mode
+    With debug_agreement=True every mode is awaited and decisive answers
+    that disagree raise ProverError (verdicts must not depend on which mode
     answers first).
     """
 
@@ -384,7 +385,8 @@ class ExternalProverBackend:
 
             if answers:
                 statuses = {a.status for a in answers}
-                assert len(statuses) == 1, f"prover modes disagree: {statuses}"
+                if len(statuses) != 1:
+                    raise ProverError(f"prover modes disagree: {sorted(statuses)}")
                 return answers[0]
             if pending or not indecisive:
                 return SatResult("unknown", reason="timeout")
@@ -474,15 +476,13 @@ class BoundedSearchBackend:
                     return SatResult("sat", model=s)
             exhausted = size
 
-        from .countermodel import random_structure  # local import to avoid a cycle
-        import random as _random
         for size in cfg.sample_sizes:
             if size <= exhausted:
                 continue
             total = (cfg.samples_per_size * size if size <= cfg.max_size
                      else cfg.large_sample_budget)
             for p in cfg.tuple_probabilities:
-                rng = _random.Random(f"{cfg.seed}:backend:{size}:{p}")
+                rng = random.Random(f"{cfg.seed}:backend:{size}:{p}")
                 for _ in range(max(1, total // len(cfg.tuple_probabilities))):
                     s = random_structure(query.vocabulary, size, p, rng)
                     if satisfies_all(s, query.axioms):
@@ -497,7 +497,44 @@ class BoundedSearchBackend:
 # Decision cache
 
 
-class DecisionCache:
+class JsonlCache:
+    """Values by string key, optionally persisted as JSON lines: the file
+    is read when the cache is opened, and every put appends one line
+    under the lock. Subclasses turn values into records and back."""
+
+    def __init__(self, path: str | None = None):
+        self._data: dict[str, object] = {}
+        self._lock = threading.Lock()
+        self._path = path
+        if path and os.path.exists(path):
+            with open(path, encoding="utf-8") as fh:
+                for line in fh:
+                    if line.strip():
+                        obj = json.loads(line)
+                        self._data[obj["key"]] = self._decode(obj)
+
+    def _decode(self, record: dict):
+        raise NotImplementedError
+
+    def _encode(self, value) -> dict:
+        raise NotImplementedError
+
+    def get(self, key: str):
+        with self._lock:
+            return self._data.get(key)
+
+    def put(self, key: str, value) -> None:
+        with self._lock:
+            self._data[key] = value
+            if self._path:
+                with open(self._path, "a", encoding="utf-8") as fh:
+                    fh.write(json.dumps({"key": key, **self._encode(value)}) + "\n")
+
+    def __len__(self):
+        return len(self._data)
+
+
+class DecisionCache(JsonlCache):
     """Equivalence decisions keyed by the canonicalized pair and theory.
 
     Keys ignore axiom order, formula order within the pair, and bound
@@ -506,20 +543,16 @@ class DecisionCache:
     """
 
     def __init__(self, path: str | None = None):
-        self._data: dict[str, Verdict] = {}
-        self._lock = threading.Lock()
-        self._path = path
         self.hits = 0
-        if path and os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    obj = json.loads(line)
-                    self._data[obj["key"]] = Verdict(
-                        status=obj["status"], direction=obj.get("direction"),
-                        method=obj.get("method"))
+        super().__init__(path)
+
+    def _decode(self, record: dict) -> Verdict:
+        return Verdict(status=record["status"], direction=record.get("direction"),
+                       method=record.get("method"))
+
+    def _encode(self, verdict: Verdict) -> dict:
+        return {"status": verdict.status, "direction": verdict.direction,
+                "method": verdict.method, "timestamp": time.time()}
 
     @staticmethod
     def key(solution: Formula, attempt: Formula, theory: Theory) -> str:
@@ -537,19 +570,8 @@ class DecisionCache:
     def put(self, key: str, verdict: Verdict) -> None:
         if verdict.status == "unknown":
             return
-        slim = Verdict(status=verdict.status, direction=verdict.direction,
-                       method=verdict.method)
-        with self._lock:
-            self._data[key] = slim
-            if self._path:
-                record = {"key": key, "status": slim.status,
-                          "direction": slim.direction, "method": slim.method,
-                          "timestamp": time.time()}
-                with open(self._path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(record) + "\n")
-
-    def __len__(self):
-        return len(self._data)
+        super().put(key, Verdict(status=verdict.status, direction=verdict.direction,
+                                 method=verdict.method))
 
 
 # ---------------------------------------------------------------------------

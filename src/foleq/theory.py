@@ -25,10 +25,3 @@ class Theory:
             fv = free_variables(ax)
             if fv:
                 raise TheoryError(f"axiom has free variables {', '.join(fv)}")
-
-    @staticmethod
-    def empty(vocabulary: Vocabulary) -> "Theory":
-        return Theory(vocabulary, ())
-
-    def with_vocabulary(self, vocabulary: Vocabulary) -> "Theory":
-        return Theory(vocabulary, self.axioms)

@@ -1,7 +1,7 @@
 import pytest
 
 from foleq.definability import (
-    NECESSARY, NOT_SHOWN, congruence_axioms, encode_padoa, necessary_symbols,
+    NECESSARY, NOT_SHOWN, NecessityCache, congruence_axioms, encode_padoa, necessary_symbols,
     star_transform, symbol_necessity,
 )
 from foleq.models import brute_force_verdict, eval_formula
@@ -128,6 +128,19 @@ def test_report_caches_by_formula_and_theory(backend, necessity_cache):
     necessary_symbols(psi, th, backend, cache=necessity_cache)
     calls = backend.calls
     necessary_symbols(psi, th, backend, cache=necessity_cache)
+    assert backend.calls == calls
+
+
+def test_necessity_cache_persists_through_file(tmp_path, backend):
+    path = str(tmp_path / "cache.jsonl.necessity")
+    th = Theory(VPQ)
+    psi = parse("forall x (Q(x) -> P(x))", VPQ)
+    report = necessary_symbols(psi, th, backend, cache=NecessityCache(path))
+    reloaded = NecessityCache(path)
+    assert len(reloaded) == 1
+    assert reloaded.get(NecessityCache.key(psi, th)) == report
+    calls = backend.calls
+    assert necessary_symbols(psi, th, backend, cache=reloaded) == report
     assert backend.calls == calls
 
 

@@ -2,8 +2,8 @@ import pytest
 
 from foleq.definability import NecessityCache
 from foleq.explain import (
-    StrategyCaps, boolean_strategies, build_context, explain_nonequivalence,
-    quantifier_strategies,
+    PER_STRATEGY, StrategyContext, boolean_strategies, explain_nonequivalence,
+    first_confirmed, quantifier_strategies,
 )
 from foleq.models import brute_force_verdict
 from foleq.parser import parse
@@ -31,8 +31,8 @@ def run(psi_text, phi_text, vocab=V, axioms=(), engine=None, **kwargs):
 
 def context(psi_text, phi_text, vocab=V, axioms=()):
     th = Theory(vocab, tuple(parse(a, vocab) for a in axioms))
-    return build_context(parse(psi_text, vocab), parse(phi_text, vocab), th,
-                         BoundedSearchBackend(), DecisionCache(), NecessityCache())
+    return StrategyContext(parse(psi_text, vocab), parse(phi_text, vocab), th,
+                           BoundedSearchBackend(), DecisionCache(), NecessityCache())
 
 
 TABLE_ROWS = [
@@ -70,8 +70,8 @@ def test_s1_blocker_text_and_evidence():
 
 def test_q3_blocker_no_prover_calls():
     backend = BoundedSearchBackend()
-    ctx = build_context(parse("forall x P(x)", V), parse("P(x)", V), Theory(V),
-                        backend, DecisionCache(), NecessityCache())
+    ctx = StrategyContext(parse("forall x P(x)", V), parse("P(x)", V), Theory(V),
+                          backend, DecisionCache(), NecessityCache())
     before = backend.calls
     out = quantifier_strategies(ctx)
     q3 = [e for e in out if e.strategy == "Q-3"]
@@ -198,10 +198,64 @@ def test_prover_budget_with_warm_cache():
     psi, phi = parse("forall x P(x)", V), parse("forall x ~P(x)", V)
     decide_equivalence(psi, phi, th, backend, cache)
     before = backend.calls
-    ctx = build_context(psi, phi, th, backend, cache, ncache)
+    ctx = StrategyContext(psi, phi, th, backend, cache, ncache)
     boolean_strategies(ctx)
-    caps = StrategyCaps()
-    assert backend.calls - before <= 2 * caps.per_strategy
+    assert backend.calls - before <= 2 * PER_STRATEGY
+
+
+class _CountingContext:
+    """Stands in for a StrategyContext: counts confirmations, confirms none."""
+
+    def __init__(self, attempt):
+        self.attempt = attempt
+        self.confirmed = []
+
+    def confirm(self, candidate):
+        self.confirmed.append(candidate)
+        return False
+
+
+def test_first_confirmed_skips_repeats_and_stops_at_cap():
+    attempt = parse("P(x)", V)
+    distinct = [parse(f"R(x, {'f(' * i}x{')' * i})", V)
+                for i in range(PER_STRATEGY + 1)]
+    stream = [attempt, distinct[0], distinct[0], *distinct[1:]]
+    ctx = _CountingContext(attempt)
+    found = first_confirmed(ctx, "B-2", ((c, "m", {}) for c in stream))
+    assert found is None
+    assert ctx.confirmed == distinct[:PER_STRATEGY]
+
+
+def test_explanations_do_not_depend_on_hash_seed():
+    # profiles that print alike (x = a, x = b, x = c) used to be ordered by
+    # set iteration, so the reported Q-2 atom followed PYTHONHASHSEED
+    import json
+    import os
+    import subprocess
+    import sys
+    script = (
+        "import json\n"
+        "from foleq.explain import explain_nonequivalence\n"
+        "from foleq.parser import parse\n"
+        "from foleq.prover import BoundedSearchBackend, DecisionCache\n"
+        "from foleq.definability import NecessityCache\n"
+        "from foleq.syntax import Vocabulary\n"
+        "from foleq.theory import Theory\n"
+        "v = Vocabulary(relations={'D': 1}, constants={'a', 'b', 'c'})\n"
+        "body = '(D(x) -> x = a | x = b | x = c)'\n"
+        "bundle = explain_nonequivalence(\n"
+        "    parse('forall x ' + body, v), parse('exists x ' + body, v), Theory(v),\n"
+        "    BoundedSearchBackend(), DecisionCache(), NecessityCache())\n"
+        "print(json.dumps(bundle.to_json(), sort_keys=True))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outputs = set()
+    for seed in ("0", "1", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+    assert "Q-2" in {e["strategy"] for e in json.loads(outputs.pop())["explanations"]}
 
 
 def test_doubly_mutated_attempts_never_crash():

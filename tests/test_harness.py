@@ -77,6 +77,32 @@ def test_run_pair_both_methods_attribution(engine):
     assert methods["brute-force"] is True
 
 
+class _OriginCounter:
+    """A backend that counts satisfiability calls by query origin."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.origins = {}
+
+    def check_sat(self, query, timeout_ms=None, want_model=True):
+        self.origins[query.origin] = self.origins.get(query.origin, 0) + 1
+        return self.inner.check_sat(query, timeout_ms=timeout_ms, want_model=want_model)
+
+
+def test_run_pair_both_methods_asks_backend_once(engine):
+    # the decision's revalidated model serves as the backend's counter model
+    engine.backend = _OriginCounter(engine.backend)
+    rec = PairRecord.from_json(record_obj("once", "forall x P(x)", "exists x P(x)"))
+    out = run_pair(rec, engine, both_methods=True)
+    assert engine.backend.origins["equivalence"] == 1
+    assert out["countermodel_methods"] == {"brute-force": True, "random": True}
+    # a cached verdict has no structure, so a warm rerun asks once more
+    again = run_pair(rec, engine, both_methods=True)
+    assert again["countermodel_methods"] == out["countermodel_methods"]
+    assert engine.backend.origins["equivalence"] == 2
+
+
 def test_batch_self_pairs_all_equivalent(tmp_path, engine):
     objs = [record_obj(f"s{i}", "forall x P(x)", "forall x P(x)") for i in range(4)]
     path = tmp_path / "d.jsonl"

@@ -160,6 +160,17 @@ def test_race_debug_agreement(tmp_path):
     assert backend.check_sat(query_for("forall x P(x)", "forall x P(x)")).status == "unsat"
 
 
+def test_race_disagreement_raises(tmp_path):
+    exe = make_prover(tmp_path, {
+        "vampire": {"stdout": "% SZS status Unsatisfiable\n"},
+        "casc": {"stdout": "% SZS status Satisfiable\n"},
+    })
+    backend = ExternalProverBackend(
+        ProverConfig(executable=exe, modes=("vampire", "casc")), debug_agreement=True)
+    with pytest.raises(ProverError, match="disagree"):
+        backend.check_sat(query_for("forall x P(x)", "exists x P(x)"))
+
+
 def test_model_extraction_and_revalidation(tmp_path):
     exe = make_prover(tmp_path, {
         "vampire": {"stdout": "% SZS status Satisfiable\n"},

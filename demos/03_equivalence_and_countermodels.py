@@ -6,11 +6,12 @@ that would be equivalent without it.
 """
 
 import json
+import random
 
 from foleq import Vocabulary, parse, to_str
 from foleq.corpus import scenario
-from foleq.countermodel import RandomModelConfig, pregenerate_gamma_models, \
-    search_countermodel
+from foleq.countermodel import DRAWS_PER_ELEMENT, TUPLE_PROBABILITY, search_countermodel
+from foleq.models import random_models
 from foleq.prover import BoundedSearchBackend, DecisionCache, decide_equivalence
 from foleq.theory import Theory
 
@@ -33,21 +34,23 @@ print("\n== counter example search (random models, ascending sizes) ==")
 psi2 = parse("forall x P(x)", Vocabulary(relations={"P": 1}))
 phi2 = parse("exists x P(x)", Vocabulary(relations={"P": 1}))
 hit = search_countermodel(psi2, phi2, Theory(Vocabulary(relations={"P": 1})),
-                          RandomModelConfig(seed=1))
+                          seed=1)
 print(f"{to_str(psi2)}  vs  {to_str(phi2)}")
 print("  direction:", hit.direction)     # the attempt admits a model it should not
 print("  witness  :", json.dumps(hit.structure.to_json()))
 
-print("\n== pre-generating theory models speeds up restricted searches ==")
-config = RandomModelConfig(sizes=(1, 2, 3), seed=5)
-pool = pregenerate_gamma_models(scenario("E-2").theory, config)
-for size, members in sorted(pool.items()):
-    print(f"  size {size}: {len(members)} of {config.models_per_size(size)} "
+print("\n== the search only compares theory models ==")
+mystery = scenario("E-2").theory
+for size in (1, 2, 3):
+    draws = DRAWS_PER_ELEMENT * size
+    models = random_models(mystery.vocabulary, mystery.axioms, size, TUPLE_PROBABILITY,
+                           random.Random(f"5:search:{size}"), draws)
+    print(f"  size {size}: {sum(1 for _ in models)} of {draws} "
           "random structures satisfy the mystery constraints")
 
 print("\n== direction semantics ==")
 v = Vocabulary(relations={"P": 1, "Q": 1})
 restrictive = search_countermodel(parse("exists x Q(x)", v),
                                   parse("exists x (P(x) & Q(x))", v),
-                                  Theory(v), RandomModelConfig(seed=2))
+                                  Theory(v), seed=2)
 print("over-constrained attempt:", restrictive.direction)

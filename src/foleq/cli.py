@@ -67,7 +67,9 @@ def main(argv: list[str] | None = None) -> int:
                     help="only the cheap counter-model cascade")
     bt.add_argument("--lenient", action="store_true",
                     help="skip malformed dataset lines instead of failing")
-    bt.add_argument("--workers", type=int, default=1)
+    bt.add_argument("--workers", type=int, default=1,
+                    help="records processed in parallel threads; this speeds up "
+                         "only the external prover, not the CPU-bound bounded search")
     _add_engine_options(bt)
 
     args = parser.parse_args(argv)

@@ -43,7 +43,7 @@ from .profiles import (
     FORALL, AtomOccurrence, GuardRecord, atom_occurrences, binder_chain,
     extract_guards, flip_guard_operator, remove_guard,
 )
-from .countermodel import CounterExample, RandomModelConfig, search_countermodel
+from .countermodel import CounterExample, backend_source, search_countermodel
 from .prover import DecisionCache, ProverConfig, Verdict, decide_equivalence
 from .definability import (
     NECESSARY, UNKNOWN, EQUALITY, NecessityCache, necessary_symbols,
@@ -636,7 +636,7 @@ def explain_nonequivalence(solution: Formula, attempt: Formula, theory: Theory,
                            backend, cache: DecisionCache | None = None,
                            necessity_cache: NecessityCache | None = None,
                            prover_config: ProverConfig | None = None,
-                           random_config: RandomModelConfig | None = None,
+                           random_seed: int = 0,
                            first_only: bool = False,
                            with_countermodel: bool = True) -> ExplanationBundle:
     """Decide the pair and, when non-equivalent, run every strategy family.
@@ -654,14 +654,11 @@ def explain_nonequivalence(solution: Formula, attempt: Formula, theory: Theory,
 
     counterexample = None
     if verdict.counter is not None:
-        source = ("brute-force" if getattr(backend, "name", "prover") == "bounded"
-                  else "prover-fmb")
         counterexample = CounterExample(structure=verdict.counter,
                                         direction=verdict.direction or "unknown",
-                                        source=source)
+                                        source=backend_source(backend))
     elif with_countermodel:
-        counterexample = search_countermodel(solution, attempt, theory,
-                                             config=random_config)
+        counterexample = search_countermodel(solution, attempt, theory, random_seed)
 
     ctx = StrategyContext(solution=solution, attempt=attempt, theory=theory,
                           backend=backend, cache=cache,

@@ -12,6 +12,7 @@ method attribution, per-strategy explanation counts, and timing data.
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import time
@@ -23,11 +24,11 @@ from .syntax import Formula, FoleqError, Vocabulary, to_str
 from .parser import parse
 from .theory import Theory
 from .prover import (
-    BoundedSearchBackend, BoundedSearchConfig, DecisionCache,
+    BoundedSearchBackend, DecisionCache,
     ExternalProverBackend, ProverConfig, encode_equivalence, revalidate_counter,
 )
 from .definability import NecessityCache
-from .countermodel import CounterExample, RandomModelConfig, search_countermodel
+from .countermodel import CounterExample, backend_source, search_countermodel
 from .explain import explain_nonequivalence
 
 
@@ -92,8 +93,7 @@ class Engine:
     @staticmethod
     def make(prover_path: str | None = None, modes: tuple[str, ...] | None = None,
              timeout_ms: int | None = None, strategy_timeout_ms: int | None = None,
-             seed: int = 0, cache_path: str | None = None,
-             bounded: BoundedSearchConfig | None = None) -> "Engine":
+             seed: int = 0, cache_path: str | None = None) -> "Engine":
         """Engine with the external prover when available, else the
         bounded-search fallback. Environment variables supply defaults
         for the prover path, modes, and timeout."""
@@ -113,16 +113,15 @@ class Engine:
         if prover_path:
             backend = ExternalProverBackend(config)
         else:
-            backend = BoundedSearchBackend(bounded or BoundedSearchConfig(seed=seed))
+            backend = BoundedSearchBackend(seed=seed)
         necessity_path = f"{cache_path}.necessity" if cache_path else None
         return Engine(backend=backend, prover_config=config,
                       cache=DecisionCache(cache_path),
                       necessity_cache=NecessityCache(necessity_path),
                       seed=seed)
 
-    def random_config_for(self, record_id: str) -> RandomModelConfig:
-        derived = zlib.crc32(record_id.encode()) ^ (self.seed & 0xFFFFFFFF)
-        return RandomModelConfig(seed=derived)
+    def random_seed_for(self, record_id: str) -> int:
+        return zlib.crc32(record_id.encode()) ^ (self.seed & 0xFFFFFFFF)
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +148,11 @@ def run_pair(record: PairRecord, engine: Engine, both_methods: bool = False,
              first_only: bool = False) -> dict:
     """Full pipeline for one record: decide, counter model, explanations."""
     start = time.perf_counter()
-    random_config = engine.random_config_for(record.id)
+    random_seed = engine.random_seed_for(record.id)
     bundle = explain_nonequivalence(
         record.solution, record.attempt, record.theory, engine.backend,
         cache=engine.cache, necessity_cache=engine.necessity_cache,
-        prover_config=engine.prover_config, random_config=random_config,
+        prover_config=engine.prover_config, random_seed=random_seed,
         first_only=first_only, with_countermodel=not both_methods)
 
     methods: dict[str, bool] = {}
@@ -163,9 +162,7 @@ def run_pair(record: PairRecord, engine: Engine, both_methods: bool = False,
         # not depend on cache state: a cached verdict carries no structure,
         # so the backend is asked again; otherwise decide_equivalence has
         # just asked it and revalidated its model
-        backend_method = ("brute-force"
-                          if getattr(engine.backend, "name", "prover") == "bounded"
-                          else "prover-fmb")
+        backend_method = backend_source(engine.backend)
         verdict = bundle.verdict
         if verdict.method == "cache":
             backend_counter = _backend_countermodel(record, engine)
@@ -174,7 +171,7 @@ def run_pair(record: PairRecord, engine: Engine, both_methods: bool = False,
         else:
             backend_counter = None
         random_hit = search_countermodel(record.solution, record.attempt,
-                                         record.theory, config=random_config)
+                                         record.theory, random_seed)
         methods = {backend_method: backend_counter is not None,
                    "random": random_hit is not None}
         if backend_counter is not None and bundle.counterexample is None:
@@ -202,8 +199,7 @@ def run_pair(record: PairRecord, engine: Engine, both_methods: bool = False,
 # Batch report
 
 
-_BUCKET_MS = 10
-_BUCKET_MAX_MS = 250
+_FIRST_BUCKET_MS = 10             # bucket edges double from here
 
 
 @dataclass
@@ -237,11 +233,22 @@ class Report:
         return {"p50": pct(50), "p90": pct(90), "p95": pct(95), "p99": pct(99),
                 "max": round(data[-1], 3)}
 
+    def bucket_edges_ms(self) -> list[int]:
+        """Exclusive upper edges of the timing buckets, doubling from
+        10 ms until the slowest pair falls below the last edge."""
+        slowest = max(self.timings_ms, default=0)
+        edges = [_FIRST_BUCKET_MS]
+        while edges[-1] <= slowest:
+            edges.append(edges[-1] * 2)
+        return edges
+
     def timing_buckets(self) -> list[int]:
-        buckets = [0] * (_BUCKET_MAX_MS // _BUCKET_MS + 1)
+        """Pair counts per bucket: below the first edge, then between
+        consecutive edges."""
+        edges = self.bucket_edges_ms()
+        buckets = [0] * len(edges)
         for ms in self.timings_ms:
-            idx = min(int(ms // _BUCKET_MS), len(buckets) - 1)
-            buckets[idx] += 1
+            buckets[bisect.bisect_right(edges, ms)] += 1
         return buckets
 
     def to_json(self) -> dict:
@@ -259,7 +266,7 @@ class Report:
             "total": section(self.total, self.strategy_total),
             "distinct": section(self.distinct, self.strategy_distinct),
             "timing": {"percentiles": self.timing_percentiles(),
-                       "bucket_ms": _BUCKET_MS,
+                       "bucket_edges_ms": self.bucket_edges_ms(),
                        "buckets": self.timing_buckets()},
             "errors": list(self.errors),
         }

@@ -218,6 +218,16 @@ def random_structure(vocab: Vocabulary, size: int, p: float,
                      constants=constants)
 
 
+def random_models(vocab: Vocabulary, axioms, size: int, p: float,
+                  rng: random.Random, draws: int) -> Iterator[Structure]:
+    """The structures among `draws` random ones that satisfy every axiom,
+    in draw order; the rng is advanced by the draws consumed only."""
+    for _ in range(draws):
+        s = random_structure(vocab, size, p, rng)
+        if satisfies_all(s, axioms):
+            yield s
+
+
 # ---------------------------------------------------------------------------
 # Closing open formulas
 

@@ -55,7 +55,7 @@ from .syntax import (
 from .theory import Theory
 from .models import (
     Structure, close_formulas, count_structures, enumerate_structures,
-    eval_formula, random_structure, satisfies_all,
+    eval_formula, random_models, satisfies_all,
 )
 
 
@@ -105,12 +105,15 @@ class Verdict:
     counter: Structure | None = None
     direction: str | None = None     # "too-restrictive" | "too-permissive"
     reason: str | None = None
-    method: str | None = None        # "prover" | "bounded<=k" | "cache"
+    method: str | None = None        # "prover" | "bounded<=k" | "syntactic" | "cache"
+    cached_method: str | None = None  # on a cache hit: the stored verdict's method
 
     def to_json(self) -> dict:
         out = {"status": self.status}
         if self.method:
             out["method"] = self.method
+        if self.cached_method:
+            out["cached_method"] = self.cached_method
         if self.reason:
             out["reason"] = self.reason
         return out
@@ -432,32 +435,29 @@ class ExternalProverBackend:
 # Bounded search backend
 
 
-@dataclass(frozen=True)
-class BoundedSearchConfig:
-    max_size: int = 3
-    exhaustive_budget: int = 300_000   # per-size enumeration cap
-    sample_sizes: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
-    samples_per_size: int = 3000       # sizes up to max_size, scaled by size
-    large_sample_budget: int = 600     # flat budget for the sizes beyond
-    # sparse and dense tables are tried too; restrictive axiom sets often
-    # only have near-empty (or near-full) relation models
-    tuple_probabilities: tuple[float, ...] = (0.5, 0.2, 0.1, 0.9)
-    seed: int = 0
+MAX_SIZE = 3                      # largest size tried exhaustively
+EXHAUSTIVE_BUDGET = 300_000       # per-size enumeration cap
+SAMPLE_SIZES = (1, 2, 3, 4, 5, 6)
+SAMPLES_PER_SIZE = 3000           # sizes up to MAX_SIZE, scaled by size
+LARGE_SAMPLES = 600               # flat budget for the sizes beyond
+# sparse and dense tables are tried too; restrictive axiom sets often
+# only have near-empty (or near-full) relation models
+TUPLE_PROBABILITIES = (0.5, 0.2, 0.1, 0.9)
 
 
 class BoundedSearchBackend:
     """Satisfiability by exhaustive enumeration of small structures.
 
     Sizes whose structure count fits the budget are enumerated completely;
-    configured larger sizes are sampled randomly. A found model is an
-    actual model (sound); "unsat" means no model up to the largest
+    the sample sizes not exhausted are sampled randomly. A found model is
+    an actual model (sound); "unsat" means no model up to the largest
     contiguously exhausted size, which is recorded in the result's bound.
     """
 
     name = "bounded"
 
-    def __init__(self, config: BoundedSearchConfig | None = None):
-        self.config = config or BoundedSearchConfig()
+    def __init__(self, seed: int = 0):
+        self.seed = seed
         self.calls = 0
 
     def check_sat(self, query: SatQuery, timeout_ms: int | None = None,
@@ -466,27 +466,26 @@ class BoundedSearchBackend:
         # cost is bounded by the budget instead
         del timeout_ms, want_model
         self.calls += 1
-        cfg = self.config
         exhausted = 0
-        for size in range(1, cfg.max_size + 1):
-            if count_structures(query.vocabulary, size) > cfg.exhaustive_budget:
+        for size in range(1, MAX_SIZE + 1):
+            if count_structures(query.vocabulary, size) > EXHAUSTIVE_BUDGET:
                 break
-            for s in enumerate_structures(query.vocabulary, size, cfg.exhaustive_budget):
+            for s in enumerate_structures(query.vocabulary, size, EXHAUSTIVE_BUDGET):
                 if satisfies_all(s, query.axioms):
                     return SatResult("sat", model=s)
             exhausted = size
 
-        for size in cfg.sample_sizes:
+        for size in SAMPLE_SIZES:
             if size <= exhausted:
                 continue
-            total = (cfg.samples_per_size * size if size <= cfg.max_size
-                     else cfg.large_sample_budget)
-            for p in cfg.tuple_probabilities:
-                rng = random.Random(f"{cfg.seed}:backend:{size}:{p}")
-                for _ in range(max(1, total // len(cfg.tuple_probabilities))):
-                    s = random_structure(query.vocabulary, size, p, rng)
-                    if satisfies_all(s, query.axioms):
-                        return SatResult("sat", model=s)
+            total = SAMPLES_PER_SIZE * size if size <= MAX_SIZE else LARGE_SAMPLES
+            draws = max(1, total // len(TUPLE_PROBABILITIES))
+            for p in TUPLE_PROBABILITIES:
+                rng = random.Random(f"{self.seed}:backend:{size}:{p}")
+                model = next(random_models(query.vocabulary, query.axioms, size, p,
+                                           rng, draws), None)
+                if model is not None:
+                    return SatResult("sat", model=model)
 
         if exhausted == 0:
             return SatResult("unknown", reason="resource")
@@ -592,7 +591,8 @@ def decide_equivalence(solution: Formula, attempt: Formula, theory: Theory,
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
-            return Verdict(status=hit.status, direction=hit.direction, method="cache")
+            return Verdict(status=hit.status, direction=hit.direction, method="cache",
+                           cached_method=hit.method)
 
     # formulas identical up to bound-variable names need no backend at all
     if alpha_normalize(solution) == alpha_normalize(attempt):

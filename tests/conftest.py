@@ -3,7 +3,7 @@ import random
 import pytest
 
 from foleq.parser import parse
-from foleq.prover import BoundedSearchBackend, BoundedSearchConfig, DecisionCache
+from foleq.prover import BoundedSearchBackend, DecisionCache
 from foleq.definability import NecessityCache
 from foleq.syntax import (
     And, Atom, Exists, Forall, Formula, Iff, Implies, Not, Or, Var, Vocabulary,
@@ -25,7 +25,7 @@ def rich_vocab():
 
 @pytest.fixture
 def backend():
-    return BoundedSearchBackend(BoundedSearchConfig(seed=7))
+    return BoundedSearchBackend(seed=7)
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from foleq.corpus import all_solutions, load_scenarios
-from foleq.countermodel import RandomModelConfig, random_structure, search_countermodel
+from foleq.countermodel import random_structure, search_countermodel
 from foleq.definability import (
     NECESSARY, NOT_SHOWN, NecessityCache, symbol_necessity,
 )
@@ -25,7 +25,7 @@ from foleq.profiles import (
     extract_guards,
 )
 from foleq.prover import (
-    BoundedSearchBackend, BoundedSearchConfig, DecisionCache, decide_equivalence,
+    BoundedSearchBackend, DecisionCache, decide_equivalence,
 )
 from foleq.syntax import Atom, Vocabulary, atoms_of, free_variables, to_str
 from foleq.theory import Theory
@@ -71,7 +71,7 @@ def test_criterion_02_guard_exactness():
 
 def test_criterion_03_oracle_agreement():
     start = time.perf_counter()
-    backend = BoundedSearchBackend(BoundedSearchConfig(seed=17))
+    backend = BoundedSearchBackend(seed=17)
     cache = DecisionCache()
     sampler = FormulaSampler(seed=31)
     theory = Theory(sampler.vocab)
@@ -116,7 +116,7 @@ CATALOGUE = [
 
 def test_criterion_04_catalogue_round_trip():
     start = time.perf_counter()
-    backend = BoundedSearchBackend(BoundedSearchConfig(seed=4))
+    backend = BoundedSearchBackend(seed=4)
     cache, ncache = DecisionCache(), NecessityCache()
     hits = 0
     for strategy, rels, funcs, psi, phi in CATALOGUE:
@@ -198,7 +198,7 @@ def test_criterion_07_countermodel_search():
     psi, phi = parse("forall x P(x)", v), parse("exists x P(x)", v)
     hits = 0
     for seed in range(100):
-        hit = search_countermodel(psi, phi, th, RandomModelConfig(seed=seed))
+        hit = search_countermodel(psi, phi, th, seed=seed)
         if hit is None:
             continue
         assert hit.direction == "too-permissive"
@@ -211,7 +211,7 @@ def test_criterion_07_countermodel_search():
 
 
 def test_criterion_08_padoa_cases():
-    backend = BoundedSearchBackend(BoundedSearchConfig(seed=8))
+    backend = BoundedSearchBackend(seed=8)
     v = Vocabulary(relations={"P": 1, "Q": 1})
     psi = parse("forall x (Q(x) -> P(x))", v)
     assert symbol_necessity(psi, Theory(v), "Q", backend) == NECESSARY
@@ -224,7 +224,7 @@ def test_criterion_08_padoa_cases():
 
 
 def test_criterion_09_cache_contract(tmp_path):
-    backend = BoundedSearchBackend(BoundedSearchConfig(seed=9))
+    backend = BoundedSearchBackend(seed=9)
     cache = DecisionCache()
     v = Vocabulary(relations={"P": 1})
     th = Theory(v)

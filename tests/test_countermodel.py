@@ -1,10 +1,8 @@
 import random
 
-from foleq.countermodel import (
-    RandomModelConfig, pregenerate_gamma_models, random_structure,
-    search_countermodel,
-)
-from foleq.models import eval_formula, satisfies_all
+from foleq import countermodel
+from foleq.countermodel import random_structure, search_countermodel
+from foleq.models import eval_formula, random_models, satisfies_all
 from foleq.parser import parse
 from foleq.syntax import Vocabulary
 from foleq.theory import Theory
@@ -50,28 +48,25 @@ def test_tuple_inclusion_frequency():
 
 
 def test_pool_empty_theory_admits_everything():
-    config = RandomModelConfig(sizes=(1, 2), models_per_size=lambda m: 50)
-    pool = pregenerate_gamma_models(Theory(VP), config)
-    assert len(pool[1]) == 50 and len(pool[2]) == 50
+    for size in (1, 2):
+        models = list(random_models(VP, (), size, 0.5, random.Random(size), 50))
+        assert len(models) == 50
 
 
 def test_pool_filters_by_theory():
     th = Theory(VP, (parse("forall x P(x)", VP),))
-    config = RandomModelConfig(sizes=(1,), models_per_size=lambda m: 400, seed=5)
-    pool = pregenerate_gamma_models(th, config)
-    ratio = len(pool[1]) / 400
+    models = list(random_models(VP, th.axioms, 1, 0.5, random.Random(5), 400))
+    ratio = len(models) / 400
     assert 0.4 < ratio < 0.6
-    assert all(satisfies_all(s, th.axioms) for s in pool[1])
+    assert all(satisfies_all(s, th.axioms) for s in models)
 
 
 def test_pool_respects_structural_constraints():
     v = Vocabulary(relations={"R": 2})
     th = Theory(v, (parse("forall x ~R(x,x)", v),
                     parse("forall x forall y (R(x,y) -> ~R(y,x))", v)))
-    config = RandomModelConfig(sizes=(2, 3), models_per_size=lambda m: 200, seed=1)
-    pool = pregenerate_gamma_models(th, config)
-    for size, members in pool.items():
-        for s in members:
+    for size in (2, 3):
+        for s in random_models(v, th.axioms, size, 0.5, random.Random(size), 200):
             for (a, b) in s.relations["R"]:
                 assert a != b
                 assert (b, a) not in s.relations["R"]
@@ -86,11 +81,12 @@ def test_search_finds_size_two_witness():
     assert hit.source == "random"
 
 
-def test_search_self_pair_absent():
+def test_search_self_pair_absent(monkeypatch):
+    monkeypatch.setattr(countermodel, "SIZES", (1, 2))
+    monkeypatch.setattr(countermodel, "DRAWS_PER_ELEMENT", 25)
     th = Theory(VP)
     f = parse("forall x P(x)", VP)
-    config = RandomModelConfig(sizes=(1, 2), models_per_size=lambda m: 50)
-    assert search_countermodel(f, f, th, config) is None
+    assert search_countermodel(f, f, th) is None
 
 
 def test_search_restrictive_direction():
@@ -107,40 +103,30 @@ def test_search_restrictive_direction():
 def test_search_reproducible_for_seed():
     th = Theory(VP)
     psi, phi = parse("forall x P(x)", VP), parse("exists x P(x)", VP)
-    a = search_countermodel(psi, phi, th, RandomModelConfig(seed=9))
-    b = search_countermodel(psi, phi, th, RandomModelConfig(seed=9))
+    a = search_countermodel(psi, phi, th, seed=9)
+    b = search_countermodel(psi, phi, th, seed=9)
     assert a == b
 
 
 def test_search_uses_pool_and_validates():
+    # only theory models are compared: the witness satisfies the axioms
     v = Vocabulary(relations={"P": 1, "Q": 1})
     th = Theory(v, (parse("forall x P(x)", v),))
-    config = RandomModelConfig(sizes=(1, 2), seed=3)
-    pool = pregenerate_gamma_models(th, config)
     hit = search_countermodel(parse("forall x Q(x)", v), parse("exists x Q(x)", v),
-                              th, config, pool=pool)
+                              th, seed=3)
     assert hit is not None
     assert satisfies_all(hit.structure, th.axioms)
 
 
-def test_search_both_directions():
-    v = Vocabulary(relations={"P": 1, "Q": 1})
-    th = Theory(v)
-    hit = search_countermodel(parse("forall x P(x)", v), parse("forall x Q(x)", v),
-                              th, both_directions=True)
-    assert hit is not None
-    assert hit.direction == "both"
-    assert hit.opposite is not None
-
-
-def test_counterexample_revalidates(sampler):
+def test_counterexample_revalidates(sampler, monkeypatch):
+    monkeypatch.setattr(countermodel, "SIZES", (1, 2, 3))
+    monkeypatch.setattr(countermodel, "DRAWS_PER_ELEMENT", 100)
     th = Theory(sampler.vocab)
-    config = RandomModelConfig(sizes=(1, 2, 3), models_per_size=lambda m: 200, seed=12)
     found = 0
     from foleq.models import close_formulas
     for _ in range(30):
         f, g = sampler.formula(depth=2), sampler.formula(depth=2)
-        hit = search_countermodel(f, g, th, config)
+        hit = search_countermodel(f, g, th, seed=12)
         if hit is None:
             continue
         found += 1

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from foleq.harness import Engine, PairRecord, load_dataset, run_batch, run_pair
+from foleq.harness import Engine, PairRecord, Report, load_dataset, run_batch, run_pair
 from foleq.cli import main as cli_main
 from foleq.corpus import load_scenarios
 from foleq.syntax import to_str
@@ -134,6 +134,9 @@ def test_batch_report_invariants_and_counts(tmp_path, engine):
     assert data["distinct"]["non_equivalent"] == 2
     assert data["total"]["at_least_one_strategy"] >= 2
     assert data["total"]["counter_found"] >= 2
+    timing = data["timing"]
+    assert timing["bucket_edges_ms"] == report.bucket_edges_ms()
+    assert sum(timing["buckets"]) == 4
     csv = report.to_csv()
     assert "strategy_S-1" in csv or "strategy_Q-1" in csv
 
@@ -151,6 +154,31 @@ def test_batch_counts_stable_under_warm_cache(tmp_path):
         cold_counts = {k: v for k, v in cold[section].items()}
         warm_counts = {k: v for k, v in warm[section].items()}
         assert cold_counts == warm_counts
+
+
+def test_cache_hit_keeps_the_bound(tmp_path, engine):
+    objs = [record_obj("cold", "forall x (P(x) -> Q(x))", "forall x ~(P(x) & ~Q(x))",
+                       relations={"P": 1, "Q": 1}),
+            record_obj("warm", "forall y (P(y) -> Q(y))", "forall z ~(P(z) & ~Q(z))",
+                       relations={"P": 1, "Q": 1})]
+    path = tmp_path / "d.jsonl"
+    write_dataset(path, objs)
+    (cold, warm), _ = load_dataset(str(path))
+    cold_verdict = run_pair(cold, engine)["verdict"]
+    assert cold_verdict["status"] == "equivalent"
+    assert cold_verdict["method"].startswith("bounded<=")
+    assert run_pair(warm, engine)["verdict"] == {
+        "status": "equivalent", "method": "cache",
+        "cached_method": cold_verdict["method"]}
+
+
+def test_timing_buckets_double_up_to_the_slowest_pair():
+    report = Report(timings_ms=[5.0, 300.0, 5000.0])
+    edges = report.bucket_edges_ms()
+    assert edges[0] == 10 and edges[-1] > 5000
+    assert all(b == 2 * a for a, b in zip(edges, edges[1:]))
+    buckets = report.timing_buckets()
+    assert sum(buckets) == 3 and buckets.count(1) == 3
 
 
 def test_batch_parallel_matches_serial(tmp_path):

@@ -4,10 +4,11 @@ import time
 
 import pytest
 
+from foleq import prover
 from foleq.models import brute_force_verdict
 from foleq.parser import parse
 from foleq.prover import (
-    BoundedSearchBackend, BoundedSearchConfig, DecisionCache,
+    BoundedSearchBackend, DecisionCache,
     ExternalProverBackend, ProverConfig, ProverError, SatQuery,
     decide_equivalence, encode_equivalence, mangle_table, parse_finite_model,
     parse_szs_status, to_tptp,
@@ -227,10 +228,11 @@ def test_bounded_backend_unsat_with_bound():
     assert result.bound >= 3
 
 
-def test_bounded_backend_respects_budget():
-    config = BoundedSearchConfig(exhaustive_budget=1, sample_sizes=(2,),
-                                 samples_per_size=5)
-    backend = BoundedSearchBackend(config)
+def test_bounded_backend_respects_budget(monkeypatch):
+    monkeypatch.setattr(prover, "EXHAUSTIVE_BUDGET", 1)
+    monkeypatch.setattr(prover, "SAMPLE_SIZES", (2,))
+    monkeypatch.setattr(prover, "SAMPLES_PER_SIZE", 5)
+    backend = BoundedSearchBackend()
     result = backend.check_sat(query_for("forall x P(x)", "forall x P(x)"))
     assert result.status == "unknown"
     assert result.reason == "resource"

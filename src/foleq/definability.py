@@ -28,7 +28,7 @@ from .syntax import (
 )
 from .theory import Theory
 from .models import close_formulas
-from .prover import JsonlCache, SatQuery
+from .prover import JsonlCache, SatQuery, backend_key
 
 NECESSARY = "necessary"
 NOT_SHOWN = "not-shown-necessary"
@@ -210,7 +210,8 @@ def encode_padoa(solution: Formula, theory: Theory, tested: set[str]) -> SatQuer
 
 
 class NecessityCache(JsonlCache):
-    """Necessity reports keyed by the canonicalized (formula, theory) pair."""
+    """Necessity reports keyed by the canonicalized (formula, theory) pair;
+    `necessary_symbols` files them under the backend's kind."""
 
     def _decode(self, record: dict) -> NecessityReport:
         return NecessityReport(statuses=record["statuses"],
@@ -253,7 +254,8 @@ def necessary_symbols(solution: Formula, theory: Theory, backend,
     the symbols a strategy actually cares about); restricted reports are
     merged into the cache incrementally.
     """
-    key = NecessityCache.key(solution, theory) if cache is not None else None
+    key = backend_key(backend, NecessityCache.key(solution, theory)) \
+        if cache is not None else None
     cached = cache.get(key) if cache is not None else None
 
     rels, funcs, consts, uses_eq = symbols_of(solution)

@@ -91,7 +91,7 @@ class StrategyContext:
         self.att_occurrences = atom_occurrences(self.attempt)
         self.sol_extended = {occ.profile for occ in self.sol_occurrences}
         self.att_extended = {occ.profile for occ in self.att_occurrences}
-        self.sol_guards, self.sol_wrong = extract_guards(self.solution)
+        self.sol_guards, _ = extract_guards(self.solution)
         self.att_guards, self.att_wrong = extract_guards(self.attempt)
         self.sol_prenex = prenex_decompose(self.solution)
         self.att_prenex = prenex_decompose(self.attempt)

@@ -17,6 +17,7 @@ import json
 import os
 import time
 import zlib
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -202,12 +203,41 @@ def run_pair(record: PairRecord, engine: Engine, both_methods: bool = False,
 _FIRST_BUCKET_MS = 10             # bucket edges double from here
 
 
+def _section(results: list[dict]) -> dict:
+    """One report section over per-pair results: verdict counts,
+    counter-model methods that hit (and hit alone), strategy counts."""
+    wrong = [r for r in results if r["verdict"]["status"] == "non-equivalent"]
+    statuses = Counter(r["verdict"]["status"] for r in results)
+    by_method, exclusive, strategies = Counter(), Counter(), Counter()
+    for r in wrong:
+        methods = r.get("countermodel_methods", {})
+        hits = [method for method, hit in methods.items() if hit]
+        by_method.update(hits)
+        if len(hits) == 1 < len(methods):
+            exclusive.update(hits)
+        strategies.update(r.get("strategies", []))
+    explained = sum(1 for r in wrong if r.get("strategies"))
+    return {
+        "all": len(results),
+        "equivalent": statuses["equivalent"],
+        "non_equivalent": len(wrong),
+        "unknown": statuses["unknown"],
+        "counter_found": sum(1 for r in wrong if r.get("counterexample")),
+        "at_least_one_strategy": explained,
+        "counter_by_method": dict(sorted(by_method.items())),
+        "counter_exclusive": dict(sorted(exclusive.items())),
+        "strategies": dict(sorted(strategies.items())),
+        "explained_ratio": round(explained / (len(wrong) or 1), 4),
+    }
+
+
 @dataclass
 class Report:
+    """The sections over all pairs ("total") and over the first pair of
+    each duplicate key ("distinct"), per-pair timings and errors."""
+
     total: dict = field(default_factory=dict)
     distinct: dict = field(default_factory=dict)
-    strategy_total: dict = field(default_factory=dict)
-    strategy_distinct: dict = field(default_factory=dict)
     timings_ms: list = field(default_factory=list)
     errors: list = field(default_factory=list)
 
@@ -252,19 +282,9 @@ class Report:
         return buckets
 
     def to_json(self) -> dict:
-        def section(counts: dict, strategies: dict) -> dict:
-            denom = counts["non_equivalent"] or 1
-            return {
-                **{k: v for k, v in counts.items() if not isinstance(v, dict)},
-                "counter_by_method": dict(sorted(counts["counter_by_method"].items())),
-                "counter_exclusive": dict(sorted(counts["counter_exclusive"].items())),
-                "strategies": dict(sorted(strategies.items())),
-                "explained_ratio": round(counts["at_least_one_strategy"] / denom, 4),
-            }
-
         return {
-            "total": section(self.total, self.strategy_total),
-            "distinct": section(self.distinct, self.strategy_distinct),
+            "total": self.total,
+            "distinct": self.distinct,
             "timing": {"percentiles": self.timing_percentiles(),
                        "bucket_edges_ms": self.bucket_edges_ms(),
                        "buckets": self.timing_buckets()},
@@ -277,24 +297,18 @@ class Report:
                 "counter_found", "at_least_one_strategy"]
         for k in keys:
             lines.append(f"{k},{self.total[k]},{self.distinct[k]}")
-        for method in sorted(self.total["counter_by_method"]):
-            lines.append(f"counter_via_{method},{self.total['counter_by_method'][method]},"
-                         f"{self.distinct['counter_by_method'][method]}")
-        for method in sorted(self.total["counter_exclusive"]):
-            lines.append(f"counter_exclusively_{method},"
-                         f"{self.total['counter_exclusive'][method]},"
-                         f"{self.distinct['counter_exclusive'][method]}")
+        # a method can hit on a duplicate only, so the distinct section
+        # may lack a key of the total one, never the other way round
+        for prefix, key in (("counter_via", "counter_by_method"),
+                            ("counter_exclusively", "counter_exclusive")):
+            for method, count in self.total[key].items():
+                lines.append(f"{prefix}_{method},{count},"
+                             f"{self.distinct[key].get(method, 0)}")
         from .explain import ALL_STRATEGIES
         for s in ALL_STRATEGIES:
-            lines.append(f"strategy_{s},{self.strategy_total.get(s, 0)},"
-                         f"{self.strategy_distinct.get(s, 0)}")
+            lines.append(f"strategy_{s},{self.total['strategies'].get(s, 0)},"
+                         f"{self.distinct['strategies'].get(s, 0)}")
         return "\n".join(lines) + "\n"
-
-
-def _empty_counts() -> dict:
-    return {"all": 0, "equivalent": 0, "non_equivalent": 0, "unknown": 0,
-            "counter_found": 0, "counter_by_method": {}, "counter_exclusive": {},
-            "at_least_one_strategy": 0}
 
 
 def run_batch(records: list[PairRecord], engine: Engine, both_methods: bool = True,
@@ -320,44 +334,14 @@ def run_batch(records: list[PairRecord], engine: Engine, both_methods: bool = Tr
     else:
         results = [process(r) for r in records]
 
-    report = Report(total=_empty_counts(), distinct=_empty_counts())
-    seen_keys: set[str] = set()
+    first_of_key: dict[str, dict] = {}
     for record, result in zip(records, results):
-        key = record.duplicate_key()
-        fresh = key not in seen_keys
-        seen_keys.add(key)
-        targets = [(report.total, report.strategy_total)]
-        if fresh:
-            targets.append((report.distinct, report.strategy_distinct))
-        status = result["verdict"]["status"]
-        methods = result.get("countermodel_methods", {})
-        found = bool(result.get("counterexample"))
-        strategies = result.get("strategies", [])
-        if result.get("error"):
-            report.errors.append(f"{record.id}: {result['error']}")
-        for counts, strat_counts in targets:
-            counts["all"] += 1
-            counts[{"equivalent": "equivalent", "non-equivalent": "non_equivalent",
-                    "unknown": "unknown"}[status]] += 1
-            if status == "non-equivalent":
-                if found:
-                    counts["counter_found"] += 1
-                for method, hit in methods.items():
-                    if hit:
-                        counts["counter_by_method"][method] = \
-                            counts["counter_by_method"].get(method, 0) + 1
-                if len(methods) == 2:
-                    first, second = sorted(methods)
-                    if methods[first] and not methods[second]:
-                        counts["counter_exclusive"][first] = \
-                            counts["counter_exclusive"].get(first, 0) + 1
-                    if methods[second] and not methods[first]:
-                        counts["counter_exclusive"][second] = \
-                            counts["counter_exclusive"].get(second, 0) + 1
-                if strategies:
-                    counts["at_least_one_strategy"] += 1
-                for s in strategies:
-                    strat_counts[s] = strat_counts.get(s, 0) + 1
-        report.timings_ms.append(result["timing_ms"])
+        first_of_key.setdefault(record.duplicate_key(), result)
+    report = Report(total=_section(results),
+                    distinct=_section(list(first_of_key.values())),
+                    timings_ms=[result["timing_ms"] for result in results],
+                    errors=[f"{record.id}: {result['error']}"
+                            for record, result in zip(records, results)
+                            if result.get("error")])
     report.validate()
     return report

@@ -32,17 +32,15 @@ class BudgetExceededError(FoleqError):
 
 @dataclass(frozen=True)
 class Structure:
+    """A structure over {0, ..., size-1}. Its tables are used as given,
+    not copied: relations map to frozensets of int tuples, functions to
+    dicts from int tuples to ints, constants to ints, and nobody mutates
+    them (enumerated structures share their function tables)."""
+
     size: int
     relations: Mapping[str, frozenset[tuple[int, ...]]]
     functions: Mapping[str, Mapping[tuple[int, ...], int]]
     constants: Mapping[str, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "relations",
-                           {r: frozenset(map(tuple, ts)) for r, ts in self.relations.items()})
-        object.__setattr__(self, "functions",
-                           {f: dict(m) for f, m in self.functions.items()})
-        object.__setattr__(self, "constants", dict(self.constants))
 
     def to_json(self) -> dict:
         """1-based rendering used in counter-model output."""
@@ -204,11 +202,8 @@ def random_structure(vocab: Vocabulary, size: int, p: float,
     universe = range(size)
     relations = {}
     for name in sorted(vocab.relations):
-        table = set()
-        for tup in itertools.product(universe, repeat=vocab.relations[name]):
-            if rng.random() < p:
-                table.add(tup)
-        relations[name] = frozenset(table)
+        tuples = itertools.product(universe, repeat=vocab.relations[name])
+        relations[name] = frozenset(t for t in tuples if rng.random() < p)
     functions = {}
     for name in sorted(vocab.functions):
         functions[name] = {tup: rng.randrange(size) for tup

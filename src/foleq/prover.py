@@ -78,7 +78,6 @@ class ProverConfig:
     modes: tuple[str, ...] = ("vampire", "casc", "casc_sat")
     timeout_ms: int = 20_000            # top-level equivalence checks
     strategy_timeout_ms: int = 30_000   # calls made from inside strategies
-    model_extraction: bool = True
 
     def __post_init__(self):
         if self.timeout_ms <= 0 or self.strategy_timeout_ms <= 0:
@@ -331,7 +330,7 @@ class ExternalProverBackend:
         timeout_ms = timeout_ms or self.config.timeout_ms
         problem = to_tptp(query)
         outcome = self._race(problem, timeout_ms)
-        if outcome.status == "sat" and want_model and self.config.model_extraction:
+        if outcome.status == "sat" and want_model:
             model = self._extract_model(problem, query.vocabulary, timeout_ms)
             if model is not None:
                 return SatResult("sat", model=model)
@@ -533,12 +532,20 @@ class JsonlCache:
         return len(self._data)
 
 
+def backend_key(backend, key: str) -> str:
+    """A cache key among the entries of the backend's kind, so that a
+    bounded "equivalent" or "not shown necessary" never serves a prover."""
+    return f"{getattr(backend, 'name', 'prover')}:{key}"
+
+
 class DecisionCache(JsonlCache):
     """Equivalence decisions keyed by the canonicalized pair and theory.
 
     Keys ignore axiom order, formula order within the pair, and bound
-    variable names. Only decisive verdicts are stored, without their
-    counter structures. Thread-safe; optionally persisted as JSON lines.
+    variable names; lookups add the backend kind (`backend_key`). Only
+    decisive verdicts are stored, without counter structures and without
+    directions, which a key that sorts the pair cannot orient. Thread-safe;
+    optionally persisted as JSON lines.
     """
 
     def __init__(self, path: str | None = None):
@@ -546,12 +553,11 @@ class DecisionCache(JsonlCache):
         super().__init__(path)
 
     def _decode(self, record: dict) -> Verdict:
-        return Verdict(status=record["status"], direction=record.get("direction"),
-                       method=record.get("method"))
+        return Verdict(status=record["status"], method=record.get("method"))
 
     def _encode(self, verdict: Verdict) -> dict:
-        return {"status": verdict.status, "direction": verdict.direction,
-                "method": verdict.method, "timestamp": time.time()}
+        return {"status": verdict.status, "method": verdict.method,
+                "timestamp": time.time()}
 
     @staticmethod
     def key(solution: Formula, attempt: Formula, theory: Theory) -> str:
@@ -569,8 +575,7 @@ class DecisionCache(JsonlCache):
     def put(self, key: str, verdict: Verdict) -> None:
         if verdict.status == "unknown":
             return
-        super().put(key, Verdict(status=verdict.status, direction=verdict.direction,
-                                 method=verdict.method))
+        super().put(key, Verdict(status=verdict.status, method=verdict.method))
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +592,12 @@ def decide_equivalence(solution: Formula, attempt: Formula, theory: Theory,
     against the theory and the pair before being surfaced; an invalid one
     is dropped (the verdict stands, the structure does not).
     """
-    key = DecisionCache.key(solution, attempt, theory) if cache is not None else None
+    key = None
     if cache is not None:
+        key = backend_key(backend, DecisionCache.key(solution, attempt, theory))
         hit = cache.get(key)
         if hit is not None:
-            return Verdict(status=hit.status, direction=hit.direction, method="cache",
-                           cached_method=hit.method)
+            return Verdict(status=hit.status, method="cache", cached_method=hit.method)
 
     # formulas identical up to bound-variable names need no backend at all
     if alpha_normalize(solution) == alpha_normalize(attempt):

@@ -5,10 +5,14 @@ criteria are statistical or corpus-wide; all random inputs are seeded, so
 every run checks the identical workload.
 """
 
+import importlib.util
+import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from foleq.corpus import all_solutions, load_scenarios
 from foleq.countermodel import random_structure, search_countermodel
@@ -17,8 +21,11 @@ from foleq.definability import (
 )
 from foleq.explain import explain_nonequivalence
 from foleq.harness import Engine, run_batch
-from foleq.models import brute_force_verdict, eval_formula, satisfies_all
-from foleq.mutate import INTENDED_STRATEGIES, MUTATIONS, mutate
+from foleq.models import (
+    brute_force_verdict, close_formulas, count_structures, enumerate_structures,
+    eval_formula, satisfies_all,
+)
+from foleq.mutate import INTENDED_STRATEGIES, MUTATIONS, mutate, mutate_all
 from foleq.parser import parse
 from foleq.profiles import (
     EXISTS, FORALL, PrefixEntry, atom_quantifier_prefix, core_profile,
@@ -269,3 +276,109 @@ def test_criterion_10_corpus_integrity():
     assert elapsed < 5.0
     ok(10, f"all 62 formulas and every axiom round-trip; axioms closed "
            f"({elapsed * 1000:.0f} ms)")
+
+
+def _perfbench_check():
+    """perfbench/check.py, which shares no code with foleq, by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
+    spec = importlib.util.spec_from_file_location("perfbench_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ORACLE_BUDGET = 20_000        # structures brute force may enumerate per size
+
+
+def test_criterion_11_theory_oracle():
+    start = time.perf_counter()
+    check = _perfbench_check()
+    scenarios = [sc for sc in load_scenarios() if sc.theory.axioms]
+    pairs = [(sc, sol.formula, mutant) for sc in scenarios for sol in sc.solutions
+             for family in MUTATIONS for mutant in mutate_all(sol.formula, family)]
+    backend = BoundedSearchBackend(seed=11)
+    seen = {"structures": 0, "equivalent": 0, "brute-forced": 0, "counter": 0, "keys": 0}
+
+    def check_formula(sc, f):
+        return check.parse(to_str(f), sc.vocabulary.to_json())
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @seed(11)
+    @given(st.sampled_from(scenarios), st.integers(1, 3), st.sampled_from((0.1, 0.5, 0.9)),
+           st.integers(0, 499), st.booleans())
+    def evaluators_agree(sc, size, p, n, enumerated):
+        if enumerated:
+            size = min(size, 2)
+            count = count_structures(sc.vocabulary, size)
+            s = next(itertools.islice(enumerate_structures(sc.vocabulary, size, count),
+                                      n % count, None))
+        else:
+            s = random_structure(sc.vocabulary, size, p, random.Random(n))
+        theirs = check.structure_from_json(s.to_json(), sc.vocabulary.to_json())
+        sampled = FormulaSampler(n, sc.vocabulary).closed_formula()
+        for f in (*sc.theory.axioms, *(sol.formula for sol in sc.solutions), sampled):
+            env = {v: n % size for v in free_variables(f)}
+            assert eval_formula(s, f, env) == check.holds(theirs, check_formula(sc, f), env)
+        seen["structures"] += 1
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @seed(11)
+    @given(st.sampled_from(pairs), st.sampled_from((None, *MUTATIONS)), st.integers(0, 99))
+    def verdicts_hold(pair, second, n):
+        sc, solution, attempt = pair
+        if second is not None:
+            chained = mutate_all(attempt, second)
+            attempt = chained[n % len(chained)] if chained else attempt
+        verdict = decide_equivalence(solution, attempt, sc.theory, backend)
+        bound = check.bound_of(verdict.method)
+        if verdict.status == "equivalent" and bound is not None:
+            seen["equivalent"] += 1
+            (_, _), vocab = close_formulas([solution, attempt], sc.vocabulary)
+            if count_structures(vocab, bound) <= ORACLE_BUDGET:
+                oracle = brute_force_verdict(solution, attempt, sc.theory, bound,
+                                             ORACLE_BUDGET)
+                assert not oracle.non_equivalent
+                seen["brute-forced"] += 1
+        elif verdict.status == "non-equivalent":
+            # every "sat" of the bounded backend comes with a model, which
+            # decide_equivalence drops only when it fails revalidation
+            assert verdict.counter is not None
+            theirs = check.Pair(sc.vocabulary.to_json(),
+                                [to_str(ax) for ax in sc.theory.axioms],
+                                to_str(solution), to_str(attempt))
+            theirs.check_countermodel(verdict.counter.to_json(), verdict.direction)
+            seen["counter"] += 1
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @seed(11)
+    @given(st.sampled_from(pairs), st.integers(0, 9999))
+    def key_invariant(pair, n):
+        sc, solution, attempt = pair
+        rng = random.Random(n)
+        taken = (set(sc.vocabulary.relations) | set(sc.vocabulary.functions)
+                 | set(sc.vocabulary.constants))
+
+        def renamed(f):
+            theirs = check_formula(sc, f)
+            taken_here = taken | set(check.free_variables(theirs))
+            return parse(check.to_text(check.rename_bound(theirs, rng, taken_here)),
+                         sc.vocabulary)
+
+        axioms = [renamed(ax) for ax in sc.theory.axioms]
+        rng.shuffle(axioms)
+        assert DecisionCache.key(renamed(attempt), renamed(solution),
+                                 Theory(sc.vocabulary, tuple(axioms))) == \
+            DecisionCache.key(solution, attempt, sc.theory)
+        seen["keys"] += 1
+
+    evaluators_agree()
+    verdicts_hold()
+    key_invariant()
+    elapsed = time.perf_counter() - start
+    assert seen["equivalent"] and seen["brute-forced"] and seen["counter"]
+    assert elapsed < 20
+    ok(11, f"{len(scenarios)} scenarios with axioms: eval_formula agrees with "
+           f"perfbench's evaluator on {seen['structures']} structures; "
+           f"{seen['counter']} counter models checked, {seen['brute-forced']} of "
+           f"{seen['equivalent']} bounded equivalences brute-forced; "
+           f"{seen['keys']} cache keys invariant ({elapsed:.0f} s)")

@@ -6,6 +6,7 @@ from foleq.definability import (
 )
 from foleq.models import brute_force_verdict, eval_formula
 from foleq.parser import parse
+from foleq.prover import backend_key
 from foleq.syntax import Eq, Vocabulary, free_variables, subformulas, to_str
 from foleq.theory import Theory
 
@@ -138,7 +139,7 @@ def test_necessity_cache_persists_through_file(tmp_path, backend):
     report = necessary_symbols(psi, th, backend, cache=NecessityCache(path))
     reloaded = NecessityCache(path)
     assert len(reloaded) == 1
-    assert reloaded.get(NecessityCache.key(psi, th)) == report
+    assert reloaded.get(backend_key(backend, NecessityCache.key(psi, th))) == report
     calls = backend.calls
     assert necessary_symbols(psi, th, backend, cache=reloaded) == report
     assert backend.calls == calls

@@ -4,10 +4,16 @@ import sys
 
 import pytest
 
-from foleq.harness import Engine, PairRecord, Report, load_dataset, run_batch, run_pair
+from foleq.harness import (
+    Engine, PairRecord, Report, _section, load_dataset, run_batch, run_pair,
+)
 from foleq.cli import main as cli_main
 from foleq.corpus import load_scenarios
-from foleq.syntax import to_str
+from foleq.definability import NOT_SHOWN, UNKNOWN, necessary_symbols
+from foleq.parser import parse
+from foleq.prover import SatResult, decide_equivalence
+from foleq.syntax import Vocabulary, to_str
+from foleq.theory import Theory
 
 
 def record_obj(pair_id, psi, phi, relations=None, gamma=()):
@@ -179,6 +185,75 @@ def test_timing_buckets_double_up_to_the_slowest_pair():
     assert all(b == 2 * a for a, b in zip(edges, edges[1:]))
     buckets = report.timing_buckets()
     assert sum(buckets) == 3 and buckets.count(1) == 3
+
+
+def test_csv_when_only_a_duplicate_finds_a_random_model():
+    # the record id seeds the random search, so a duplicate can hit where
+    # the first record of its key missed
+    wrong = {"verdict": {"status": "non-equivalent"}, "strategies": [],
+             "counterexample": {"direction": "too-permissive"}}
+    first = {**wrong, "countermodel_methods": {"brute-force": True, "random": False}}
+    duplicate = {**wrong, "countermodel_methods": {"brute-force": True, "random": True}}
+    report = Report(total=_section([first, duplicate]), distinct=_section([first]))
+    report.validate()
+    lines = report.to_csv().splitlines()
+    assert "counter_via_random,1,0" in lines
+    assert "counter_exclusively_random" not in report.to_csv()
+    assert "counter_exclusively_brute-force,1,1" in lines
+
+
+def test_cli_batch_csv_when_only_a_duplicate_finds_a_random_model(tmp_path):
+    # the only separating models have one element, where all ten relations
+    # must hold: with seed 0 the search of r5 misses one and that of r0 hits
+    relations = {f"P{i}": 1 for i in range(10)}
+    psi = "forall x (" + " & ".join(f"P{i}(x)" for i in range(10)) + ")"
+    phi = f"{psi} & exists x exists y ~(x = y)"
+    data = tmp_path / "d.jsonl"
+    write_dataset(data, [record_obj(i, psi, phi, relations) for i in ("r5", "r0")])
+    csv_path = tmp_path / "report.csv"
+    code = cli_main(["batch", str(data), "--report", str(tmp_path / "report.json"),
+                     "--csv", str(csv_path), "--seed", "0"])
+    assert code == 0
+    assert "counter_via_random,1,0" in csv_path.read_text().splitlines()
+
+
+class _UndecidedProver:
+    """A prover-kind backend that never decides."""
+
+    name = "prover"
+
+    def __init__(self):
+        self.calls = 0
+
+    def check_sat(self, query, timeout_ms=None, want_model=True):
+        self.calls += 1
+        return SatResult("unknown", reason="timeout")
+
+
+def test_cache_file_keeps_bounded_and_prover_entries_apart(tmp_path):
+    v = Vocabulary(relations={"P": 1, "Q": 1})
+    th = Theory(v, (parse("forall x P(x)", v),))
+    psi, phi = parse("forall x (Q(x) -> P(x))", v), parse("forall x P(x)", v)
+    path = str(tmp_path / "cache.jsonl")
+
+    def answers(engine):
+        verdict = decide_equivalence(psi, phi, th, engine.backend, engine.cache)
+        report = necessary_symbols(psi, th, engine.backend, cache=engine.necessity_cache)
+        return verdict, report.status("Q")
+
+    verdict, necessity = answers(Engine.make(cache_path=path))
+    assert verdict.status == "equivalent" and necessity == NOT_SHOWN
+
+    prover = Engine.make(cache_path=path)
+    prover.backend = _UndecidedProver()
+    verdict, necessity = answers(prover)
+    assert verdict.status == "unknown" and necessity == UNKNOWN
+    assert prover.backend.calls >= 2
+
+    bounded = Engine.make(cache_path=path)
+    verdict, necessity = answers(bounded)
+    assert verdict.method == "cache" and necessity == NOT_SHOWN
+    assert bounded.backend.calls == 0
 
 
 def test_batch_parallel_matches_serial(tmp_path):

@@ -279,6 +279,25 @@ def test_cache_persistence(tmp_path, backend):
     assert fresh.calls == 0
 
 
+def test_cache_serves_no_direction(tmp_path, backend):
+    # the key sorts the pair, so a stored direction may be the wrong way round
+    th = Theory(VP)
+    forall, exists = parse("forall x P(x)", VP), parse("exists x P(x)", VP)
+    assert decide_equivalence(exists, forall, th, backend).direction == "too-restrictive"
+    path = tmp_path / "cache.jsonl"
+    old_line = {"key": DecisionCache.key(forall, exists, th), "status": "non-equivalent",
+                "direction": "too-permissive", "method": "bounded", "timestamp": 0}
+    path.write_text(json.dumps(old_line) + "\n")
+    old = DecisionCache(str(path))
+    assert len(old) == 1
+    calls = backend.calls
+    cold = decide_equivalence(forall, exists, th, backend, old)
+    assert cold.direction == "too-permissive" and backend.calls == calls + 1
+    hit = decide_equivalence(exists, forall, th, backend, DecisionCache(str(path)))
+    assert hit.method == "cache" and hit.direction is None
+    assert backend.calls == calls + 1
+
+
 def test_alpha_variant_pairs_decided_syntactically(backend):
     th = Theory(VP)
     verdict = decide_equivalence(parse("forall x P(x)", VP),

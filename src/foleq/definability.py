@@ -252,7 +252,8 @@ def necessary_symbols(solution: Formula, theory: Theory, backend,
 
     `symbols` restricts the report to a subset (used to test lazily only
     the symbols a strategy actually cares about); restricted reports are
-    merged into the cache incrementally.
+    merged into the cache incrementally, and only when a status was
+    computed.
     """
     key = backend_key(backend, NecessityCache.key(solution, theory)) \
         if cache is not None else None
@@ -267,12 +268,11 @@ def necessary_symbols(solution: Formula, theory: Theory, backend,
 
     statuses: dict[str, str] = dict(cached.statuses) if cached else {}
     query_ids: dict[str, str] = dict(cached.query_ids) if cached else {}
-    for s in sorted(wanted):
-        if statuses.get(s) in (NECESSARY, NOT_SHOWN):
-            continue
+    fresh = [s for s in sorted(wanted) if statuses.get(s) not in (NECESSARY, NOT_SHOWN)]
+    for s in fresh:
         statuses[s] = symbol_necessity(solution, theory, s, backend, timeout_ms)
         query_ids[s] = f"padoa:{s}"
     report = NecessityReport(statuses=statuses, query_ids=query_ids)
-    if cache is not None:
+    if cache is not None and fresh:
         cache.put(key, report)
     return report

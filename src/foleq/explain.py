@@ -33,15 +33,16 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .syntax import (
-    Address, And, Atom, Const, Eq, Exists, Forall, Formula, Func, Implies, Not,
-    QUANTIFIERS, Var, children, formula_terms, free_variables, map_term_variables,
+    Address, Atom, Eq, Exists, Forall, Formula, Implies, Not, QUANTIFIERS, Var,
+    children, formula_terms, free_variables, map_atom_variables,
     prenex_decompose, prenex_recompose, rewrite_at, subformula_at, subformulas,
     symbols_of, term_variables, to_str, with_children,
 )
 from .theory import Theory
 from .profiles import (
-    FORALL, AtomOccurrence, GuardRecord, atom_occurrences, binder_chain,
-    extract_guards, flip_guard_operator, remove_guard,
+    FORALL, AtomOccurrence, GuardRecord, add_guard, atom_occurrences,
+    binder_chain, extract_guards, flip_guard_operator, permute_arguments,
+    remove_guard, swap_implication, toggle_negation,
 )
 from .countermodel import CounterExample, backend_source, search_countermodel
 from .prover import DecisionCache, ProverConfig, Verdict, decide_equivalence
@@ -140,18 +141,18 @@ def _edit_evidence(address: Address, before: Formula | str,
     }
 
 
+def _site_evidence(address: Address, before: Formula, after: Formula) -> dict:
+    """Evidence of an edit at `address`: the subformula there in both."""
+    return _edit_evidence(address, subformula_at(before, address),
+                          subformula_at(after, address))
+
+
 def _occurrences_with_core(occs, core) -> list[AtomOccurrence]:
     return sorted((o for o in occs if o.profile.core == core), key=lambda o: o.address)
 
 
 def _occurrences_with_profile(occs, profile) -> list[AtomOccurrence]:
     return sorted((o for o in occs if o.profile == profile), key=lambda o: o.address)
-
-
-def _make_atom(symbol: str, args) -> Formula:
-    if symbol == EQUALITY:
-        return Eq(args[0], args[1])
-    return Atom(symbol, tuple(args))
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +224,15 @@ def _s2_permuted_arguments(ctx: StrategyContext) -> Iterator[Candidate]:
             # at most 4! = 24 permutations; atoms of higher arity are skipped
             if not 2 <= len(args) <= 4:
                 continue
-            for perm in itertools.permutations(args):
-                new_atom = _make_atom(occ.profile.symbol, perm)
-                candidate = rewrite_at(ctx.attempt, occ.address, new_atom)
+            for order in itertools.permutations(range(len(args))):
+                candidate = permute_arguments(ctx.attempt, occ.address, order)
                 moved = next(o for o in atom_occurrences(candidate)
                              if o.address == occ.address)
                 if moved.profile == sp:
                     yield (candidate,
                            f"wrong quantification pattern due to permuted arguments "
                            f"of {occ.profile.symbol}",
-                           _edit_evidence(occ.address, occ.atom, new_atom))
+                           _site_evidence(occ.address, ctx.attempt, candidate))
 
 
 def _s3_wrong_symbol(ctx: StrategyContext) -> Iterator[Candidate]:
@@ -245,7 +245,7 @@ def _s3_wrong_symbol(ctx: StrategyContext) -> Iterator[Candidate]:
             args = formula_terms(occ.atom)
             if len(args) != arity:
                 continue
-            new_atom = _make_atom(sp.symbol, args)
+            new_atom = Eq(*args) if sp.symbol == EQUALITY else Atom(sp.symbol, args)
             yield (rewrite_at(ctx.attempt, occ.address, new_atom),
                    f"wrong relation symbol: {ap.symbol} instead of {sp.symbol}",
                    _edit_evidence(occ.address, occ.atom, new_atom))
@@ -260,34 +260,19 @@ def _s4_different_terms(ctx: StrategyContext) -> Iterator[Candidate]:
                 mapping = _prefix_variable_map(sol_occ, att_occ)
                 if mapping is None:
                     continue
-                new_args = [
-                    _translate_term(t, mapping) for t in formula_terms(sol_occ.atom)]
-                if any(a is None for a in new_args):
-                    continue
-                new_atom = _make_atom(ap.symbol, new_args)
+                new_atom = map_atom_variables(sol_occ.atom, mapping)
                 yield (rewrite_at(ctx.attempt, att_occ.address, new_atom),
                        f"terms in {ap.symbol}(...) differ",
                        _edit_evidence(att_occ.address, att_occ.atom, new_atom))
 
 
 def _prefix_variable_map(sol_occ: AtomOccurrence, att_occ: AtomOccurrence
-                         ) -> dict[str, str] | None:
+                         ) -> dict[str, Var] | None:
+    """Solution-side bound variables to the attempt-side variables bound at
+    the same prefix slot (unmapped names stay, they are free)."""
     if len(sol_occ.prefix) != len(att_occ.prefix):
         return None
-    return {s.var: a.var for s, a in zip(sol_occ.prefix, att_occ.prefix)}
-
-
-def _translate_term(t, mapping: dict[str, str]):
-    """Solution-side term rebuilt over attempt-side variables (None = free
-    variable mismatch is fine; unmapped bound names stay, they are free)."""
-    if isinstance(t, Var):
-        return Var(mapping.get(t.name, t.name))
-    if isinstance(t, Const):
-        return t
-    if isinstance(t, Func):
-        parts = [_translate_term(a, mapping) for a in t.args]
-        return Func(t.name, tuple(parts))
-    return None
+    return {s.var: Var(a.var) for s, a in zip(sol_occ.prefix, att_occ.prefix)}
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +322,19 @@ def _retarget_binders(f: Formula, plan: dict[Address, tuple[str, str, str]]) -> 
     variable the slot must now bind). Occurrences of each rebound variable
     are renamed within the new binder's scope."""
 
-    def walk(g: Formula, address: Address, env: dict[str, str]) -> Formula:
+    def walk(g: Formula, address: Address, env: dict[str, Var]) -> Formula:
         if address in plan:
             kind, new_var, bind_var = plan[address]
             assert isinstance(g, QUANTIFIERS)
             inner = {k: v for k, v in env.items() if k != bind_var}
-            inner[bind_var] = new_var
+            inner[bind_var] = Var(new_var)
             body = walk(g.body, address + (0,), inner)
             return (Forall if kind == FORALL else Exists)(new_var, body)
         if isinstance(g, QUANTIFIERS):
             inner = {k: v for k, v in env.items() if k != g.var}
             return type(g)(g.var, walk(g.body, address + (0,), inner))
         if isinstance(g, (Atom, Eq)):
-            return _mapped_atom(g, env)
+            return map_atom_variables(g, env)
         return with_children(
             g, tuple(walk(c, address + (i,), env) for i, c in enumerate(children(g))))
 
@@ -436,14 +421,12 @@ def _g1_guards(ctx: StrategyContext, attempt: Formula, att_occs,
                 continue
             for guard in _translate_guards(ctx, record, sol_occ, att_occ, attempt,
                                            att_binder):
-                body_addr = att_binder.address + (0,)
-                body = subformula_at(attempt, body_addr)
-                wrapped = (Implies(guard, body) if att_binder.kind == FORALL
-                           else And(guard, body))
+                guarded = add_guard(attempt, att_binder, guard)
                 kind_word = "universal" if att_binder.kind == FORALL else "existential"
                 edit = f"add {kind_word} guard {to_str(guard)} for {att_binder.var}"
-                yield (rewrite_at(attempt, body_addr, wrapped), edit,
-                       {**_edit_evidence(body_addr, body, wrapped), "edit": edit})
+                yield guarded, edit, {
+                    **_site_evidence(att_binder.address + (0,), attempt, guarded),
+                    "edit": edit}
 
     for record in sorted((r for r in att_guards if r.kind == "guarded"), key=str):
         att_occ = next((o for o in att_occs if o.address == record.guarded_address), None)
@@ -462,10 +445,8 @@ def _g1_guards(ctx: StrategyContext, attempt: Formula, att_occs,
         kind_word = "universal" if record.binder_kind == FORALL else "existential"
         edit = (f"remove superfluous {kind_word} guard "
                 f"{to_str(record.guard_atom)} for {record.variable}")
-        at = record.pattern_address
         yield removed, edit, {
-            **_edit_evidence(at, subformula_at(attempt, at), subformula_at(removed, at)),
-            "edit": edit}
+            **_site_evidence(record.pattern_address, attempt, removed), "edit": edit}
 
 
 def _translate_guards(ctx: StrategyContext, record: GuardRecord,
@@ -487,7 +468,7 @@ def _translate_guards(ctx: StrategyContext, record: GuardRecord,
     sol_free = set(free_variables(ctx.solution))
     chain = binder_chain(attempt, att_binder.address + (0,))
 
-    fixed: dict[str, str] = {}
+    fixed: dict[str, Var] = {}
     open_vars: list[str] = []
     for v in guard_vars:
         if v in positional:
@@ -495,12 +476,12 @@ def _translate_guards(ctx: StrategyContext, record: GuardRecord,
         elif v in sol_free:
             if v not in att_free:
                 return []
-            fixed[v] = v
+            fixed[v] = Var(v)
         else:
             open_vars.append(v)
 
     if not open_vars:
-        return [_mapped_atom(record.guard_atom, fixed)]
+        return [map_atom_variables(record.guard_atom, fixed)]
 
     sol_chain = {b.var: b.kind for b in
                  binder_chain(ctx.solution, record.guard_address)}
@@ -508,38 +489,28 @@ def _translate_guards(ctx: StrategyContext, record: GuardRecord,
     for v in open_vars:
         kind = sol_chain.get(v)
         opts = [b.var for b in chain
-                if b.kind == kind and b.var not in fixed.values()]
+                if b.kind == kind and Var(b.var) not in fixed.values()]
         options.append(sorted(set(opts)))
     out = []
     for combo in itertools.product(*options):
         if len(set(combo)) != len(combo):
             continue
         mapping = dict(fixed)
-        mapping.update(zip(open_vars, combo))
-        out.append(_mapped_atom(record.guard_atom, mapping))
+        mapping.update(zip(open_vars, map(Var, combo)))
+        out.append(map_atom_variables(record.guard_atom, mapping))
         if len(out) >= 8:
             break
     return out
 
 
-def _mapped_atom(atom: Formula, mapping: dict[str, str]) -> Formula:
-    terms = {old: Var(new) for old, new in mapping.items()}
-    if isinstance(atom, Atom):
-        return Atom(atom.rel, tuple(map_term_variables(t, terms) for t in atom.args))
-    return Eq(map_term_variables(atom.left, terms),
-              map_term_variables(atom.right, terms))
-
-
 def _g2_guard_operator(ctx: StrategyContext) -> Iterator[Candidate]:
     for record in sorted(ctx.att_wrong, key=str):
-        at = record.pattern_address
         flipped = flip_guard_operator(ctx.attempt, record)
         quantified = ("universally" if record.operator == "&" else "existentially")
         yield (flipped,
                f"'{record.operator}' is the wrong guard operator for {quantified} "
                f"quantified {record.variable}",
-               _edit_evidence(at, subformula_at(ctx.attempt, at),
-                              subformula_at(flipped, at)))
+               _site_evidence(record.pattern_address, ctx.attempt, flipped))
 
 
 def _q1g1_combined(ctx: StrategyContext) -> Iterator[Candidate]:
@@ -579,23 +550,22 @@ def _b1_negation(ctx: StrategyContext) -> Iterator[Candidate]:
             atom_txt = to_str(occ.atom)
             message = f"wrong negation prefix for {atom_txt}"
             depth = _direct_negations(ctx.attempt, occ.address)
-            if depth > 0:
-                yield (rewrite_at(ctx.attempt, occ.address[:-1], occ.atom), message,
-                       _edit_evidence(occ.address, atom_txt, "remove the negation"))
-            else:
-                yield (rewrite_at(ctx.attempt, occ.address, Not(occ.atom)), message,
-                       _edit_evidence(occ.address, atom_txt, "add a negation"))
+            # the negation directly above the atom, else the atom itself
+            site = occ.address[:-1] if depth else occ.address
+            yield (toggle_negation(ctx.attempt, site), message,
+                   _edit_evidence(occ.address, atom_txt, "remove the negation"
+                                  if depth else "add a negation"))
             sol_occ = next(iter(_occurrences_with_profile(
                 ctx.sol_occurrences, sp)), None)
             if sol_occ is None:
                 continue
             target_depth = _direct_negations(ctx.solution, sol_occ.address)
             if target_depth != depth:
-                replacement: Formula = occ.atom
-                for _ in range(target_depth):
-                    replacement = Not(replacement)
-                yield (rewrite_at(ctx.attempt, occ.address[:len(occ.address) - depth],
-                                  replacement),
+                top = occ.address[:len(occ.address) - depth]   # the Not chain's top
+                candidate = ctx.attempt
+                for _ in range(abs(target_depth - depth)):
+                    candidate = toggle_negation(candidate, top)
+                yield (candidate,
                        message,
                        _edit_evidence(occ.address, atom_txt,
                                       f"use {target_depth} direct negation(s) "
@@ -605,10 +575,9 @@ def _b1_negation(ctx: StrategyContext) -> Iterator[Candidate]:
 def _b2_swapped_implication(ctx: StrategyContext) -> Iterator[Candidate]:
     for address, node in sorted(subformulas(ctx.attempt), key=lambda p: p[0]):
         if isinstance(node, Implies):
-            swapped = Implies(node.right, node.left)
-            yield (rewrite_at(ctx.attempt, address, swapped),
-                   "implication in the wrong direction",
-                   _edit_evidence(address, node, swapped))
+            swapped = swap_implication(ctx.attempt, address)
+            yield (swapped, "implication in the wrong direction",
+                   _site_evidence(address, ctx.attempt, swapped))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .prover import (
 )
 from .definability import NecessityCache
 from .countermodel import CounterExample, backend_source, search_countermodel
-from .explain import explain_nonequivalence
+from .explain import ALL_STRATEGIES, explain_nonequivalence
 
 
 ENV_PROVER = "FOLEQ_PROVER"
@@ -192,7 +192,7 @@ def run_pair(record: PairRecord, engine: Engine, both_methods: bool = False,
         out["counterexample"] = counterexample.to_json()
     if methods:
         out["countermodel_methods"] = methods
-    out["strategies"] = sorted({e.strategy for e in bundle.explanations if e.verified})
+    out["strategies"] = sorted(bundle.strategies())
     return out
 
 
@@ -304,7 +304,6 @@ class Report:
             for method, count in self.total[key].items():
                 lines.append(f"{prefix}_{method},{count},"
                              f"{self.distinct[key].get(method, 0)}")
-        from .explain import ALL_STRATEGIES
         for s in ALL_STRATEGIES:
             lines.append(f"strategy_{s},{self.total['strategies'].get(s, 0)},"
                          f"{self.distinct['strategies'].get(s, 0)}")

@@ -2,19 +2,25 @@
 
 Applying one of these to a correct formula produces a plausible wrong
 attempt whose intended repair strategy is known, which is how the
-engine's recall is measured. Mutants are syntactic; whether one is
-actually non-equivalent under the background theory must be checked by
-the caller (a permuted argument of a symmetric relation, for example,
+engine's recall is measured. Each family is a table entry: the sites of
+a formula it applies to, and the shared edit of `profiles` that the
+strategies use as well. Mutants are syntactic; whether one is actually
+non-equivalent under the background theory must be checked by the
+caller (a permuted argument of a symmetric relation, for example,
 changes nothing).
 """
 
 from __future__ import annotations
 
+import itertools
+
 from .syntax import (
-    Atom, Eq, Exists, Forall, Formula, Implies, Not, QUANTIFIERS, rewrite_at,
-    subformula_at, subformulas,
+    Atom, Formula, Implies, Not, QUANTIFIERS, atoms_of, subformula_at, subformulas,
 )
-from .profiles import extract_guards, flip_guard_operator, remove_guard
+from .profiles import (
+    extract_guards, flip_guard_operator, flip_quantifier, permute_arguments,
+    remove_guard, swap_implication, toggle_negation,
+)
 
 QUANTIFIER_FLIP = "quantifier-flip"
 GUARD_DROP = "guard-drop"
@@ -37,65 +43,61 @@ INTENDED_STRATEGIES = {
 }
 
 
+def _nodes(kinds):
+    return lambda f: [(a,) for a, node in subformulas(f) if isinstance(node, kinds)]
+
+
+def _guard_records(f: Formula):
+    guarded, _ = extract_guards(f)
+    return [(record,) for record in sorted(guarded, key=str)]
+
+
+def _negation_sites(f: Formula):
+    """Per atom, the negation directly above it, else the atom itself."""
+    return [(a[:-1] if a and isinstance(subformula_at(f, a[:-1]), Not) else a,)
+            for a, _ in atoms_of(f)]
+
+
+def _transpositions(f: Formula):
+    """Per atom, every swap of two distinct arguments."""
+    for a, node in subformulas(f):
+        if not isinstance(node, Atom):
+            continue
+        for i, j in itertools.combinations(range(len(node.args)), 2):
+            if node.args[i] != node.args[j]:
+                order = list(range(len(node.args)))
+                order[i], order[j] = j, i
+                yield a, tuple(order)
+
+
+# family -> (sites of a formula, as argument tuples of the edit; the edit)
+_EDITS = {
+    QUANTIFIER_FLIP: (_nodes(QUANTIFIERS), flip_quantifier),
+    GUARD_DROP: (_guard_records, remove_guard),
+    GUARD_OPERATOR_FLIP: (_guard_records, flip_guard_operator),
+    IMPLICATION_SWAP: (_nodes(Implies), swap_implication),
+    NEGATION_TOGGLE: (_negation_sites, toggle_negation),
+    ARGUMENT_PERMUTATION: (_transpositions, permute_arguments),
+}
+
+
 def mutate_all(f: Formula, family: str) -> list[Formula]:
     """All mutants of one family, deterministically ordered, duplicates
     removed."""
-    if family == QUANTIFIER_FLIP:
-        out = []
-        for addr, node in subformulas(f):
-            if isinstance(node, QUANTIFIERS):
-                flipped = (Exists if isinstance(node, Forall) else Forall)(
-                    node.var, node.body)
-                out.append(rewrite_at(f, addr, flipped))
-        return _dedup(out, f)
-    if family in (GUARD_DROP, GUARD_OPERATOR_FLIP):
-        edit = remove_guard if family == GUARD_DROP else flip_guard_operator
-        guarded, _ = extract_guards(f)
-        return _dedup([edit(f, record) for record in sorted(guarded, key=str)], f)
-    if family == IMPLICATION_SWAP:
-        out = []
-        for addr, node in subformulas(f):
-            if isinstance(node, Implies):
-                out.append(rewrite_at(f, addr, Implies(node.right, node.left)))
-        return _dedup(out, f)
-    if family == NEGATION_TOGGLE:
-        out = []
-        for addr, node in subformulas(f):
-            if not isinstance(node, (Atom, Eq)):
-                continue
-            parent = subformula_at(f, addr[:-1]) if addr else None
-            if isinstance(parent, Not):
-                out.append(rewrite_at(f, addr[:-1], node))
-            else:
-                out.append(rewrite_at(f, addr, Not(node)))
-        return _dedup(out, f)
-    if family == ARGUMENT_PERMUTATION:
-        out = []
-        for addr, node in subformulas(f):
-            if not isinstance(node, Atom) or len(node.args) < 2:
-                continue
-            for i in range(len(node.args)):
-                for j in range(i + 1, len(node.args)):
-                    if node.args[i] == node.args[j]:
-                        continue
-                    args = list(node.args)
-                    args[i], args[j] = args[j], args[i]
-                    out.append(rewrite_at(f, addr, Atom(node.rel, tuple(args))))
-        return _dedup(out, f)
-    raise ValueError(f"unknown mutation family {family!r}")
+    if family not in _EDITS:
+        raise ValueError(f"unknown mutation family {family!r}")
+    sites, edit = _EDITS[family]
+    seen = {f}
+    out = []
+    for site in sites(f):
+        m = edit(f, *site)
+        if m not in seen:
+            seen.add(m)
+            out.append(m)
+    return out
 
 
 def mutate(f: Formula, family: str) -> Formula | None:
     """The first applicable mutant of the family, or None."""
     mutants = mutate_all(f, family)
     return mutants[0] if mutants else None
-
-
-def _dedup(mutants: list[Formula], original: Formula) -> list[Formula]:
-    seen = {original}
-    out = []
-    for m in mutants:
-        if m not in seen:
-            seen.add(m)
-            out.append(m)
-    return out

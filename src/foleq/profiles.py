@@ -17,15 +17,20 @@ containing A (universal binder) or is conjoined with it (existential
 binder). With the operator swapped against the binder kind the pair is
 *wrongly guarded*. Patterns are matched on the original formula (NNF
 would destroy the implication); binder kinds are NNF-resolved.
+
+The edits at the end of the module are the only places that build an
+edited formula for both the explanation strategies and the mutations:
+each rewrites f at one address (a node or a guard record), so a
+mutation family's mistake and the repair that undoes it come from the
+same functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .syntax import (
-    Address, And, Atom, Eq, Forall, Formula, Iff, Implies, Not,
+    Address, And, Atom, Eq, Exists, Forall, Formula, Iff, Implies, Not,
     QUANTIFIERS, children, formula_terms, rewrite_at, subformula_at,
     subformulas, term_variables, Term, Var, Const, Func,
 )
@@ -193,13 +198,8 @@ def atom_quantifier_prefix(f: Formula, atom_address: Address) -> QuantPrefix:
     node = subformula_at(f, atom_address)
     if not isinstance(node, (Atom, Eq)):
         raise TypeError(f"address {atom_address} points at {type(node).__name__}, not an atom")
-    for occ in atom_occurrences(f):
-        if occ.address == atom_address and occ.principal:
-            return tuple((b.kind, b.var) for b in occ.prefix)
-    for occ in atom_occurrences(f):
-        if occ.address == atom_address:
-            return tuple((b.kind, b.var) for b in occ.prefix)
-    raise AssertionError("unreachable: atom address was validated")
+    occ = next(o for o in atom_occurrences(f) if o.address == atom_address and o.principal)
+    return tuple((b.kind, b.var) for b in occ.prefix)
 
 
 def formula_profile(f: Formula) -> frozenset[AtomProfile]:
@@ -273,24 +273,7 @@ def extract_guards(f: Formula) -> tuple[frozenset[GuardRecord], frozenset[GuardR
     universal binder and conjunction under an existential one classify as
     guarded; the swapped combinations as wrongly guarded.
     """
-    occurrences = atom_occurrences(f)
-    by_address: dict[Address, AtomOccurrence] = {}
-    for occ in occurrences:
-        if occ.address not in by_address or occ.principal:
-            by_address.setdefault(occ.address, occ)
-            if occ.principal:
-                by_address[occ.address] = occ
-
-    binder_kinds: dict[Address, str] = {}
-    for occ in occurrences:
-        if not occ.principal:
-            continue
-        for b in occ.prefix:
-            binder_kinds[b.address] = b.kind
-    # binders not above any atom never matter, but resolve them anyway
-    for addr, node in subformulas(f):
-        if isinstance(node, QUANTIFIERS) and addr not in binder_kinds:
-            binder_kinds[addr] = FORALL if isinstance(node, Forall) else EXISTS
+    by_address = {o.address: o for o in atom_occurrences(f) if o.principal}
 
     guarded: set[GuardRecord] = set()
     wrong: set[GuardRecord] = set()
@@ -299,7 +282,6 @@ def extract_guards(f: Formula) -> tuple[frozenset[GuardRecord], frozenset[GuardR
         if not isinstance(node, QUANTIFIERS):
             continue
         z = node.var
-        kind = binder_kinds[binder_addr]
 
         # peel intervening binders of other variables
         core_addr = binder_addr + (0,)
@@ -324,25 +306,23 @@ def extract_guards(f: Formula) -> tuple[frozenset[GuardRecord], frozenset[GuardR
         for g_addr, g_node in guard_pool:
             if not isinstance(g_node, (Atom, Eq)):
                 continue
-            g_occ = by_address.get(g_addr)
-            if g_occ is None or not g_occ.prefix:
+            g_occ = by_address[g_addr]
+            if not g_occ.prefix:
                 continue
             innermost = g_occ.prefix[-1]
             if innermost.var != z or innermost.address != binder_addr:
                 continue
+            kind = innermost.kind
+            record_kind = "guarded" if (
+                (kind == FORALL and operator == "->") or
+                (kind == EXISTS and operator == "&")) else "wrongly-guarded"
             targets = [(a, n) for c_addr, c_node in guard_pool if c_addr != g_addr
                        for a, n in _atoms_with_variable(c_node, c_addr, z)]
             targets.extend(extra)
             for a_addr, a_node in targets:
-                a_occ = by_address.get(a_addr)
-                if a_occ is None:
-                    continue
-                record_kind = "guarded" if (
-                    (kind == FORALL and operator == "->") or
-                    (kind == EXISTS and operator == "&")) else "wrongly-guarded"
                 record = GuardRecord(
                     guard_profile=g_occ.profile,
-                    guarded_profile=a_occ.profile,
+                    guarded_profile=by_address[a_addr].profile,
                     variable=z,
                     kind=record_kind,
                     binder_address=binder_addr,
@@ -360,35 +340,62 @@ def extract_guards(f: Formula) -> tuple[frozenset[GuardRecord], frozenset[GuardR
 
 
 # ---------------------------------------------------------------------------
-# Guard edits, shared by the explanation strategies and the mutations
+# Edits at an address, shared by the explanation strategies and the mutations
 
 
-def _conjuncts_without(g: Formula, address: Address, drop: Address) -> list[Formula]:
-    return [part for a, part in _conjuncts(g, address) if a != drop]
+def toggle_negation(f: Formula, address: Address) -> Formula:
+    """f with the negation at `address` removed, or one added there.
+    Twice at one address gives back f, unless a double negation is there."""
+    node = subformula_at(f, address)
+    return rewrite_at(f, address, node.sub if isinstance(node, Not) else Not(node))
+
+
+def swap_implication(f: Formula, address: Address) -> Formula:
+    """f with the implication at `address` reversed."""
+    node = subformula_at(f, address)
+    return rewrite_at(f, address, Implies(node.right, node.left))
+
+
+def flip_quantifier(f: Formula, address: Address) -> Formula:
+    """f with the quantifier at `address` replaced by its dual."""
+    node = subformula_at(f, address)
+    dual = Exists if isinstance(node, Forall) else Forall
+    return rewrite_at(f, address, dual(node.var, node.body))
+
+
+def permute_arguments(f: Formula, address: Address, order: tuple[int, ...]) -> Formula:
+    """f with the atom at `address` taking argument order[i] at position i."""
+    node = subformula_at(f, address)
+    args = tuple(formula_terms(node)[i] for i in order)
+    return rewrite_at(f, address, Eq(*args) if isinstance(node, Eq) else Atom(node.rel, args))
+
+
+def add_guard(f: Formula, binder: BinderInfo, guard: Formula) -> Formula:
+    """f with `guard` put in front of the binder's body: `G -> body` under
+    a universal binder, `G & body` under an existential one."""
+    at = binder.address + (0,)
+    body = subformula_at(f, at)
+    return rewrite_at(f, at, Implies(guard, body) if binder.kind == FORALL
+                      else And(guard, body))
 
 
 def remove_guard(f: Formula, record: GuardRecord) -> Formula:
     """f without the record's guard: `G & H` and `G -> H` become `H`,
-    `(G & K) -> H` becomes `K -> H`."""
-    at = record.pattern_address
-    core = subformula_at(f, at)
-    if record.operator == "&":
-        edited = reduce(And, _conjuncts_without(core, at, record.guard_address))
-    else:
-        rest = _conjuncts_without(core.left, at + (0,), record.guard_address)
-        edited = Implies(reduce(And, rest), core.right) if rest else core.right
-    return rewrite_at(f, at, edited)
+    `(G & K) -> H` becomes `K -> H`; the other conjuncts keep their
+    nesting, so this undoes `add_guard`."""
+    parent, side = record.guard_address[:-1], record.guard_address[-1]
+    return rewrite_at(f, parent, children(subformula_at(f, parent))[1 - side])
 
 
 def flip_guard_operator(f: Formula, record: GuardRecord) -> Formula:
     """f with the record's pattern under the other guard operator:
     `G & H` becomes `G -> H` and `G -> H` becomes `G & H`."""
     at = record.pattern_address
-    core = subformula_at(f, at)
     if record.operator == "&":
-        rest = _conjuncts_without(core, at, record.guard_address)
-        edited = Implies(record.guard_atom, reduce(And, rest))
+        rest = subformula_at(remove_guard(f, record), at)
+        edited = Implies(record.guard_atom, rest)
     else:
+        core = subformula_at(f, at)
         edited = And(core.left, core.right)
     return rewrite_at(f, at, edited)
 

@@ -290,6 +290,15 @@ def formula_terms(f: Formula) -> tuple[Term, ...]:
     return ()
 
 
+def map_atom_variables(atom: Formula, mapping: Mapping[str, Term]) -> Formula:
+    """The atom or equation with its variables replaced according to
+    mapping (missing = keep)."""
+    if isinstance(atom, Eq):
+        return Eq(map_term_variables(atom.left, mapping),
+                  map_term_variables(atom.right, mapping))
+    return Atom(atom.rel, tuple(map_term_variables(t, mapping) for t in atom.args))
+
+
 def free_variables(f: Formula) -> list[str]:
     """Free variable names, ordered by first occurrence."""
     out: list[str] = []
@@ -516,15 +525,12 @@ def alpha_normalize(f: Formula) -> Formula:
             if name not in free:
                 return name
 
-    def walk(g: Formula, env: dict[str, str]) -> Formula:
+    def walk(g: Formula, env: dict[str, Var]) -> Formula:
         if isinstance(g, (Atom, Eq)):
-            mapping = {old: Var(new) for old, new in env.items()}
-            if isinstance(g, Atom):
-                return Atom(g.rel, tuple(map_term_variables(t, mapping) for t in g.args))
-            return Eq(map_term_variables(g.left, mapping), map_term_variables(g.right, mapping))
+            return map_atom_variables(g, env)
         if isinstance(g, QUANTIFIERS):
             name = next_name()
-            return type(g)(name, walk(g.body, {**env, g.var: name}))
+            return type(g)(name, walk(g.body, {**env, g.var: Var(name)}))
         return with_children(g, tuple(walk(c, env) for c in children(g)))
 
     return walk(f, {})
@@ -558,10 +564,8 @@ def substitute_variables(f: Formula, mapping: Mapping[str, Term]) -> Formula:
     """
 
     def walk(g: Formula, env: dict[str, Term]) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.rel, tuple(map_term_variables(t, env) for t in g.args))
-        if isinstance(g, Eq):
-            return Eq(map_term_variables(g.left, env), map_term_variables(g.right, env))
+        if isinstance(g, (Atom, Eq)):
+            return map_atom_variables(g, env)
         if isinstance(g, QUANTIFIERS):
             env = {v: t for v, t in env.items() if v != g.var}
             incoming = {name for t in env.values() for name in term_variables(t)}

@@ -145,6 +145,19 @@ def test_necessity_cache_persists_through_file(tmp_path, backend):
     assert backend.calls == calls
 
 
+def test_necessity_file_grows_only_when_a_status_is_computed(tmp_path):
+    from foleq.harness import Engine
+    engine = Engine.make(cache_path=str(tmp_path / "cache.jsonl"))
+    th = Theory(VPQ)
+    psi = parse("forall x (Q(x) -> P(x))", VPQ)
+    reports = [necessary_symbols(psi, th, engine.backend, cache=engine.necessity_cache)
+               for _ in range(5)]
+    assert all(r == reports[0] for r in reports)
+    assert engine.backend.calls == 2
+    with open(tmp_path / "cache.jsonl.necessity", encoding="utf-8") as fh:
+        assert len(fh.readlines()) == 1
+
+
 def test_report_restricted_to_symbols(backend):
     th = Theory(VPQ)
     psi = parse("forall x (Q(x) -> P(x))", VPQ)

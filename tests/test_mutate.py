@@ -1,12 +1,15 @@
+import hashlib
+
 import pytest
 
+from foleq.corpus import all_solutions
 from foleq.models import brute_force_verdict
 from foleq.mutate import (
     ARGUMENT_PERMUTATION, GUARD_DROP, GUARD_OPERATOR_FLIP, IMPLICATION_SWAP,
     MUTATIONS, NEGATION_TOGGLE, QUANTIFIER_FLIP, mutate, mutate_all,
 )
 from foleq.parser import parse
-from foleq.syntax import Vocabulary
+from foleq.syntax import Vocabulary, to_str
 from foleq.theory import Theory
 
 V = Vocabulary(relations={"P": 1, "Q": 1, "R": 2})
@@ -90,3 +93,13 @@ def test_mutants_usually_change_meaning():
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         mutate(parse("forall x P(x)", V), "nonsense")
+
+
+def test_corpus_mutants_are_pinned():
+    # the benchmark's workloads and criterion 05 are built from these mutants
+    solutions = all_solutions()
+    lines = [f"{family}\t{to_str(m)}\n" for _, sol in solutions
+             for family in MUTATIONS for m in mutate_all(sol.formula, family)]
+    assert len(solutions) == 62 and len(lines) == 568
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "7aede781eb3f377d19e7de63e0b18de3ab8570bb565c5572e1d21cf4d5d9c730")

@@ -1,10 +1,20 @@
+import itertools
+
+from hypothesis import given, settings, strategies as st
+
 from foleq.parser import parse
 from foleq.profiles import (
-    EXISTS, FORALL, PrefixEntry, atom_occurrences, atom_quantifier_prefix,
-    binder_chain, core_profile, extract_guards, formula_profile, profiles_to_json,
-    variable_positions,
+    EXISTS, FORALL, PrefixEntry, add_guard, atom_occurrences, atom_quantifier_prefix,
+    binder_chain, core_profile, extract_guards, flip_quantifier, formula_profile,
+    permute_arguments, profiles_to_json, remove_guard, swap_implication,
+    toggle_negation, variable_positions,
 )
-from foleq.syntax import Atom, Vocabulary, alpha_normalize, atoms_of, to_str
+from foleq.syntax import (
+    QUANTIFIERS, Atom, Implies, Not, Var, Vocabulary, alpha_normalize, atoms_of,
+    free_variables, subformulas, to_str,
+)
+
+from conftest import FormulaSampler
 
 V = Vocabulary(relations={"S": 1, "T": 3, "R": 3, "P": 1, "Q": 1, "D": 2,
                           "B": 2})
@@ -184,3 +194,62 @@ def test_profiles_json_dump():
     dump = profiles_to_json(parse(RUNNING, V))
     assert len(dump["profiles"]) == 3
     assert dump["guards"] == []
+
+
+# ---------------------------------------------------------------------------
+# Edits at an address
+
+EDIT_VOCAB = Vocabulary(relations={"P": 1, "R": 2, "T": 3})
+
+
+def edit_formulas():
+    return st.builds(lambda n: FormulaSampler(seed=n, vocab=EDIT_VOCAB).formula(depth=3),
+                     st.integers(min_value=0, max_value=10_000))
+
+
+@settings(max_examples=100, deadline=None)
+@given(edit_formulas())
+def test_edits_applied_twice_give_back_the_formula(f):
+    for address, node in subformulas(f):
+        # below a double negation, each toggle removes one more negation
+        if not (isinstance(node, Not) and isinstance(node.sub, Not)):
+            assert toggle_negation(toggle_negation(f, address), address) == f
+        if isinstance(node, Implies):
+            assert swap_implication(swap_implication(f, address), address) == f
+        if isinstance(node, QUANTIFIERS):
+            assert flip_quantifier(flip_quantifier(f, address), address) == f
+        if isinstance(node, Atom):
+            for i, j in itertools.combinations(range(len(node.args)), 2):
+                order = list(range(len(node.args)))
+                order[i], order[j] = j, i
+                once = permute_arguments(f, address, tuple(order))
+                assert permute_arguments(once, address, tuple(order)) == f
+
+
+@settings(max_examples=100, deadline=None)
+@given(edit_formulas())
+def test_remove_guard_undoes_add_guard(f):
+    for address, node in subformulas(f):
+        if not isinstance(node, QUANTIFIERS):
+            continue
+        binder = binder_chain(f, address + (0,))[-1]
+        guarded = add_guard(f, binder, Atom("P", (Var(node.var),)))
+        records = [r for r in set().union(*extract_guards(guarded))
+                   if r.guard_address == address + (0, 0)]
+        # the new guard guards every atom of the body that uses the variable
+        assert bool(records) == (node.var in free_variables(node.body))
+        for record in records:
+            assert remove_guard(guarded, record) == f
+
+
+def test_add_guard_follows_the_resolved_binder_kind():
+    f = parse("~forall x Q(x)", V)
+    binder = binder_chain(f, (0, 0))[-1]
+    assert binder.kind == EXISTS
+    assert add_guard(f, binder, parse("P(x)", V)) == parse("~forall x (P(x) & Q(x))", V)
+
+
+def test_remove_guard_keeps_the_nesting_of_other_conjuncts():
+    f = parse("exists x (P(x) & (Q(x) & (S(x) & P(x))))", V)
+    record = next(r for r in extract_guards(f)[0] if r.guard_address == (0, 0))
+    assert remove_guard(f, record) == parse("exists x (Q(x) & (S(x) & P(x)))", V)

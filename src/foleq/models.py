@@ -147,9 +147,30 @@ def count_structures(vocab: Vocabulary, size: int) -> int:
     return total
 
 
+def symbol_choices(vocab: Vocabulary, size: int
+                   ) -> tuple[dict[str, list], dict[str, list]]:
+    """Every interpretation over {0, ..., size-1} of each relation and of
+    each function, keyed by name in sorted order, each list in the order
+    `enumerate_structures` varies it."""
+    universe = range(size)
+    relations = {}
+    for r in sorted(vocab.relations):
+        tuples = list(itertools.product(universe, repeat=vocab.relations[r]))
+        relations[r] = [frozenset(itertools.compress(tuples, mask))
+                        for mask in itertools.product((0, 1), repeat=len(tuples))]
+    functions = {}
+    for f in sorted(vocab.functions):
+        tuples = list(itertools.product(universe, repeat=vocab.functions[f]))
+        functions[f] = [dict(zip(tuples, outputs))
+                        for outputs in itertools.product(universe, repeat=len(tuples))]
+    return relations, functions
+
+
 def enumerate_structures(vocab: Vocabulary, size: int,
                          budget: int = 1_000_000) -> Iterator[Structure]:
-    """Every structure of exactly `size`, in a fixed deterministic order."""
+    """Every structure of exactly `size`, in a fixed deterministic order:
+    the product of the relation, function and constant choices (see
+    `symbol_choices`), the last constant varying fastest."""
     if size < 1:
         raise ValueError("size must be >= 1")
     total = count_structures(vocab, size)
@@ -157,29 +178,12 @@ def enumerate_structures(vocab: Vocabulary, size: int,
         raise BudgetExceededError(
             f"{total} structures of size {size} exceed the budget of {budget}")
 
-    universe = range(size)
-    rel_names = sorted(vocab.relations)
-    func_names = sorted(vocab.functions)
+    relations, functions = symbol_choices(vocab, size)
+    rel_names, func_names = list(relations), list(functions)
     const_names = sorted(vocab.constants)
-
-    rel_tuples = {r: list(itertools.product(universe, repeat=vocab.relations[r]))
-                  for r in rel_names}
-    func_tuples = {f: list(itertools.product(universe, repeat=vocab.functions[f]))
-                   for f in func_names}
-
-    rel_choices = [
-        [frozenset(itertools.compress(rel_tuples[r], mask))
-         for mask in itertools.product((0, 1), repeat=len(rel_tuples[r]))]
-        for r in rel_names]
-    func_choices = [
-        [dict(zip(func_tuples[f], outputs))
-         for outputs in itertools.product(universe, repeat=len(func_tuples[f]))]
-        for f in func_names]
-    const_choices = [list(universe) for _ in const_names]
-
-    for combo in itertools.product(*rel_choices, *func_choices, *const_choices):
-        nr = len(rel_names)
-        nf = len(func_names)
+    nr, nf = len(rel_names), len(func_names)
+    for combo in itertools.product(*relations.values(), *functions.values(),
+                                   *[range(size)] * len(const_names)):
         yield Structure(
             size=size,
             relations=dict(zip(rel_names, combo[:nr])),

@@ -19,6 +19,10 @@ Two backends implement the query contract:
   for satisfiability and sound "up to size k" for unsatisfiability. It
   keeps the package fully functional without any external prover; its
   equivalence verdicts carry the bound they were established under.
+  Queries on a theory with axioms walk a per-backend table of the
+  theory's models (TheoryModels), filled lazily and in enumeration
+  order, so the theory's axioms are tested once per backend and the
+  answers stay those of plain enumeration.
 
 Pinned finite-model output format (a subset of Vampire's fmb output)::
 
@@ -37,7 +41,9 @@ Distinctness literals (fmb_$i_j != fmb_$i_k) are ignored.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import random
 import re
@@ -45,7 +51,9 @@ import subprocess
 import tempfile
 import threading
 import time
+from array import array
 from dataclasses import dataclass
+from typing import Iterator
 
 from .syntax import (
     And, Atom, Const, Eq, Exists, Forall, Formula, FoleqError, Func, Iff,
@@ -55,7 +63,7 @@ from .syntax import (
 from .theory import Theory
 from .models import (
     Structure, close_formulas, count_structures, enumerate_structures,
-    eval_formula, random_models, satisfies_all,
+    eval_formula, random_models, satisfies_all, symbol_choices,
 )
 
 
@@ -65,11 +73,28 @@ class ProverError(FoleqError):
 
 @dataclass(frozen=True)
 class SatQuery:
-    """A pure satisfiability check over closed axioms."""
+    """A pure satisfiability check over closed axioms.
+
+    `theory`, when set, names the background theory the query extends:
+    its axioms come first among the query's, and the query's vocabulary
+    adds constants only. The bounded backend then walks its table of the
+    theory's models instead of testing the theory's axioms again.
+    """
 
     axioms: tuple[Formula, ...]
     vocabulary: Vocabulary
     origin: str = "equivalence"  # "equivalence" | "definability" | "strategy-candidate"
+    theory: Theory | None = None
+
+    def __post_init__(self):
+        th = self.theory
+        if th is not None and not (
+                self.axioms[:len(th.axioms)] == th.axioms
+                and self.vocabulary.relations == th.vocabulary.relations
+                and self.vocabulary.functions == th.vocabulary.functions
+                and self.vocabulary.constants >= th.vocabulary.constants):
+            raise ValueError("a query's theory must be a prefix of its axioms "
+                             "and its vocabulary up to constants")
 
 
 @dataclass(frozen=True)
@@ -122,7 +147,8 @@ class Verdict:
 # Reduction and TPTP encoding
 
 
-def encode_equivalence(solution: Formula, attempt: Formula, theory: Theory) -> SatQuery:
+def encode_equivalence(solution: Formula, attempt: Formula, theory: Theory,
+                       origin: str = "equivalence") -> SatQuery:
     """Axioms whose satisfiability is exactly non-equivalence of the pair.
 
     Free variables are first replaced by shared fresh constants, so the
@@ -132,7 +158,7 @@ def encode_equivalence(solution: Formula, attempt: Formula, theory: Theory) -> S
     check_vocabulary(attempt, theory.vocabulary)
     (sol, att), vocab = close_formulas([solution, attempt], theory.vocabulary)
     return SatQuery(axioms=theory.axioms + (Not(Iff(sol, att)),),
-                    vocabulary=vocab, origin="equivalence")
+                    vocabulary=vocab, origin=origin, theory=theory)
 
 
 def _sanitize(name: str) -> str:
@@ -444,6 +470,88 @@ LARGE_SAMPLES = 600               # flat budget for the sizes beyond
 TUPLE_PROBABILITIES = (0.5, 0.2, 0.1, 0.9)
 
 
+class TheoryModels:
+    """The models of one theory at one size, in `enumerate_structures`'s
+    order, found lazily and shared by every query on the theory.
+
+    An entry is one choice of relation and function tables (an index
+    into their product) that has a model, packed into one int with the
+    bitmask of the theory-constant tuples that complete it to a model.
+    The table grows only as far as a query has walked it; a lock guards
+    the growth, as threads share one backend.
+    """
+
+    def __init__(self, theory: Theory, size: int):
+        self.size = size
+        self.axioms = theory.axioms
+        relations, functions = symbol_choices(theory.vocabulary, size)
+        self._names = list(relations), list(functions)
+        self._choices = [*relations.values(), *functions.values()]
+        self._constants = sorted(theory.vocabulary.constants)
+        self._tuples = list(itertools.product(range(size), repeat=len(self._constants)))
+        self._unscanned = enumerate(itertools.product(*self._choices))
+        self._index_bits = math.prod(map(len, self._choices)).bit_length()
+        # more constant tuples than a 64-bit entry holds: plain ints
+        wide = self._index_bits + len(self._tuples) > 64
+        self._entries = [] if wide else array("Q")
+        self._lock = threading.Lock()
+
+    def _scan_next(self) -> bool:
+        """Test the axioms on the next choice; False once all are tested."""
+        index, combo = next(self._unscanned, (None, None))
+        if combo is None:
+            return False
+        relations, functions = self._tables(combo)
+        mask = 0
+        for bit, values in enumerate(self._tuples):
+            s = Structure(self.size, relations, functions,
+                          dict(zip(self._constants, values)))
+            if satisfies_all(s, self.axioms):
+                mask |= 1 << bit
+        if mask:
+            self._entries.append(mask << self._index_bits | index)
+        return True
+
+    def _tables(self, combo) -> tuple[dict, dict]:
+        rel_names, func_names = self._names
+        return (dict(zip(rel_names, combo)),
+                dict(zip(func_names, combo[len(rel_names):])))
+
+    def models(self, query: SatQuery) -> Iterator[Structure]:
+        """The models of the query's axioms, in the order of
+        `enumerate_structures(query.vocabulary, size)`: its extra
+        constants take every value, interleaved by name with the
+        theory's, and only the axioms after the theory's are tested."""
+        size = self.size
+        names = sorted(query.vocabulary.constants)
+        places = [names.index(c) for c in self._constants]
+        values = list(itertools.product(range(size), repeat=len(names)))
+        bits = [sum(v[p] * size ** (len(places) - 1 - k) for k, p in enumerate(places))
+                for v in values]
+        rest = query.axioms[len(self.axioms):]
+        low = (1 << self._index_bits) - 1
+        pos = 0
+        while True:
+            with self._lock:
+                while pos == len(self._entries) and self._scan_next():
+                    pass
+                if pos == len(self._entries):
+                    return
+                entry = self._entries[pos]
+            pos += 1
+            index, mask = entry & low, entry >> self._index_bits
+            combo = []
+            for choices in reversed(self._choices):
+                index, digit = divmod(index, len(choices))
+                combo.append(choices[digit])
+            relations, functions = self._tables(combo[::-1])
+            for v, bit in zip(values, bits):
+                if mask >> bit & 1:
+                    s = Structure(size, relations, functions, dict(zip(names, v)))
+                    if satisfies_all(s, rest):
+                        yield s
+
+
 class BoundedSearchBackend:
     """Satisfiability by exhaustive enumeration of small structures.
 
@@ -451,6 +559,14 @@ class BoundedSearchBackend:
     the sample sizes not exhausted are sampled randomly. A found model is
     an actual model (sound); "unsat" means no model up to the largest
     contiguously exhausted size, which is recorded in the result's bound.
+
+    A query that names a theory with axioms walks the backend's table of
+    that theory's models at each exhausted size (`TheoryModels`), so
+    the theory's axioms are tested once per backend, not once per query.
+    The tables hold the same models in the same order as enumeration, so
+    the answers and bounds are those of plain enumeration. Queries
+    without a theory (definability) and theories without axioms, which
+    filter nothing, enumerate plainly.
     """
 
     name = "bounded"
@@ -458,6 +574,25 @@ class BoundedSearchBackend:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self.calls = 0
+        self._tables: dict[tuple, TheoryModels] = {}
+        self._tables_lock = threading.Lock()
+
+    def _models(self, query: SatQuery, size: int) -> Iterator[Structure]:
+        theory = query.theory
+        if theory is None or not theory.axioms:
+            return (s for s in enumerate_structures(query.vocabulary, size,
+                                                    EXHAUSTIVE_BUDGET)
+                    if satisfies_all(s, query.axioms))
+        vocab = theory.vocabulary
+        # Theory holds dicts, so it is keyed by value
+        key = (theory.axioms, tuple(sorted(vocab.relations.items())),
+               tuple(sorted(vocab.functions.items())), tuple(sorted(vocab.constants)),
+               size)
+        with self._tables_lock:
+            table = self._tables.get(key)
+            if table is None:
+                table = self._tables[key] = TheoryModels(theory, size)
+        return table.models(query)
 
     def check_sat(self, query: SatQuery, timeout_ms: int | None = None,
                   want_model: bool = True) -> SatResult:
@@ -469,9 +604,9 @@ class BoundedSearchBackend:
         for size in range(1, MAX_SIZE + 1):
             if count_structures(query.vocabulary, size) > EXHAUSTIVE_BUDGET:
                 break
-            for s in enumerate_structures(query.vocabulary, size, EXHAUSTIVE_BUDGET):
-                if satisfies_all(s, query.axioms):
-                    return SatResult("sat", model=s)
+            model = next(self._models(query, size), None)
+            if model is not None:
+                return SatResult("sat", model=model)
             exhausted = size
 
         for size in SAMPLE_SIZES:
@@ -606,10 +741,7 @@ def decide_equivalence(solution: Formula, attempt: Formula, theory: Theory,
             cache.put(key, verdict)
         return verdict
 
-    query = encode_equivalence(solution, attempt, theory)
-    if origin != query.origin:
-        query = SatQuery(axioms=query.axioms, vocabulary=query.vocabulary,
-                         origin=origin)
+    query = encode_equivalence(solution, attempt, theory, origin)
     result = backend.check_sat(query, timeout_ms=timeout_ms, want_model=True)
 
     backend_name = getattr(backend, "name", "prover")

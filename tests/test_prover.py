@@ -5,18 +5,23 @@ import time
 import pytest
 
 from foleq import prover
-from foleq.models import brute_force_verdict
+from foleq.corpus import load_scenarios
+from foleq.models import (
+    brute_force_verdict, count_structures, enumerate_structures, satisfies_all,
+)
+from foleq.mutate import mutate
 from foleq.parser import parse
 from foleq.prover import (
     BoundedSearchBackend, DecisionCache,
     ExternalProverBackend, ProverConfig, ProverError, SatQuery,
     decide_equivalence, encode_equivalence, mangle_table, parse_finite_model,
-    parse_szs_status, to_tptp,
+    TheoryModels, parse_szs_status, to_tptp,
 )
-from foleq.syntax import Vocabulary, VocabularyError
+from foleq.syntax import Not, Vocabulary, VocabularyError
 from foleq.theory import Theory
 
 from conftest import FormulaSampler
+from test_acceptance import ORACLE_BUDGET
 
 VP = Vocabulary(relations={"P": 1})
 FAKE = """#!/usr/bin/env python3
@@ -236,6 +241,62 @@ def test_bounded_backend_respects_budget(monkeypatch):
     result = backend.check_sat(query_for("forall x P(x)", "forall x P(x)"))
     assert result.status == "unknown"
     assert result.reason == "resource"
+
+
+def _with_constants(theory, k):
+    """The theory's vocabulary plus k constants whose names sort between
+    and before the theory's own, as closure constants such as c_x do."""
+    first = min(theory.vocabulary.constants, default="c")
+    return theory.vocabulary.extend(constants=[f"{first}_x", "A_y"][:k])
+
+
+def test_theory_tables_keep_enumeration_order():
+    # seven constants: 128 constant tuples at size 2, a mask wider than 64 bits
+    many = Vocabulary(relations={"P": 1}, constants=set("abdefgh"))
+    theories = [sc.theory for sc in load_scenarios() if sc.theory.axioms]
+    theories.append(Theory(many, (parse("P(a) & ~P(h) & (d = e)", many),)))
+    checked = 0
+    for theory in theories:
+        for size in (1, 2):
+            for k in (0, 1, 2):
+                vocab = _with_constants(theory, k)
+                if count_structures(vocab, size) > ORACLE_BUDGET:
+                    continue
+                expected = [s for s in enumerate_structures(vocab, size)
+                            if satisfies_all(s, theory.axioms)]
+                query = SatQuery(axioms=theory.axioms, vocabulary=vocab, theory=theory)
+                assert list(TheoryModels(theory, size).models(query)) == expected, \
+                    (sorted(vocab.constants), size)
+                checked += 1
+    assert checked >= 30
+
+
+def test_theory_table_resumes_after_an_early_stop(monkeypatch):
+    # no random phase: the exhaustive sizes alone decide these queries
+    monkeypatch.setattr(prover, "SAMPLE_SIZES", (1, 2))
+    sc = next(sc for sc in load_scenarios() if sc.id == "E-1")
+    sol = next(sol for sol in sc.solutions if sol.id == "E-1-2").formula
+    sat = encode_equivalence(sol, mutate(sol, "negation-toggle"), sc.theory)
+    unsat = encode_equivalence(sol, Not(Not(sol)), sc.theory)
+    shared = BoundedSearchBackend()
+    first = shared.check_sat(sat)
+    table = shared._tables[next(key for key in shared._tables if key[-1] == 2)]
+    models_after_sat = len(table._entries)
+    second = shared.check_sat(unsat)
+    assert first.status == "sat" and second.status == "unsat"
+    assert models_after_sat < len(table._entries)
+    assert first == BoundedSearchBackend().check_sat(sat)
+    assert second == BoundedSearchBackend().check_sat(unsat)
+
+
+def test_query_theory_must_extend_by_constants_only():
+    th = Theory(VP, (parse("exists x P(x)", VP),))
+    with pytest.raises(ValueError):
+        SatQuery(axioms=(), vocabulary=VP, theory=th)
+    with pytest.raises(ValueError):
+        SatQuery(axioms=th.axioms, vocabulary=VP.extend(relations={"Q": 1}), theory=th)
+    assert SatQuery(axioms=th.axioms, vocabulary=VP.extend(constants=["c"]),
+                    theory=th).theory is th
 
 
 # cache

@@ -43,7 +43,7 @@ class CounterExample:
 
 def backend_source(backend) -> str:
     """The source label of a counter model that `backend` returned."""
-    return "brute-force" if getattr(backend, "name", "prover") == "bounded" else "prover-fmb"
+    return "brute-force" if backend.name == "bounded" else "prover-fmb"
 
 
 def search_countermodel(solution: Formula, attempt: Formula, theory: Theory,

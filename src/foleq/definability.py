@@ -147,8 +147,9 @@ def encode_padoa(solution: Formula, theory: Theory, tested: set[str]) -> SatQuer
     """Satisfiability query that holds iff the tested symbols are jointly
     necessary for the formula modulo the theory.
 
-    The query duplicates each tested symbol into two copies, duplicates
-    the theory for both copies, and asserts the two copies of the formula
+    The query duplicates each tested symbol into two copies, extends the
+    theory doubled for both copies (its `theory`, shared by every query
+    on these symbols), and asserts the two copies of the formula
     disagree at shared fresh constants standing for the free variables.
     """
     if not tested:
@@ -163,9 +164,7 @@ def encode_padoa(solution: Formula, theory: Theory, tested: set[str]) -> SatQuer
     if missing:
         raise ValueError(f"tested symbols do not occur: {', '.join(sorted(missing))}")
 
-    (closed,), base_vocab = close_formulas([solution], vocab)
-
-    taken = set(base_vocab.relations) | set(base_vocab.functions) | set(base_vocab.constants)
+    taken = set(vocab.relations) | set(vocab.functions) | set(vocab.constants)
     first: dict[str, str] = {}
     second: dict[str, str] = {}
     for s in sorted(tested):
@@ -186,27 +185,28 @@ def encode_padoa(solution: Formula, theory: Theory, tested: set[str]) -> SatQuer
                 out[name] = arity
         return out
 
-    query_vocab = Vocabulary(
-        relations=copy_decls(dict(base_vocab.relations)),
-        functions=copy_decls(dict(base_vocab.functions)),
+    doubled_vocab = Vocabulary(
+        relations=copy_decls(dict(vocab.relations)),
+        functions=copy_decls(dict(vocab.functions)),
         constants=frozenset(
-            name for c in base_vocab.constants
+            name for c in vocab.constants
             for name in ((first[c], second[c]) if c in tested else (c,))),
-        with_equality=base_vocab.with_equality,
+        with_equality=vocab.with_equality,
     )
-
     axioms: list[Formula] = []
     for ax in theory.axioms:
         for mapping in (first, second):
             renamed = rename_symbols(ax, mapping)
             if renamed not in axioms:
                 axioms.append(renamed)
+    doubled = Theory(doubled_vocab, tuple(axioms))
+
+    (closed,), query_vocab = close_formulas([solution], doubled_vocab)
     disagreement = Iff(rename_symbols(closed, first),
                        Not(rename_symbols(closed, second)))
-    axioms.append(disagreement)
-    for ax in axioms:
-        check_vocabulary(ax, query_vocab)
-    return SatQuery(axioms=tuple(axioms), vocabulary=query_vocab, origin="definability")
+    check_vocabulary(disagreement, query_vocab)
+    return SatQuery(axioms=doubled.axioms + (disagreement,), vocabulary=query_vocab,
+                    origin="definability", theory=doubled)
 
 
 class NecessityCache(JsonlCache):

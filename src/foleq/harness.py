@@ -327,17 +327,23 @@ def run_batch(records: list[PairRecord], engine: Engine, both_methods: bool = Tr
                     "explanations": [], "strategies": [], "timing_ms": 0.0,
                     "error": str(exc)}
 
+    first_of_key: dict[str, int] = {}
+    for i, record in enumerate(records):
+        first_of_key.setdefault(record.duplicate_key(), i)
     if workers > 1:
+        # repeats wait for the first record of their key, so that each
+        # finds the decision cached, as in a serial run
+        firsts = list(first_of_key.values())
+        results = [None] * len(records)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(process, records))
+            for wave in (firsts, sorted(set(range(len(records))) - set(firsts))):
+                for i, result in zip(wave, pool.map(process, [records[i] for i in wave])):
+                    results[i] = result
     else:
         results = [process(r) for r in records]
 
-    first_of_key: dict[str, dict] = {}
-    for record, result in zip(records, results):
-        first_of_key.setdefault(record.duplicate_key(), result)
     report = Report(total=_section(results),
-                    distinct=_section(list(first_of_key.values())),
+                    distinct=_section([results[i] for i in first_of_key.values()]),
                     timings_ms=[result["timing_ms"] for result in results],
                     errors=[f"{record.id}: {result['error']}"
                             for record, result in zip(records, results)

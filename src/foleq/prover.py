@@ -14,15 +14,15 @@ Two backends implement the query contract:
   mode. The accepted model output format is pinned below; anything else
   is reported as an error rather than guessed at.
 
-* BoundedSearchBackend enumerates all structures of small sizes
+* BoundedSearchBackend searches all structures of small sizes
   exhaustively (and randomly samples larger ones), which makes it sound
   for satisfiability and sound "up to size k" for unsatisfiability. It
   keeps the package fully functional without any external prover; its
   equivalence verdicts carry the bound they were established under.
-  Queries on a theory with axioms walk a per-backend table of the
-  theory's models (TheoryModels), filled lazily and in enumeration
-  order, so the theory's axioms are tested once per backend and the
-  answers stay those of plain enumeration.
+  Every exhaustive query walks a per-backend table of its theory's
+  models (TheoryModels), filled lazily and in enumeration order, so a
+  theory's axioms are tested once per backend and the answers are those
+  of filtering `models.enumerate_structures`.
 
 Pinned finite-model output format (a subset of Vampire's fmb output)::
 
@@ -62,8 +62,8 @@ from .syntax import (
 )
 from .theory import Theory
 from .models import (
-    Structure, close_formulas, count_structures, enumerate_structures,
-    eval_formula, random_models, satisfies_all, symbol_choices,
+    Structure, close_formulas, count_structures, eval_formula, random_models,
+    satisfies_all, symbol_choices,
 )
 
 
@@ -75,10 +75,10 @@ class ProverError(FoleqError):
 class SatQuery:
     """A pure satisfiability check over closed axioms.
 
-    `theory`, when set, names the background theory the query extends:
-    its axioms come first among the query's, and the query's vocabulary
-    adds constants only. The bounded backend then walks its table of the
-    theory's models instead of testing the theory's axioms again.
+    `theory` names the background theory the query extends (unset, the
+    empty theory over its vocabulary): its axioms come first among the
+    query's, and the query's vocabulary adds constants only. The bounded
+    backend walks its table of the theory's models.
     """
 
     axioms: tuple[Formula, ...]
@@ -87,8 +87,9 @@ class SatQuery:
     theory: Theory | None = None
 
     def __post_init__(self):
-        th = self.theory
-        if th is not None and not (
+        th = self.theory or Theory(self.vocabulary)
+        object.__setattr__(self, "theory", th)
+        if not (
                 self.axioms[:len(th.axioms)] == th.axioms
                 and self.vocabulary.relations == th.vocabulary.relations
                 and self.vocabulary.functions == th.vocabulary.functions
@@ -553,20 +554,18 @@ class TheoryModels:
 
 
 class BoundedSearchBackend:
-    """Satisfiability by exhaustive enumeration of small structures.
+    """Satisfiability by exhaustive search of small structures.
 
-    Sizes whose structure count fits the budget are enumerated completely;
+    Sizes whose structure count fits the budget are searched completely;
     the sample sizes not exhausted are sampled randomly. A found model is
     an actual model (sound); "unsat" means no model up to the largest
     contiguously exhausted size, which is recorded in the result's bound.
 
-    A query that names a theory with axioms walks the backend's table of
-    that theory's models at each exhausted size (`TheoryModels`), so
-    the theory's axioms are tested once per backend, not once per query.
-    The tables hold the same models in the same order as enumeration, so
-    the answers and bounds are those of plain enumeration. Queries
-    without a theory (definability) and theories without axioms, which
-    filter nothing, enumerate plainly.
+    At each exhausted size a query walks the backend's table of its
+    theory's models (`TheoryModels`), so a theory's axioms are tested
+    once per backend, not once per query. The tables hold the same
+    models in the same order as `enumerate_structures`, so the answers
+    and bounds are those of filtering it.
     """
 
     name = "bounded"
@@ -579,10 +578,6 @@ class BoundedSearchBackend:
 
     def _models(self, query: SatQuery, size: int) -> Iterator[Structure]:
         theory = query.theory
-        if theory is None or not theory.axioms:
-            return (s for s in enumerate_structures(query.vocabulary, size,
-                                                    EXHAUSTIVE_BUDGET)
-                    if satisfies_all(s, query.axioms))
         vocab = theory.vocabulary
         # Theory holds dicts, so it is keyed by value
         key = (theory.axioms, tuple(sorted(vocab.relations.items())),
@@ -670,7 +665,7 @@ class JsonlCache:
 def backend_key(backend, key: str) -> str:
     """A cache key among the entries of the backend's kind, so that a
     bounded "equivalent" or "not shown necessary" never serves a prover."""
-    return f"{getattr(backend, 'name', 'prover')}:{key}"
+    return f"{backend.name}:{key}"
 
 
 class DecisionCache(JsonlCache):
@@ -744,9 +739,8 @@ def decide_equivalence(solution: Formula, attempt: Formula, theory: Theory,
     query = encode_equivalence(solution, attempt, theory, origin)
     result = backend.check_sat(query, timeout_ms=timeout_ms, want_model=True)
 
-    backend_name = getattr(backend, "name", "prover")
     if result.status == "unsat":
-        method = f"bounded<={result.bound}" if result.bound is not None else backend_name
+        method = f"bounded<={result.bound}" if result.bound is not None else backend.name
         verdict = Verdict(status="equivalent", method=method)
     elif result.status == "sat":
         counter = None
@@ -754,7 +748,7 @@ def decide_equivalence(solution: Formula, attempt: Formula, theory: Theory,
         if result.model is not None:
             counter, direction = revalidate_counter(result.model, solution, attempt, theory)
         verdict = Verdict(status="non-equivalent", counter=counter,
-                          direction=direction, method=backend_name)
+                          direction=direction, method=backend.name)
     else:
         return Verdict(status="unknown", reason=result.reason)
 

@@ -1,14 +1,21 @@
 import pytest
 
+from foleq import models, prover
+from foleq.corpus import load_scenarios, scenario
 from foleq.definability import (
-    NECESSARY, NOT_SHOWN, NecessityCache, congruence_axioms, encode_padoa, necessary_symbols,
-    star_transform, symbol_necessity,
+    EQUALITY, NECESSARY, NOT_SHOWN, NecessityCache, congruence_axioms, encode_padoa,
+    necessary_symbols, star_transform, symbol_necessity,
 )
-from foleq.models import brute_force_verdict, eval_formula
+from foleq.models import (
+    brute_force_verdict, count_structures, enumerate_structures, eval_formula, satisfies_all,
+)
+from foleq.mutate import mutate
 from foleq.parser import parse
-from foleq.prover import backend_key
-from foleq.syntax import Eq, Vocabulary, free_variables, subformulas, to_str
+from foleq.prover import BoundedSearchBackend, backend_key, decide_equivalence
+from foleq.syntax import Eq, Vocabulary, free_variables, subformulas, symbols_of, to_str
 from foleq.theory import Theory
+
+from test_acceptance import ORACLE_BUDGET
 
 VPQ = Vocabulary(relations={"P": 1, "Q": 1})
 
@@ -21,6 +28,17 @@ def test_padoa_query_shape():
     assert "Q_1" in q.vocabulary.relations and "Q_2" in q.vocabulary.relations
     assert "P" in q.vocabulary.relations
     assert len(q.axioms) == 1  # empty theory: only the disagreement axiom
+
+
+def test_padoa_query_extends_the_doubled_theory():
+    v = Vocabulary(relations={"P": 1, "Q": 1}, constants={"a"})
+    th = Theory(v, (parse("forall x (P(x) -> Q(x))", v), parse("exists x P(x)", v)))
+    q = encode_padoa(parse("P(x) & Q(a)", v), th, {"Q"})
+    doubled = q.theory
+    assert doubled.axioms == q.axioms[:-1] and len(doubled.axioms) == 3
+    assert set(doubled.vocabulary.relations) == {"P", "Q_1", "Q_2"}
+    assert doubled.vocabulary.constants == {"a"}
+    assert q.vocabulary.constants - doubled.vocabulary.constants == {"c_x"}
 
 
 def test_padoa_rejects_empty_or_foreign_symbols():
@@ -185,3 +203,76 @@ def test_millisoft_style_defined_symbol_not_necessary(backend):
     th = Theory(v, (parse("forall x (M(x) <-> ~I(x))", v),))
     psi = parse("exists x M(x)", v)
     assert symbol_necessity(psi, th, "M", backend) == NOT_SHOWN
+
+
+def _padoa_query(solution, theory, symbol):
+    if symbol == EQUALITY:
+        star = star_transform(solution, theory)
+        return encode_padoa(star.formula, star.theory, {star.equality_symbol})
+    return encode_padoa(solution, theory, {symbol})
+
+
+def _symbols(solution, theory):
+    rels, funcs, consts, uses_eq = symbols_of(solution)
+    return sorted(rels | funcs | consts) + \
+        ([EQUALITY] if uses_eq and theory.vocabulary.with_equality else [])
+
+
+def _plain_filter(query):
+    """The exhaustive phase of the bounded backend as a filter over
+    `enumerate_structures`: (status, bound, first model)."""
+    exhausted = 0
+    for size in range(1, prover.MAX_SIZE + 1):
+        if count_structures(query.vocabulary, size) > prover.EXHAUSTIVE_BUDGET:
+            break
+        for s in enumerate_structures(query.vocabulary, size):
+            if satisfies_all(s, query.axioms):
+                return "sat", None, s
+        exhausted = size
+    return ("unsat", exhausted, None) if exhausted else ("unknown", None, None)
+
+
+def test_padoa_answers_are_those_of_a_plain_filter(monkeypatch):
+    # no random phase, and a budget that keeps the plain filter fast; the
+    # backend and the filter both stop at it
+    monkeypatch.setattr(prover, "SAMPLE_SIZES", ())
+    monkeypatch.setattr(prover, "EXHAUSTIVE_BUDGET", ORACLE_BUDGET)
+    backend = BoundedSearchBackend()
+    answers = set()
+    for sc in load_scenarios():
+        sol = sc.solutions[0].formula
+        for symbol in _symbols(sol, sc.theory):
+            query = _padoa_query(sol, sc.theory, symbol)
+            result = backend.check_sat(query)
+            assert (result.status, result.bound, result.model) == _plain_filter(query), \
+                (sc.id, symbol)
+            answers.add((result.status, result.bound))
+    assert {("sat", None), ("unsat", 1), ("unsat", 2)} <= answers
+
+
+def test_padoa_queries_of_one_symbol_share_a_table(monkeypatch):
+    monkeypatch.setattr(prover, "SAMPLE_SIZES", ())
+    sc = scenario("E-1")
+    backend = BoundedSearchBackend()
+    first, second = (encode_padoa(sol.formula, sc.theory, {"B"}) for sol in sc.solutions[1:3])
+    assert first.theory == second.theory
+    backend.check_sat(first)
+    tables = dict(backend._tables)
+    backend.check_sat(second)
+    assert backend._tables == tables
+    assert sorted(key[-1] for key in tables) == [1, 2]
+
+
+def test_no_query_uses_the_reference_enumerator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bounded backend enumerated plainly")
+
+    monkeypatch.setattr(models, "enumerate_structures", refuse)
+    monkeypatch.setattr(prover, "SAMPLE_SIZES", ())
+    assert not hasattr(prover, "enumerate_structures")
+    sc = scenario("E-6")
+    sol = sc.solutions[0].formula
+    backend = BoundedSearchBackend()
+    verdict = decide_equivalence(sol, mutate(sol, "negation-toggle"), sc.theory, backend)
+    assert verdict.status == "non-equivalent" and verdict.counter is not None
+    assert symbol_necessity(sol, sc.theory, "E", backend) == NECESSARY

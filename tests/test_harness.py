@@ -258,17 +258,37 @@ def test_cache_file_keeps_bounded_and_prover_entries_apart(tmp_path):
     assert bounded.backend.calls == 0
 
 
-def test_batch_parallel_matches_serial(tmp_path):
+def test_batch_parallel_matches_serial(tmp_path, monkeypatch):
     objs = [record_obj(f"p{i}", "forall x P(x)",
                        "exists x P(x)" if i % 2 else "forall x P(x)")
             for i in range(6)]
     path = tmp_path / "d.jsonl"
     write_dataset(path, objs)
     records, _ = load_dataset(str(path))
-    serial = run_batch(records, Engine.make(seed=3), workers=1).to_json()
-    parallel = run_batch(records, Engine.make(seed=3), workers=4).to_json()
-    assert serial["total"] == parallel["total"]
-    assert serial["distinct"] == parallel["distinct"]
+    # a record whose decision takes long enough for its repeat to start
+    # meanwhile, were both sent to the pool at once
+    sc = next(c for c in load_scenarios() if c.id == "E-1")
+    sol = sc.solutions[1].formula
+    flip = mutate(sol, "quantifier-flip")
+    records[1:1] = [PairRecord(f"e1{suffix}", sc.vocabulary, sc.theory, sol, flip)
+                    for suffix in ("", "-again")]
+    verdicts = {}
+
+    def recorded(record, *args, **kwargs):
+        result = run_pair(record, *args, **kwargs)
+        verdicts[record.id] = result["verdict"]
+        return result
+
+    monkeypatch.setattr(harness, "run_pair", recorded)
+
+    def outcomes(workers):
+        verdicts.clear()
+        report = run_batch(records, Engine.make(seed=3), workers=workers).to_json()
+        return report["total"], report["distinct"], dict(verdicts)
+
+    serial = outcomes(1)
+    assert serial[2]["e1-again"]["method"] == "cache"
+    assert outcomes(4) == serial
 
 
 def test_batch_parallel_matches_serial_on_a_theory(monkeypatch):

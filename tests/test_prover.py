@@ -5,7 +5,8 @@ import time
 import pytest
 
 from foleq import prover
-from foleq.corpus import load_scenarios
+from foleq.corpus import load_scenarios, scenario
+from foleq.definability import encode_padoa, star_transform
 from foleq.models import (
     brute_force_verdict, count_structures, enumerate_structures, satisfies_all,
 )
@@ -250,10 +251,21 @@ def _with_constants(theory, k):
     return theory.vocabulary.extend(constants=[f"{first}_x", "A_y"][:k])
 
 
+def _doubled_theories():
+    """The theories of three Padoa queries: a constant of E-1, E of
+    axiom-free E-6, and the star theory's congruence symbol for =."""
+    e1, e6 = scenario("E-1"), scenario("E-6")
+    sol = e1.solutions[1].formula
+    star = star_transform(sol, e1.theory)
+    return [encode_padoa(sol, e1.theory, {"c"}).theory,
+            encode_padoa(e6.solutions[0].formula, e6.theory, {"E"}).theory,
+            encode_padoa(star.formula, star.theory, {star.equality_symbol}).theory]
+
+
 def test_theory_tables_keep_enumeration_order():
     # seven constants: 128 constant tuples at size 2, a mask wider than 64 bits
     many = Vocabulary(relations={"P": 1}, constants=set("abdefgh"))
-    theories = [sc.theory for sc in load_scenarios() if sc.theory.axioms]
+    theories = [sc.theory for sc in load_scenarios()] + _doubled_theories()
     theories.append(Theory(many, (parse("P(a) & ~P(h) & (d = e)", many),)))
     checked = 0
     for theory in theories:
@@ -268,7 +280,7 @@ def test_theory_tables_keep_enumeration_order():
                 assert list(TheoryModels(theory, size).models(query)) == expected, \
                     (sorted(vocab.constants), size)
                 checked += 1
-    assert checked >= 30
+    assert checked >= 80
 
 
 def test_theory_table_resumes_after_an_early_stop(monkeypatch):

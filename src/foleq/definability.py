@@ -164,7 +164,8 @@ def encode_padoa(solution: Formula, theory: Theory, tested: set[str]) -> SatQuer
     if missing:
         raise ValueError(f"tested symbols do not occur: {', '.join(sorted(missing))}")
 
-    taken = set(vocab.relations) | set(vocab.functions) | set(vocab.constants)
+    (closed,), base_vocab = close_formulas([solution], vocab)
+    taken = set(base_vocab.relations) | set(base_vocab.functions) | set(base_vocab.constants)
     first: dict[str, str] = {}
     second: dict[str, str] = {}
     for s in sorted(tested):
@@ -201,7 +202,7 @@ def encode_padoa(solution: Formula, theory: Theory, tested: set[str]) -> SatQuer
                 axioms.append(renamed)
     doubled = Theory(doubled_vocab, tuple(axioms))
 
-    (closed,), query_vocab = close_formulas([solution], doubled_vocab)
+    query_vocab = doubled_vocab.extend(constants=sorted(base_vocab.constants - vocab.constants))
     disagreement = Iff(rename_symbols(closed, first),
                        Not(rename_symbols(closed, second)))
     check_vocabulary(disagreement, query_vocab)

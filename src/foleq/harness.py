@@ -327,23 +327,21 @@ def run_batch(records: list[PairRecord], engine: Engine, both_methods: bool = Tr
                     "explanations": [], "strategies": [], "timing_ms": 0.0,
                     "error": str(exc)}
 
-    first_of_key: dict[str, int] = {}
+    groups: dict[str, list[int]] = {}
     for i, record in enumerate(records):
-        first_of_key.setdefault(record.duplicate_key(), i)
+        groups.setdefault(record.duplicate_key(), []).append(i)
     if workers > 1:
-        # repeats wait for the first record of their key, so that each
-        # finds the decision cached, as in a serial run
-        firsts = list(first_of_key.values())
-        results = [None] * len(records)
+        # one task runs a key's records in order, so that its repeats find
+        # the decision cached, as in a serial run
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for wave in (firsts, sorted(set(range(len(records))) - set(firsts))):
-                for i, result in zip(wave, pool.map(process, [records[i] for i in wave])):
-                    results[i] = result
+            runs = list(pool.map(lambda g: [process(records[i]) for i in g], groups.values()))
+        done = {i: r for group, rs in zip(groups.values(), runs) for i, r in zip(group, rs)}
+        results = [done[i] for i in range(len(records))]
     else:
         results = [process(r) for r in records]
 
     report = Report(total=_section(results),
-                    distinct=_section([results[i] for i in first_of_key.values()]),
+                    distinct=_section([results[group[0]] for group in groups.values()]),
                     timings_ms=[result["timing_ms"] for result in results],
                     errors=[f"{record.id}: {result['error']}"
                             for record, result in zip(records, results)

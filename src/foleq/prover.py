@@ -503,8 +503,9 @@ class TheoryModels:
         if combo is None:
             return False
         relations, functions = self._tables(combo)
-        mask = 0
-        for bit, values in enumerate(self._tuples):
+        # without axioms every constant tuple completes the choice
+        mask = 0 if self.axioms else (1 << len(self._tuples)) - 1
+        for bit, values in enumerate(self._tuples if self.axioms else ()):
             s = Structure(self.size, relations, functions,
                           dict(zip(self._constants, values)))
             if satisfies_all(s, self.axioms):

@@ -59,6 +59,20 @@ def test_padoa_free_variables_become_shared_constants():
         assert not free_variables(ax)
 
 
+def test_closure_constants_avoid_the_tested_symbols_name(backend):
+    """A free variable x closes to a constant other than c_x when c_x is
+    itself a symbol, so the closure is not renamed with the tested symbol."""
+    v = Vocabulary(relations={"P": 1}, constants={"c_x"})
+    psi = parse("P(x) <-> P(c_x)", v)
+    q = encode_padoa(psi, Theory(v), {"c_x"})
+    # x closes to c_x_1, so the copies of c_x are c_x_1_1 and c_x_2
+    assert q.theory.vocabulary.constants == {"c_x_1_1", "c_x_2"}
+    assert q.vocabulary.constants == {"c_x_1", "c_x_1_1", "c_x_2"}
+    assert symbol_necessity(psi, Theory(v), "c_x", backend) == NECESSARY
+    w = Vocabulary(relations={"c_x": 1})
+    assert symbol_necessity(parse("c_x(x)", w), Theory(w), "c_x", backend) == NECESSARY
+
+
 def test_q_necessary_without_theory(backend):
     th = Theory(VPQ)
     psi = parse("forall x (Q(x) -> P(x))", VPQ)

@@ -267,6 +267,7 @@ def test_theory_tables_keep_enumeration_order():
     many = Vocabulary(relations={"P": 1}, constants=set("abdefgh"))
     theories = [sc.theory for sc in load_scenarios()] + _doubled_theories()
     theories.append(Theory(many, (parse("P(a) & ~P(h) & (d = e)", many),)))
+    theories.append(Theory(many))   # no axioms: every constant tuple is a model
     checked = 0
     for theory in theories:
         for size in (1, 2):

@@ -46,6 +46,14 @@ def backend_source(backend) -> str:
     return "brute-force" if backend.name == "bounded" else "prover-fmb"
 
 
+def backend_counterexample(verdict, backend) -> CounterExample | None:
+    """The verdict's revalidated counter model, which `backend` found."""
+    if verdict.counter is None:
+        return None
+    return CounterExample(structure=verdict.counter, direction=verdict.direction,
+                          source=backend_source(backend))
+
+
 def search_countermodel(solution: Formula, attempt: Formula, theory: Theory,
                         seed: int = 0) -> CounterExample | None:
     """First random theory model distinguishing the pair, sizes ascending.

@@ -44,7 +44,7 @@ from .profiles import (
     binder_chain, extract_guards, flip_guard_operator, permute_arguments,
     remove_guard, swap_implication, toggle_negation,
 )
-from .countermodel import CounterExample, backend_source, search_countermodel
+from .countermodel import CounterExample, backend_counterexample, search_countermodel
 from .prover import DecisionCache, ProverConfig, Verdict, decide_equivalence
 from .definability import (
     NECESSARY, UNKNOWN, EQUALITY, NecessityCache, necessary_symbols,
@@ -621,12 +621,8 @@ def explain_nonequivalence(solution: Formula, attempt: Formula, theory: Theory,
     if verdict.status != "non-equivalent":
         return ExplanationBundle(verdict=verdict, counterexample=None, explanations=[])
 
-    counterexample = None
-    if verdict.counter is not None:
-        counterexample = CounterExample(structure=verdict.counter,
-                                        direction=verdict.direction or "unknown",
-                                        source=backend_source(backend))
-    elif with_countermodel:
+    counterexample = backend_counterexample(verdict, backend)
+    if counterexample is None and with_countermodel:
         counterexample = search_countermodel(solution, attempt, theory, random_seed)
 
     ctx = StrategyContext(solution=solution, attempt=attempt, theory=theory,

@@ -25,11 +25,11 @@ from .syntax import Formula, FoleqError, Vocabulary, to_str
 from .parser import parse
 from .theory import Theory
 from .prover import (
-    BoundedSearchBackend, DecisionCache,
-    ExternalProverBackend, ProverConfig, encode_equivalence, revalidate_counter,
+    BoundedSearchBackend, DecisionCache, ExternalProverBackend, ProverConfig,
+    decide_equivalence,
 )
 from .definability import NecessityCache
-from .countermodel import CounterExample, backend_source, search_countermodel
+from .countermodel import backend_counterexample, backend_source, search_countermodel
 from .explain import ALL_STRATEGIES, explain_nonequivalence
 
 
@@ -130,19 +130,13 @@ class Engine:
 
 
 def _backend_countermodel(record, engine):
-    """One dedicated model-finding call; returns (structure, direction) or
-    None after revalidation."""
-    query = encode_equivalence(record.solution, record.attempt, record.theory)
-    result = engine.backend.check_sat(query,
-                                      timeout_ms=engine.prover_config.timeout_ms,
-                                      want_model=True)
-    if result.status != "sat" or result.model is None:
-        return None
-    structure, direction = revalidate_counter(result.model, record.solution,
-                                              record.attempt, record.theory)
-    if structure is None:
-        return None
-    return structure, direction
+    """The backend's counter model for a cached verdict whose entry holds
+    none (a line of an older cache file, or a failed model extraction):
+    the pair is decided again, past the cache."""
+    verdict = decide_equivalence(record.solution, record.attempt, record.theory,
+                                 engine.backend, cache=None,
+                                 timeout_ms=engine.prover_config.timeout_ms)
+    return backend_counterexample(verdict, engine.backend)
 
 
 def run_pair(record: PairRecord, engine: Engine, both_methods: bool = False,
@@ -159,26 +153,15 @@ def run_pair(record: PairRecord, engine: Engine, both_methods: bool = False,
     methods: dict[str, bool] = {}
     counterexample = bundle.counterexample
     if bundle.verdict.status == "non-equivalent" and both_methods:
-        # both methods get an attempt of their own so that attribution does
-        # not depend on cache state: a cached verdict carries no structure,
-        # so the backend is asked again; otherwise decide_equivalence has
-        # just asked it and revalidated its model
-        backend_method = backend_source(engine.backend)
-        verdict = bundle.verdict
-        if verdict.method == "cache":
-            backend_counter = _backend_countermodel(record, engine)
-        elif verdict.counter is not None:
-            backend_counter = verdict.counter, verdict.direction
-        else:
-            backend_counter = None
+        # both methods get an attempt of their own: the backend's is the
+        # verdict's revalidated model, fresh or cached, and only a cache
+        # entry that holds no model sends the pair to the backend again
+        if counterexample is None and bundle.verdict.method == "cache":
+            counterexample = _backend_countermodel(record, engine)
         random_hit = search_countermodel(record.solution, record.attempt,
                                          record.theory, random_seed)
-        methods = {backend_method: backend_counter is not None,
+        methods = {backend_source(engine.backend): counterexample is not None,
                    "random": random_hit is not None}
-        if backend_counter is not None and bundle.counterexample is None:
-            structure, direction = backend_counter
-            counterexample = CounterExample(structure=structure, direction=direction,
-                                            source=backend_method)
         counterexample = counterexample or random_hit
 
     elapsed_ms = (time.perf_counter() - start) * 1000

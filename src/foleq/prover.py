@@ -674,8 +674,9 @@ class DecisionCache(JsonlCache):
 
     Keys ignore axiom order, formula order within the pair, and bound
     variable names; lookups add the backend kind (`backend_key`). Only
-    decisive verdicts are stored, without counter structures and without
-    directions, which a key that sorts the pair cannot orient. Thread-safe;
+    decisive verdicts are stored, with their revalidated counter structure
+    (`"counter"`, `null` for none; older lines load without one) but no
+    direction, which a key that sorts the pair cannot orient. Thread-safe;
     optionally persisted as JSON lines.
     """
 
@@ -684,10 +685,13 @@ class DecisionCache(JsonlCache):
         super().__init__(path)
 
     def _decode(self, record: dict) -> Verdict:
-        return Verdict(status=record["status"], method=record.get("method"))
+        counter = record.get("counter")
+        return Verdict(status=record["status"], method=record.get("method"),
+                       counter=counter and Structure.from_json(counter))
 
     def _encode(self, verdict: Verdict) -> dict:
         return {"status": verdict.status, "method": verdict.method,
+                "counter": verdict.counter and verdict.counter.to_json(),
                 "timestamp": time.time()}
 
     @staticmethod
@@ -706,7 +710,8 @@ class DecisionCache(JsonlCache):
     def put(self, key: str, verdict: Verdict) -> None:
         if verdict.status == "unknown":
             return
-        super().put(key, Verdict(status=verdict.status, method=verdict.method))
+        super().put(key, Verdict(status=verdict.status, method=verdict.method,
+                                 counter=verdict.counter))
 
 
 # ---------------------------------------------------------------------------
@@ -719,16 +724,19 @@ def decide_equivalence(solution: Formula, attempt: Formula, theory: Theory,
                        origin: str = "equivalence") -> Verdict:
     """Decide the pair, consulting and feeding the cache.
 
-    A counter structure coming back from the backend is revalidated
-    against the theory and the pair before being surfaced; an invalid one
-    is dropped (the verdict stands, the structure does not).
+    A counter structure, from the backend or a cache entry, is revalidated
+    against the theory and the pair as asked, which gives its direction;
+    an invalid one is dropped (the verdict stands, the structure does not).
+    Only a top-level decision (origin "equivalence") asks for a model.
     """
     key = None
     if cache is not None:
         key = backend_key(backend, DecisionCache.key(solution, attempt, theory))
         hit = cache.get(key)
         if hit is not None:
-            return Verdict(status=hit.status, method="cache", cached_method=hit.method)
+            counter, direction = revalidate_counter(hit.counter, solution, attempt, theory)
+            return Verdict(status=hit.status, counter=counter, direction=direction,
+                           method="cache", cached_method=hit.method)
 
     # formulas identical up to bound-variable names need no backend at all
     if alpha_normalize(solution) == alpha_normalize(attempt):
@@ -738,16 +746,14 @@ def decide_equivalence(solution: Formula, attempt: Formula, theory: Theory,
         return verdict
 
     query = encode_equivalence(solution, attempt, theory, origin)
-    result = backend.check_sat(query, timeout_ms=timeout_ms, want_model=True)
+    result = backend.check_sat(query, timeout_ms=timeout_ms,
+                               want_model=origin == "equivalence")
 
     if result.status == "unsat":
         method = f"bounded<={result.bound}" if result.bound is not None else backend.name
         verdict = Verdict(status="equivalent", method=method)
     elif result.status == "sat":
-        counter = None
-        direction = None
-        if result.model is not None:
-            counter, direction = revalidate_counter(result.model, solution, attempt, theory)
+        counter, direction = revalidate_counter(result.model, solution, attempt, theory)
         verdict = Verdict(status="non-equivalent", counter=counter,
                           direction=direction, method=backend.name)
     else:
@@ -758,9 +764,15 @@ def decide_equivalence(solution: Formula, attempt: Formula, theory: Theory,
     return verdict
 
 
-def revalidate_counter(model: Structure, solution: Formula, attempt: Formula,
+def revalidate_counter(model: Structure | None, solution: Formula, attempt: Formula,
                 theory: Theory) -> tuple[Structure | None, str | None]:
-    (sol, att), _ = close_formulas([solution, attempt], theory.vocabulary)
+    if model is None:
+        return None, None
+    (sol, att), vocab = close_formulas([solution, attempt], theory.vocabulary)
+    # a cache key ignores the vocabulary: a cached model may be another's
+    if (model.relations.keys(), model.functions.keys(), model.constants.keys()) != (
+            vocab.relations.keys(), vocab.functions.keys(), vocab.constants):
+        return None, None
     try:
         if not satisfies_all(model, theory.axioms):
             return None, None

@@ -20,7 +20,7 @@ from foleq.definability import (
     NECESSARY, NOT_SHOWN, NecessityCache, symbol_necessity,
 )
 from foleq.explain import explain_nonequivalence
-from foleq.harness import Engine, run_batch
+from foleq.harness import Engine, run_batch, run_pair
 from foleq.models import (
     brute_force_verdict, close_formulas, count_structures, enumerate_structures,
     eval_formula, satisfies_all,
@@ -230,7 +230,7 @@ def test_criterion_08_padoa_cases():
     ok(8, "3/3 necessity cases (necessary / not shown / equality)")
 
 
-def test_criterion_09_cache_contract(tmp_path):
+def test_criterion_09_cache_contract(tmp_path, monkeypatch):
     backend = BoundedSearchBackend(seed=9)
     cache = DecisionCache()
     v = Vocabulary(relations={"P": 1})
@@ -252,13 +252,32 @@ def test_criterion_09_cache_contract(tmp_path):
     path.write_text("\n".join(json.dumps(o) for o in objs) + "\n")
     from foleq.harness import load_dataset
     records, _ = load_dataset(str(path))
+    import foleq.harness as harness
+    outs = []
+
+    def recording(record, *args, **kwargs):
+        out = run_pair(record, *args, **kwargs)
+        outs.append({k: v for k, v in out.items() if k != "timing_ms"})
+        return out
+
+    monkeypatch.setattr(harness, "run_pair", recording)
     engine = Engine.make(seed=9)
     cold = run_batch(records, engine).to_json()
+    cold_outs = list(outs)
+    outs.clear()
+    before = engine.backend.calls
     warm = run_batch(records, engine).to_json()
+    assert engine.backend.calls == before
     assert cold["total"] == warm["total"]
     assert cold["distinct"] == warm["distinct"]
-    ok(9, "alpha-variant rerun used 0 backend calls; cold and warm batch "
-          "counts identical")
+    # a warm record is its cold run's output, served from the cache
+    for c, w in zip(cold_outs, outs, strict=True):
+        decided_by = c["verdict"].get("cached_method", c["verdict"]["method"])
+        assert w["verdict"] == {"status": c["verdict"]["status"], "method": "cache",
+                                "cached_method": decided_by}
+        assert {**w, "verdict": None} == {**c, "verdict": None}
+    ok(9, "alpha-variant rerun used 0 backend calls; warm batch rerun used 0 "
+          "backend calls and repeated the cold per-record outputs")
 
 
 def test_criterion_10_corpus_integrity():

@@ -105,10 +105,66 @@ def test_run_pair_both_methods_asks_backend_once(engine):
     out = run_pair(rec, engine, both_methods=True)
     assert engine.backend.origins["equivalence"] == 1
     assert out["countermodel_methods"] == {"brute-force": True, "random": True}
-    # a cached verdict has no structure, so a warm rerun asks once more
+    # the cached verdict carries the same model, so a warm rerun asks nothing
     again = run_pair(rec, engine, both_methods=True)
+    assert again["verdict"]["method"] == "cache"
     assert again["countermodel_methods"] == out["countermodel_methods"]
+    assert again["counterexample"] == out["counterexample"]
+    assert engine.backend.origins["equivalence"] == 1
+
+
+def test_batch_single_method_repeats_keep_the_backend_model(monkeypatch, engine):
+    # a repeat's decision comes from the cache, with the first record's model
+    outs = []
+
+    def recording(record, *args, **kwargs):
+        outs.append(run_pair(record, *args, **kwargs))
+        return outs[-1]
+
+    monkeypatch.setattr(harness, "run_pair", recording)
+    records = [PairRecord.from_json(record_obj(i, "forall x P(x)", "exists x P(x)"))
+               for i in ("first", "again")]
+    report = run_batch(records, engine, both_methods=False)
+    first, again = (out["counterexample"] for out in outs)
+    assert outs[1]["verdict"]["method"] == "cache"
+    assert first["source"] == again["source"] == "brute-force"
+    assert first["structure"] == again["structure"]
+    assert report.total["counter_found"] == 2
+
+
+def test_cache_line_without_counter_asks_backend_once(tmp_path):
+    # a cache file written before entries kept their model still hits; the
+    # backend is asked for the model once, and the output is a fresh run's
+    rec = PairRecord.from_json(record_obj("old", "forall x P(x)", "exists x P(x)"))
+    fresh = run_pair(rec, Engine.make(seed=5), both_methods=True)
+    path = tmp_path / "cache.jsonl"
+    key = prover.backend_key(prover.BoundedSearchBackend(), rec.duplicate_key())
+    path.write_text(json.dumps({"key": key, "status": "non-equivalent",
+                                "method": "bounded", "timestamp": 0}) + "\n")
+    engine = Engine.make(seed=5, cache_path=str(path))
+    engine.backend = _OriginCounter(engine.backend)
+    out = run_pair(rec, engine, both_methods=True)
+    assert out["verdict"]["method"] == "cache"
+    assert engine.backend.origins["equivalence"] == 1
+    assert out["countermodel_methods"] == fresh["countermodel_methods"]
+    assert out["counterexample"] == fresh["counterexample"]
+
+
+def test_prover_model_missing_from_a_hit_is_asked_again(tmp_path):
+    # a prover that answers sat without a model leaves an entry without one,
+    # so a hit asks the backend again for the model
+    from test_prover import make_prover
+    exe = make_prover(tmp_path, {"default": {"stdout": "% SZS status Satisfiable\n"}})
+    engine = Engine.make(prover_path=exe, modes=("vampire",), seed=5)
+    engine.backend = _OriginCounter(engine.backend)
+    rec = PairRecord.from_json(record_obj("nomodel", "forall x P(x)", "exists x P(x)"))
+    first = run_pair(rec, engine, both_methods=True, first_only=True)
+    assert first["countermodel_methods"] == {"prover-fmb": False, "random": True}
+    assert first["counterexample"]["source"] == "random"
+    again = run_pair(rec, engine, both_methods=True, first_only=True)
+    assert again["verdict"]["method"] == "cache"
     assert engine.backend.origins["equivalence"] == 2
+    assert again["countermodel_methods"] == first["countermodel_methods"]
 
 
 def test_batch_self_pairs_all_equivalent(tmp_path, engine):

@@ -7,6 +7,7 @@ import pytest
 from foleq import prover
 from foleq.corpus import load_scenarios, scenario
 from foleq.definability import encode_padoa, star_transform
+from foleq.explain import StrategyContext
 from foleq.models import (
     brute_force_verdict, count_structures, enumerate_structures, satisfies_all,
 )
@@ -33,6 +34,9 @@ mode = args[args.index("--mode") + 1] if "--mode" in args else "default"
 fmb = "--saturation_algorithm" in args
 sys.stdin.read()
 behavior = behaviors.get(mode + "+fmb" if fmb else mode) or behaviors.get("default") or {{}}
+if "log" in behavior:
+    with open(behavior["log"], "a") as fh:
+        fh.write(" ".join(args) + "\\n")
 time.sleep(behavior.get("sleep", 0))
 sys.stdout.write(behavior.get("stdout", ""))
 """
@@ -209,6 +213,25 @@ def test_invalid_model_is_dropped_but_verdict_stands(tmp_path):
     assert verdict.counter is None
 
 
+def test_only_top_level_decisions_ask_for_a_model(tmp_path):
+    # a strategy confirmation reads only the status, so a rejected
+    # candidate must not start a finite-model-builder run
+    log = tmp_path / "fmb.log"
+    exe = make_prover(tmp_path, {
+        "vampire": {"stdout": "% SZS status Satisfiable\n"},
+        "vampire+fmb": {"stdout": MODEL_BLOCK, "log": str(log)},
+    })
+    backend = ExternalProverBackend(ProverConfig(executable=exe, modes=("vampire",)))
+    forall, exists = parse("forall x P(x)", VP), parse("exists x P(x)", VP)
+    ctx = StrategyContext(solution=forall, attempt=exists, theory=Theory(VP),
+                          backend=backend)
+    assert not ctx.confirm(parse("exists y P(y)", VP))
+    assert backend.calls == 1 and not log.exists()
+    verdict = decide_equivalence(forall, exists, Theory(VP), backend)
+    assert verdict.counter is not None
+    assert len(log.read_text().splitlines()) == 1
+
+
 def test_unparsable_output_is_unknown(tmp_path):
     exe = make_prover(tmp_path, {"default": {"stdout": "segfault\n"}})
     backend = ExternalProverBackend(ProverConfig(executable=exe, modes=("vampire",)))
@@ -354,7 +377,8 @@ def test_cache_persistence(tmp_path, backend):
 
 
 def test_cache_serves_no_direction(tmp_path, backend):
-    # the key sorts the pair, so a stored direction may be the wrong way round
+    # the key sorts the pair, so a stored direction may be the wrong way round;
+    # a hit recomputes it from the stored model for the pair as asked
     th = Theory(VP)
     forall, exists = parse("forall x P(x)", VP), parse("exists x P(x)", VP)
     assert decide_equivalence(exists, forall, th, backend).direction == "too-restrictive"
@@ -368,8 +392,40 @@ def test_cache_serves_no_direction(tmp_path, backend):
     cold = decide_equivalence(forall, exists, th, backend, old)
     assert cold.direction == "too-permissive" and backend.calls == calls + 1
     hit = decide_equivalence(exists, forall, th, backend, DecisionCache(str(path)))
-    assert hit.method == "cache" and hit.direction is None
+    assert hit.method == "cache" and hit.direction == "too-restrictive"
+    assert hit.counter == cold.counter
     assert backend.calls == calls + 1
+
+
+def test_cache_file_keeps_counter_models(tmp_path):
+    # E-12 has a function and a constant, so the stored model has every kind
+    # of table; a fresh cache on the same file serves it without a backend
+    sc = scenario("E-12")
+    psi = parse("exists x (R(x) & (f(x) = v) & exists y E(x,y))", sc.vocabulary)
+    phi = parse("exists x (R(x) & (f(x) = v))", sc.vocabulary)
+    path = tmp_path / "cache.jsonl"
+    first = decide_equivalence(psi, phi, sc.theory, BoundedSearchBackend(seed=3),
+                               DecisionCache(str(path)))
+    assert first.status == "non-equivalent"
+    assert first.counter.functions and first.counter.constants
+    assert json.loads(path.read_text())["counter"] == first.counter.to_json()
+    fresh = BoundedSearchBackend(seed=3)
+    hit = decide_equivalence(psi, phi, sc.theory, fresh, DecisionCache(str(path)))
+    assert fresh.calls == 0 and hit.method == "cache"
+    assert (hit.counter, hit.direction) == (first.counter, first.direction)
+
+
+def test_cached_model_of_another_vocabulary_is_dropped(backend, cache):
+    # the key ignores the vocabulary, so a record with one more relation hits
+    # the entry of a record without it, whose model does not interpret it
+    wide = Vocabulary(relations={"P": 1, "Q": 2})
+    first = decide_equivalence(parse("forall x P(x)", VP), parse("exists x P(x)", VP),
+                               Theory(VP), backend, cache)
+    hit = decide_equivalence(parse("forall x P(x)", wide), parse("exists x P(x)", wide),
+                             Theory(wide), backend, cache)
+    assert first.counter is not None
+    assert hit.method == "cache" and hit.status == "non-equivalent"
+    assert hit.counter is None and hit.direction is None
 
 
 def test_alpha_variant_pairs_decided_syntactically(backend):

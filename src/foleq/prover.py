@@ -22,7 +22,10 @@ Two backends implement the query contract:
   Every exhaustive query walks a per-backend table of its theory's
   models (TheoryModels), filled lazily and in enumeration order, so a
   theory's axioms are tested once per backend and the answers are those
-  of filtering `models.enumerate_structures`.
+  of filtering `models.enumerate_structures`. Every random query walks
+  a per-backend list of the theory's models among the draws of its
+  stream (TheoryDraws), packed one int per kept draw, so the answers are
+  those of filtering `models.random_models`.
 
 Pinned finite-model output format (a subset of Vampire's fmb output)::
 
@@ -62,7 +65,7 @@ from .syntax import (
 )
 from .theory import Theory
 from .models import (
-    Structure, close_formulas, count_structures, eval_formula, random_models,
+    Structure, close_formulas, count_structures, eval_formula, random_structure,
     satisfies_all, symbol_choices,
 )
 
@@ -78,7 +81,7 @@ class SatQuery:
     `theory` names the background theory the query extends (unset, the
     empty theory over its vocabulary): its axioms come first among the
     query's, and the query's vocabulary adds constants only. The bounded
-    backend walks its table of the theory's models.
+    backend walks its tables and lists of the theory's models.
     """
 
     axioms: tuple[Formula, ...]
@@ -471,15 +474,40 @@ LARGE_SAMPLES = 600               # flat budget for the sizes beyond
 TUPLE_PROBABILITIES = (0.5, 0.2, 0.1, 0.9)
 
 
-class TheoryModels:
+class _LazyList:
+    """Entries found lazily and shared by every query that walks them.
+    The list grows only as far as a walk has gone; a lock guards the
+    growth, as threads share one backend."""
+
+    def __init__(self, entries):
+        self._entries = entries
+        self._lock = threading.Lock()
+
+    def _grow(self) -> bool:
+        """Examine the next candidate, appending it if it is an entry;
+        False once there are none left."""
+        raise NotImplementedError
+
+    def _walk(self) -> Iterator[int]:
+        pos = 0
+        while True:
+            with self._lock:
+                while pos == len(self._entries) and self._grow():
+                    pass
+                if pos == len(self._entries):
+                    return
+                entry = self._entries[pos]
+            pos += 1
+            yield entry
+
+
+class TheoryModels(_LazyList):
     """The models of one theory at one size, in `enumerate_structures`'s
     order, found lazily and shared by every query on the theory.
 
     An entry is one choice of relation and function tables (an index
     into their product) that has a model, packed into one int with the
     bitmask of the theory-constant tuples that complete it to a model.
-    The table grows only as far as a query has walked it; a lock guards
-    the growth, as threads share one backend.
     """
 
     def __init__(self, theory: Theory, size: int):
@@ -494,11 +522,9 @@ class TheoryModels:
         self._index_bits = math.prod(map(len, self._choices)).bit_length()
         # more constant tuples than a 64-bit entry holds: plain ints
         wide = self._index_bits + len(self._tuples) > 64
-        self._entries = [] if wide else array("Q")
-        self._lock = threading.Lock()
+        super().__init__([] if wide else array("Q"))
 
-    def _scan_next(self) -> bool:
-        """Test the axioms on the next choice; False once all are tested."""
+    def _grow(self) -> bool:
         index, combo = next(self._unscanned, (None, None))
         if combo is None:
             return False
@@ -532,15 +558,7 @@ class TheoryModels:
                 for v in values]
         rest = query.axioms[len(self.axioms):]
         low = (1 << self._index_bits) - 1
-        pos = 0
-        while True:
-            with self._lock:
-                while pos == len(self._entries) and self._scan_next():
-                    pass
-                if pos == len(self._entries):
-                    return
-                entry = self._entries[pos]
-            pos += 1
+        for entry in self._walk():
             index, mask = entry & low, entry >> self._index_bits
             combo = []
             for choices in reversed(self._choices):
@@ -552,6 +570,94 @@ class TheoryModels:
                     s = Structure(size, relations, functions, dict(zip(names, v)))
                     if satisfies_all(s, rest):
                         yield s
+
+
+class TheoryDraws(_LazyList):
+    """The models of one theory among `draws` draws of one random
+    stream over a query vocabulary, in draw order, found lazily and
+    shared by every query over that vocabulary.
+
+    The draws are `random_structure`'s over the whole query vocabulary:
+    it draws constants last, so each closure constant shifts the stream.
+    A kept draw is packed into one int, in `random_structure`'s order:
+    one bit per relation tuple, then the function values and constants
+    as base-`size` digits. `tuples` holds the tuple lists by (size,
+    arity), shared with other lists; the stream is dropped once spent.
+    """
+
+    def __init__(self, theory: Theory, vocab: Vocabulary, size: int, p: float,
+                 rng: random.Random, draws: int, tuples: dict | None = None):
+        super().__init__([])
+        self.size = size
+        self.axioms = theory.axioms
+        self._vocab, self._p, self._rng, self._left = vocab, p, rng, draws
+        tuples = {} if tuples is None else tuples
+        for arity in {*vocab.relations.values(), *vocab.functions.values()}:
+            if (size, arity) not in tuples:
+                tuples[size, arity] = tuple(itertools.product(range(size), repeat=arity))
+        self._relations = [(r, tuples[size, a]) for r, a in sorted(vocab.relations.items())]
+        self._functions = [(f, tuples[size, a]) for f, a in sorted(vocab.functions.items())]
+        self._constants = sorted(vocab.constants)
+        self._bits = sum(len(ts) for _, ts in self._relations)
+
+    def _grow(self) -> bool:
+        if not self._left:
+            self._rng = None
+            return False
+        self._left -= 1
+        s = random_structure(self._vocab, self.size, self._p, self._rng)
+        if satisfies_all(s, self.axioms):
+            self._entries.append(self.pack(s))
+        return True
+
+    def pack(self, s: Structure) -> int:
+        packed, bit = 0, 0
+        for name, tuples in self._relations:
+            table = s.relations[name]
+            for t in tuples:
+                if t in table:
+                    packed |= 1 << bit
+                bit += 1
+        digits = [s.functions[name][t] for name, tuples in self._functions for t in tuples]
+        digits += [s.constants[c] for c in self._constants]
+        value = 0
+        for digit in reversed(digits):
+            value = value * self.size + digit
+        return packed | value << self._bits
+
+    def unpack(self, packed: int) -> Structure:
+        size = self.size
+        relations = {}
+        for name, tuples in self._relations:
+            # the low bits first; a missing high bit is a tuple left out
+            relations[name] = frozenset(itertools.compress(
+                tuples, map(int, bin(packed & ((1 << len(tuples)) - 1))[:1:-1])))
+            packed >>= len(tuples)
+        functions = {}
+        for name, tuples in self._functions:
+            table = functions[name] = {}
+            for t in tuples:
+                packed, table[t] = divmod(packed, size)
+        constants = {}
+        for c in self._constants:
+            packed, constants[c] = divmod(packed, size)
+        return Structure(size, relations, functions, constants)
+
+    def models(self, query: SatQuery) -> Iterator[Structure]:
+        """The models of the query's axioms among the draws, in draw
+        order: those `random_models(query.vocabulary, query.axioms, ...)`
+        yields on a fresh stream. Only the axioms after the theory's are
+        tested."""
+        rest = query.axioms[len(self.axioms):]
+        for packed in self._walk():
+            s = self.unpack(packed)
+            if satisfies_all(s, rest):
+                yield s
+
+
+def _vocabulary_key(vocab: Vocabulary) -> tuple:
+    return (tuple(sorted(vocab.relations.items())),
+            tuple(sorted(vocab.functions.items())), tuple(sorted(vocab.constants)))
 
 
 class BoundedSearchBackend:
@@ -567,6 +673,13 @@ class BoundedSearchBackend:
     once per backend, not once per query. The tables hold the same
     models in the same order as `enumerate_structures`, so the answers
     and bounds are those of filtering it.
+
+    At each sampled size and tuple probability a query walks the
+    backend's list of its theory's models among the draws of the stream
+    `{seed}:backend:{size}:{p}` (`TheoryDraws`), one list per theory and
+    whole query vocabulary. The stream does not depend on the query, so
+    the draws are made and the theory's axioms tested once per backend;
+    the first model found is the one a fresh stream would give.
     """
 
     name = "bounded"
@@ -575,20 +688,31 @@ class BoundedSearchBackend:
         self.seed = seed
         self.calls = 0
         self._tables: dict[tuple, TheoryModels] = {}
+        self._draws: dict[tuple, TheoryDraws] = {}
+        self._tuples: dict[tuple[int, int], tuple] = {}
         self._tables_lock = threading.Lock()
+
+    def _shared(self, lists: dict, key: tuple, make):
+        with self._tables_lock:
+            found = lists.get(key)
+            if found is None:
+                found = lists[key] = make()
+        return found
 
     def _models(self, query: SatQuery, size: int) -> Iterator[Structure]:
         theory = query.theory
-        vocab = theory.vocabulary
         # Theory holds dicts, so it is keyed by value
-        key = (theory.axioms, tuple(sorted(vocab.relations.items())),
-               tuple(sorted(vocab.functions.items())), tuple(sorted(vocab.constants)),
-               size)
-        with self._tables_lock:
-            table = self._tables.get(key)
-            if table is None:
-                table = self._tables[key] = TheoryModels(theory, size)
-        return table.models(query)
+        key = (theory.axioms, _vocabulary_key(theory.vocabulary), size)
+        return self._shared(self._tables, key,
+                            lambda: TheoryModels(theory, size)).models(query)
+
+    def _drawn(self, query: SatQuery, size: int, p: float, draws: int
+               ) -> Iterator[Structure]:
+        theory, vocab = query.theory, query.vocabulary
+        key = (theory.axioms, _vocabulary_key(vocab), size, p, draws)
+        return self._shared(self._draws, key, lambda: TheoryDraws(
+            theory, vocab, size, p, random.Random(f"{self.seed}:backend:{size}:{p}"),
+            draws, self._tuples)).models(query)
 
     def check_sat(self, query: SatQuery, timeout_ms: int | None = None,
                   want_model: bool = True) -> SatResult:
@@ -611,9 +735,7 @@ class BoundedSearchBackend:
             total = SAMPLES_PER_SIZE * size if size <= MAX_SIZE else LARGE_SAMPLES
             draws = max(1, total // len(TUPLE_PROBABILITIES))
             for p in TUPLE_PROBABILITIES:
-                rng = random.Random(f"{self.seed}:backend:{size}:{p}")
-                model = next(random_models(query.vocabulary, query.axioms, size, p,
-                                           rng, draws), None)
+                model = next(self._drawn(query, size, p, draws), None)
                 if model is not None:
                     return SatResult("sat", model=model)
 
@@ -629,18 +751,25 @@ class BoundedSearchBackend:
 class JsonlCache:
     """Values by string key, optionally persisted as JSON lines: the file
     is read when the cache is opened, and every put appends one line
-    under the lock. Subclasses turn values into records and back."""
+    under the lock. A line that does not parse, as a process killed during
+    a put leaves, is skipped, and the next put starts on a fresh line.
+    Subclasses turn values into records and back."""
 
     def __init__(self, path: str | None = None):
         self._data: dict[str, object] = {}
         self._lock = threading.Lock()
         self._path = path
+        self._torn = False          # the file's last line lacks its newline
         if path and os.path.exists(path):
+            line = ""
             with open(path, encoding="utf-8") as fh:
                 for line in fh:
-                    if line.strip():
+                    try:
                         obj = json.loads(line)
-                        self._data[obj["key"]] = self._decode(obj)
+                    except json.JSONDecodeError:
+                        continue
+                    self._data[obj["key"]] = self._decode(obj)
+            self._torn = bool(line) and not line.endswith("\n")
 
     def _decode(self, record: dict):
         raise NotImplementedError
@@ -657,7 +786,9 @@ class JsonlCache:
             self._data[key] = value
             if self._path:
                 with open(self._path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps({"key": key, **self._encode(value)}) + "\n")
+                    fh.write("\n" * self._torn
+                             + json.dumps({"key": key, **self._encode(value)}) + "\n")
+                self._torn = False
 
     def __len__(self):
         return len(self._data)

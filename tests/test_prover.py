@@ -1,29 +1,37 @@
+import itertools
 import json
+import random
 import stat
+import sys
+import threading
 import time
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from foleq import prover
-from foleq.corpus import load_scenarios, scenario
-from foleq.definability import encode_padoa, star_transform
+from foleq.corpus import all_solutions, load_scenarios, scenario
+from foleq.definability import (
+    NECESSARY, NecessityCache, NecessityReport, encode_padoa, star_transform,
+)
 from foleq.explain import StrategyContext
 from foleq.models import (
-    brute_force_verdict, count_structures, enumerate_structures, satisfies_all,
+    brute_force_verdict, close_formulas, count_structures, enumerate_structures,
+    random_models, random_structure, satisfies_all,
 )
-from foleq.mutate import mutate
+from foleq.mutate import mutate, mutate_all
 from foleq.parser import parse
 from foleq.prover import (
     BoundedSearchBackend, DecisionCache,
     ExternalProverBackend, ProverConfig, ProverError, SatQuery,
     decide_equivalence, encode_equivalence, mangle_table, parse_finite_model,
-    TheoryModels, parse_szs_status, to_tptp,
+    TheoryDraws, TheoryModels, Verdict, parse_szs_status, to_tptp,
 )
-from foleq.syntax import Not, Vocabulary, VocabularyError
+from foleq.syntax import Forall, Not, Vocabulary, VocabularyError, free_variables, to_str
 from foleq.theory import Theory
 
 from conftest import FormulaSampler
-from test_acceptance import ORACLE_BUDGET
+from test_acceptance import ORACLE_BUDGET, _perfbench_check
 
 VP = Vocabulary(relations={"P": 1})
 FAKE = """#!/usr/bin/env python3
@@ -335,6 +343,130 @@ def test_query_theory_must_extend_by_constants_only():
                     theory=th).theory is th
 
 
+# random phase: the shared lists of theory models among the draws
+
+
+def _sampled_query(theory, n, k):
+    """A query whose last axiom is a sampled formula over the theory, with
+    up to k free variables closed by constants and the others quantified."""
+    f = FormulaSampler(n, theory.vocabulary).formula(depth=2)
+    for v in free_variables(f)[k:]:
+        f = Forall(v, f)
+    (closed,), vocab = close_formulas([f], theory.vocabulary)
+    return SatQuery(axioms=theory.axioms + (closed,), vocabulary=vocab, theory=theory)
+
+
+def test_shared_draws_match_a_plain_filter():
+    # the sampler draws atoms of relations, which E-9 lacks
+    theories = [th for th in [sc.theory for sc in load_scenarios()] + _doubled_theories()
+                if th.vocabulary.relations]
+    assert any(not th.axioms for th in theories)
+    seen = {"models": 0, "constants": 0}
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @seed(5)
+    @given(st.sampled_from(theories), st.integers(0, 2), st.integers(1, 4),
+           st.sampled_from(prover.TUPLE_PROBABILITIES), st.integers(1, 200),
+           st.integers(0, 999))
+    def walks_agree(theory, k, size, p, draws, n):
+        one = _sampled_query(theory, n, k)
+        two = SatQuery(axioms=theory.axioms + (Not(one.axioms[-1]),),
+                       vocabulary=one.vocabulary, theory=theory)
+
+        def plain(query):
+            rng = random.Random(f"5:backend:{size}:{p}")
+            return list(random_models(query.vocabulary, query.axioms, size, p, rng, draws))
+
+        expected = [plain(one), plain(two)]
+        seen["models"] += len(expected[0]) + len(expected[1])
+        seen["constants"] += len(one.vocabulary.constants) > len(theory.vocabulary.constants)
+
+        # the two queries walk one list, step by step in turn
+        backend = BoundedSearchBackend(seed=5)
+        walks = [backend._drawn(q, size, p, draws) for q in (one, two)]
+        got = [[], []]
+        for pair in itertools.zip_longest(*walks):
+            for models, s in zip(got, pair):
+                if s is not None:
+                    models.append(s)
+        assert got == expected and len(backend._draws) == 1
+        assert list(backend._drawn(one, size, p, draws)) == expected[0]
+
+        # and from more threads than cores at once, each query twice
+        backend = BoundedSearchBackend(seed=5)
+        got = [[], [], [], []]
+        threads = [threading.Thread(target=models.extend,
+                                    args=(backend._drawn(q, size, p, draws),))
+                   for models, q in zip(got, (one, two, one, two))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected * 2
+
+    walks_agree()
+    assert seen["models"] and seen["constants"]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@seed(5)
+@given(st.dictionaries(st.sampled_from("ABPQRT"), st.integers(0, 3), max_size=4),
+       st.dictionaries(st.sampled_from("fgh"), st.integers(1, 2), max_size=2),
+       st.sets(st.sampled_from("abc"), max_size=3), st.integers(1, 4),
+       st.sampled_from(prover.TUPLE_PROBABILITIES), st.integers(0, 999))
+def test_packed_draws_round_trip(relations, functions, constants, size, p, n):
+    vocab = Vocabulary(relations=relations, functions=functions, constants=constants)
+    draws = TheoryDraws(Theory(vocab), vocab, size, p, random.Random(n), 1)
+    s = random_structure(vocab, size, p, random.Random(n))
+    assert draws.unpack(draws.pack(s)) == s
+
+
+# the pairs whose non-equivalence only the random phase finds (the
+# exhaustive sizes alone leave each "equivalent"), with the size of the
+# model it finds at seed 23
+RANDOM_PHASE_PAIRS = {
+    "E-4-3": {"quantifier-flip/1": 3, "implication-swap/0": 3,
+              "argument-permutation/1": 3},
+    "E-4-4": {"quantifier-flip/1": 3, "guard-drop/0": 3, "guard-drop/1": 3,
+              "negation-toggle/2": 3, "negation-toggle/3": 3,
+              "argument-permutation/1": 3, "argument-permutation/2": 3},
+    "E-5-1": {"negation-toggle/0": 2},
+    "E-5-2": {"guard-drop/1": 2, "guard-operator-flip/0": 2, "negation-toggle/0": 2},
+    "E-5-3": {"guard-drop/0": 2, "guard-operator-flip/0": 2, "implication-swap/0": 3,
+              "negation-toggle/0": 2},
+    "E-5-4": {"guard-drop/0": 2, "guard-operator-flip/0": 2, "negation-toggle/0": 2},
+    "E-5-5": {"quantifier-flip/0": 2, "guard-operator-flip/0": 3,
+              "negation-toggle/0": 2, "negation-toggle/2": 2},
+    "E-6-4": {"quantifier-flip/0": 4},
+    "E-14-1": {"guard-drop/0": 3},
+}
+
+
+def test_random_phase_regression_set():
+    check = _perfbench_check()
+    backend = BoundedSearchBackend(seed=23)
+    sizes = {}
+    for sc, sol in all_solutions():
+        for name, size in RANDOM_PHASE_PAIRS.get(sol.id, {}).items():
+            family, index = name.split("/")
+            attempt = mutate_all(sol.formula, family)[int(index)]
+            verdict = decide_equivalence(sol.formula, attempt, sc.theory, backend)
+            assert (verdict.status, verdict.method) == ("non-equivalent", "bounded"), name
+            theirs = check.Pair(sc.vocabulary.to_json(),
+                                [to_str(ax) for ax in sc.theory.axioms],
+                                to_str(sol.formula), to_str(attempt))
+            theirs.check_countermodel(verdict.counter.to_json(), verdict.direction)
+            sizes[f"{sol.id}/{name}"] = verdict.counter.size
+    assert sizes == {f"{sid}/{name}": size for sid, pairs in RANDOM_PHASE_PAIRS.items()
+                     for name, size in pairs.items()}
+
+
 # cache
 
 
@@ -374,6 +506,26 @@ def test_cache_persistence(tmp_path, backend):
                            th, fresh, reloaded)
     assert v.method == "cache"
     assert fresh.calls == 0
+
+
+@pytest.mark.parametrize("cls, value", [
+    (DecisionCache, Verdict(status="equivalent", method="bounded<=2")),
+    (NecessityCache, NecessityReport({"P": NECESSARY}, {"P": "q1"})),
+], ids=["decision", "necessity"])
+def test_cache_file_with_a_torn_last_line(tmp_path, cls, value):
+    # a process killed during a put leaves its line without an end
+    path = tmp_path / "cache.jsonl"
+    cls(str(path)).put("first", value)
+    line = path.read_text()
+    path.write_text(line + line[:len(line) // 2])
+    torn = cls(str(path))
+    assert len(torn) == 1 and torn.get("first") == value
+    torn.put("second", value)
+    reloaded = cls(str(path))
+    assert len(reloaded) == 2 and reloaded.get("second") == value
+    lines = path.read_text().splitlines()
+    assert lines[:2] == [line[:-1], line[:len(line) // 2]]
+    assert len(lines) == 3 and json.loads(lines[2])["key"] == "second"
 
 
 def test_cache_serves_no_direction(tmp_path, backend):

@@ -1,10 +1,14 @@
 """Random counter-example search.
 
-Structures are generated Erdos-Renyi style by `models.random_structure`:
-every relation tuple is included independently with a fixed probability,
-and every function output and constant is drawn uniformly from the
-universe. The search walks universe sizes in ascending order and returns
-the first generated theory model on which the two formulas disagree.
+Structures are generated Erdos-Renyi style, as `models.random_structure`
+draws them: every relation tuple is included independently with a fixed
+probability, and every function output and constant is drawn uniformly
+from the universe. The search walks universe sizes in ascending order and
+returns the first generated theory model on which the two formulas
+disagree. Its theory models come from `models.random_models`, which
+reads each draw's relation tuples in one bulk read of the stream and
+tests the theory's axioms on the flat draw, so only theory models become
+`Structure`s and meet `eval_formula`.
 
 A witness satisfying the solution but not the attempt marks the attempt
 as too restrictive (it misses an intended model); the opposite

@@ -5,11 +5,23 @@ The universe of a size-n structure is {0, ..., n-1}; reports render
 elements 1-based for readability. The enumerator yields every structure
 of a given size exactly once in a fixed order, which makes it usable as
 ground truth for small instances.
+
+Random structures are read from a `random.Random` stream in bulk: one
+`getrandbits` call reads the words that one `random() < p` test per
+relation tuple would read, and a table over each tuple's high byte
+decides all but about one tuple in 256 (`DrawLayout.draws`); function
+values and constants are drawn with `randrange`. The draws are those of
+one `random()` per tuple. `random_models` tests axioms on the flat draw
+with closures compiled once per vocabulary and size, and builds a
+`Structure` only for a model. `eval_formula` stays the evaluator of one
+structure and the reference the compiled closures are tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, Mapping
@@ -192,6 +204,177 @@ def enumerate_structures(vocab: Vocabulary, size: int,
         )
 
 
+def vocabulary_key(vocab: Vocabulary) -> tuple:
+    """The vocabulary's symbols as a hashable value, each kind sorted."""
+    return (tuple(sorted(vocab.relations.items())),
+            tuple(sorted(vocab.functions.items())), tuple(sorted(vocab.constants)))
+
+
+@functools.lru_cache(maxsize=64)
+def _inclusion_test(p: float) -> tuple[bytes, int]:
+    """`random() < p` for one relation tuple, from the high byte of the
+    first of the two 32-bit words that `random()` reads.
+
+    `random()` returns x / 2**53, x = (a >> 5) * 2**26 + (b >> 6) for the
+    words a and b, so the test is x < t = ceil(p * 2**53), exactly. The
+    high byte of a is x >> 45: below t >> 45 it passes, above it fails.
+    The table maps each high byte to 1 or 0, or to 2 when it is t >> 45
+    and only both words tell."""
+    t = 0 if not p > 0 else 2 ** 53 if p >= 1 else math.ceil(p * 2 ** 53)
+    edge = t >> 45 if t % 2 ** 45 else 256
+    return bytes(2 if h == edge else int(h < t >> 45) for h in range(256)), t
+
+
+class DrawLayout:
+    """Where one vocabulary's symbols sit in a flat random draw at one size.
+
+    A draw is what `random_structure` reads from its stream, in its order:
+    `flags`, one byte per relation tuple (relations sorted by name, tuples
+    in lexicographic order), 1 when the tuple is in; then `values`, one
+    list of the function values (functions sorted by name, the same tuple
+    order) followed by the constants, sorted by name.
+
+    `check` compiles an axiom into a closure over a draw, once per layout.
+    Its source holds only integer offsets and the names v0, v1, ... of the
+    quantified variables by depth; no symbol name from the input reaches
+    it. Quantified variables range over `range(size)`."""
+
+    def __init__(self, key: tuple, size: int):
+        relations, functions, constants = key       # `vocabulary_key`'s
+        self.size = size
+        self.relations = [(r, _tuples(size, a)) for r, a in relations]
+        self.functions = [(f, _tuples(size, a)) for f, a in functions]
+        self.constants = list(constants)
+        self._at: dict[str, tuple[int, int]] = {}     # symbol -> offset, arity
+        self.bits = self._place(relations)
+        self.values = self._place([*functions, *((c, 0) for c in constants)])
+        self._checks: dict[Formula, object] = {}
+        self._names = {"__builtins__": {}, "all": all, "any": any,
+                       "U": tuple(range(size))}
+
+    def _place(self, symbols) -> int:
+        offset = 0
+        for name, arity in symbols:
+            self._at[name] = offset, arity
+            offset += self.size ** arity
+        return offset
+
+    def draws(self, p: float, rng: random.Random, count: int
+              ) -> Iterator[tuple[bytes, list[int]]]:
+        """The stream's next `count` draws, each made when asked for: the
+        relation tuples from one `getrandbits` read of the words that one
+        `random()` per tuple reads, then one `randrange(size)` per
+        function value and constant."""
+        table, t = _inclusion_test(p)
+        getrandbits, randrange, size = rng.getrandbits, rng.randrange, self.size
+        nbytes, values = 8 * self.bits, range(self.values)
+        for _ in range(count):
+            raw = getrandbits(8 * nbytes).to_bytes(nbytes, "little")
+            flags = raw[3::8].translate(table)
+            if 2 in flags:
+                flags = bytearray(flags)
+                i = flags.find(2)
+                while i >= 0:
+                    a = int.from_bytes(raw[8 * i:8 * i + 4], "little")
+                    b = int.from_bytes(raw[8 * i + 4:8 * i + 8], "little")
+                    flags[i] = (a >> 5 << 26 | b >> 6) < t
+                    i = flags.find(2, i + 1)
+            yield flags, [randrange(size) for _ in values]
+
+    def structure(self, flags: bytes, values: list[int]) -> Structure:
+        relations, functions, at = {}, {}, 0
+        for name, tuples in self.relations:
+            relations[name] = frozenset(itertools.compress(tuples, flags[at:at + len(tuples)]))
+            at += len(tuples)
+        at = 0
+        for name, tuples in self.functions:
+            functions[name] = dict(zip(tuples, values[at:at + len(tuples)]))
+            at += len(tuples)
+        return Structure(self.size, relations, functions,
+                         dict(zip(self.constants, values[at:])))
+
+    def check(self, axiom: Formula):
+        """A function of a draw's (flags, values): whether the structure
+        they stand for satisfies the closed axiom."""
+        fn = self._checks.get(axiom)
+        if fn is None:
+            try:
+                fn = eval(f"lambda F, V: {self._formula(axiom, {}, 0)}", self._names)
+            except (SyntaxError, RecursionError):
+                # nested past what the compiler takes: walk the structure
+                def fn(flags, values, axiom=axiom):
+                    return eval_formula(self.structure(flags, values), axiom)
+            self._checks[axiom] = fn
+        return fn
+
+    def _formula(self, g: Formula, scope: dict[str, str], depth: int) -> str:
+        if isinstance(g, Atom):
+            return f"F[{self._index(g.rel, g.args, scope)}]"
+        if isinstance(g, Eq):
+            return f"({self._term(g.left, scope)} == {self._term(g.right, scope)})"
+        if isinstance(g, Not):
+            return f"(not {self._formula(g.sub, scope, depth)})"
+        if isinstance(g, (And, Or, Implies, Iff)):
+            left = self._formula(g.left, scope, depth)
+            right = self._formula(g.right, scope, depth)
+            if isinstance(g, And):
+                return f"({left} and {right})"
+            if isinstance(g, Or):
+                return f"({left} or {right})"
+            if isinstance(g, Implies):
+                return f"(not {left} or {right})"
+            return f"((not {left}) == (not {right}))"
+        if isinstance(g, (Forall, Exists)):
+            # a run of one quantifier is one generator over all its loops
+            kind, loops, scope = type(g), [], dict(scope)
+            while isinstance(g, kind):
+                scope[g.var] = f"v{depth}"
+                loops.append(f"for v{depth} in U")
+                depth += 1
+                g = g.body
+            body = self._formula(g, scope, depth)
+            return f"{'all' if kind is Forall else 'any'}({body} {' '.join(loops)})"
+        raise TypeError(f"not a formula: {g!r}")
+
+    def _term(self, t: Term, scope: dict[str, str]) -> str:
+        if isinstance(t, Var):
+            if t.name not in scope:
+                raise EvalError(f"unassigned free variable {t.name}")
+            return scope[t.name]
+        if isinstance(t, (Const, Func)):
+            return f"V[{self._index(t.name, t.args if isinstance(t, Func) else (), scope)}]"
+        raise TypeError(f"not a term: {t!r}")
+
+    def _index(self, name: str, args, scope: dict[str, str]) -> str:
+        offset, arity = self._at.get(name, (0, None))
+        if arity != len(args):
+            raise EvalError(f"no interpretation for {name}/{len(args)}")
+        parts = [str(offset)] if offset else []
+        for k, arg in enumerate(args):
+            stride = self.size ** (arity - 1 - k)
+            term = self._term(arg, scope)
+            parts.append(term if stride == 1 else f"{term} * {stride}")
+        return " + ".join(parts) or "0"
+
+
+@functools.lru_cache(maxsize=None)
+def _tuples(size: int, arity: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(itertools.product(range(size), repeat=arity))
+
+
+@functools.lru_cache(maxsize=512)
+def _layout(key: tuple, size: int) -> DrawLayout:
+    return DrawLayout(key, size)
+
+
+def draw_layout(vocab: Vocabulary, size: int) -> DrawLayout:
+    """The layout of the vocabulary's draws at the size, shared by every
+    caller (with its compiled axioms)."""
+    if size < 1:
+        raise ValueError("size must be >= 1")
+    return _layout(vocabulary_key(vocab), size)
+
+
 def random_structure(vocab: Vocabulary, size: int, p: float,
                      rng: random.Random) -> Structure:
     """One random structure; deterministic given the rng state.
@@ -199,32 +382,29 @@ def random_structure(vocab: Vocabulary, size: int, p: float,
     Every relation tuple is included independently with probability p;
     function outputs and constants are drawn uniformly. Draw order is
     fixed: relations, functions, constants, each sorted by name, tuples
-    in lexicographic order.
+    in lexicographic order. A tuple is in when `rng.random() < p` would
+    have been true at its turn; the relation tuples are read in one bulk
+    read of the same words (`DrawLayout.draws`).
     """
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    universe = range(size)
-    relations = {}
-    for name in sorted(vocab.relations):
-        tuples = itertools.product(universe, repeat=vocab.relations[name])
-        relations[name] = frozenset(t for t in tuples if rng.random() < p)
-    functions = {}
-    for name in sorted(vocab.functions):
-        functions[name] = {tup: rng.randrange(size) for tup
-                           in itertools.product(universe, repeat=vocab.functions[name])}
-    constants = {name: rng.randrange(size) for name in sorted(vocab.constants)}
-    return Structure(size=size, relations=relations, functions=functions,
-                     constants=constants)
+    layout = draw_layout(vocab, size)
+    return layout.structure(*next(layout.draws(p, rng, 1)))
 
 
 def random_models(vocab: Vocabulary, axioms, size: int, p: float,
                   rng: random.Random, draws: int) -> Iterator[Structure]:
     """The structures among `draws` random ones that satisfy every axiom,
-    in draw order; the rng is advanced by the draws consumed only."""
-    for _ in range(draws):
-        s = random_structure(vocab, size, p, rng)
-        if satisfies_all(s, axioms):
-            yield s
+    in draw order; the rng is advanced by the draws consumed only.
+
+    The axioms are tested on the flat draw by closures compiled once per
+    vocabulary and size; a `Structure` is built for a model only."""
+    layout = draw_layout(vocab, size)
+    checks = [layout.check(ax) for ax in axioms]
+    for flags, values in layout.draws(p, rng, draws):
+        for check in checks:
+            if not check(flags, values):
+                break
+        else:
+            yield layout.structure(flags, values)
 
 
 # ---------------------------------------------------------------------------

@@ -65,8 +65,8 @@ from .syntax import (
 )
 from .theory import Theory
 from .models import (
-    Structure, close_formulas, count_structures, eval_formula, random_structure,
-    satisfies_all, symbol_choices,
+    Structure, close_formulas, count_structures, draw_layout, eval_formula,
+    random_models, satisfies_all, symbol_choices, vocabulary_key,
 )
 
 
@@ -577,69 +577,58 @@ class TheoryDraws(_LazyList):
     stream over a query vocabulary, in draw order, found lazily and
     shared by every query over that vocabulary.
 
-    The draws are `random_structure`'s over the whole query vocabulary:
-    it draws constants last, so each closure constant shifts the stream.
-    A kept draw is packed into one int, in `random_structure`'s order:
-    one bit per relation tuple, then the function values and constants
-    as base-`size` digits. `tuples` holds the tuple lists by (size,
-    arity), shared with other lists; the stream is dropped once spent.
+    The draws and the test of the theory's axioms are `random_models`'s
+    over the whole query vocabulary: it draws constants last, so each
+    closure constant shifts the stream. A kept draw is packed into one
+    int, in `random_structure`'s order: one bit per relation tuple, then
+    the function values and constants as base-`size` digits. The stream
+    is dropped once spent.
     """
 
     def __init__(self, theory: Theory, vocab: Vocabulary, size: int, p: float,
-                 rng: random.Random, draws: int, tuples: dict | None = None):
+                 rng: random.Random, draws: int):
         super().__init__([])
         self.size = size
         self.axioms = theory.axioms
-        self._vocab, self._p, self._rng, self._left = vocab, p, rng, draws
-        tuples = {} if tuples is None else tuples
-        for arity in {*vocab.relations.values(), *vocab.functions.values()}:
-            if (size, arity) not in tuples:
-                tuples[size, arity] = tuple(itertools.product(range(size), repeat=arity))
-        self._relations = [(r, tuples[size, a]) for r, a in sorted(vocab.relations.items())]
-        self._functions = [(f, tuples[size, a]) for f, a in sorted(vocab.functions.items())]
-        self._constants = sorted(vocab.constants)
-        self._bits = sum(len(ts) for _, ts in self._relations)
+        self._layout = draw_layout(vocab, size)
+        self._source = random_models(vocab, theory.axioms, size, p, rng, draws)
 
     def _grow(self) -> bool:
-        if not self._left:
-            self._rng = None
-            return False
-        self._left -= 1
-        s = random_structure(self._vocab, self.size, self._p, self._rng)
-        if satisfies_all(s, self.axioms):
+        s = next(self._source, None)
+        if s is not None:
             self._entries.append(self.pack(s))
-        return True
+        return s is not None
 
     def pack(self, s: Structure) -> int:
-        packed, bit = 0, 0
-        for name, tuples in self._relations:
+        layout, packed, bit = self._layout, 0, 0
+        for name, tuples in layout.relations:
             table = s.relations[name]
             for t in tuples:
                 if t in table:
                     packed |= 1 << bit
                 bit += 1
-        digits = [s.functions[name][t] for name, tuples in self._functions for t in tuples]
-        digits += [s.constants[c] for c in self._constants]
+        digits = [s.functions[name][t] for name, tuples in layout.functions for t in tuples]
+        digits += [s.constants[c] for c in layout.constants]
         value = 0
         for digit in reversed(digits):
             value = value * self.size + digit
-        return packed | value << self._bits
+        return packed | value << layout.bits
 
     def unpack(self, packed: int) -> Structure:
-        size = self.size
+        layout, size = self._layout, self.size
         relations = {}
-        for name, tuples in self._relations:
+        for name, tuples in layout.relations:
             # the low bits first; a missing high bit is a tuple left out
             relations[name] = frozenset(itertools.compress(
                 tuples, map(int, bin(packed & ((1 << len(tuples)) - 1))[:1:-1])))
             packed >>= len(tuples)
         functions = {}
-        for name, tuples in self._functions:
+        for name, tuples in layout.functions:
             table = functions[name] = {}
             for t in tuples:
                 packed, table[t] = divmod(packed, size)
         constants = {}
-        for c in self._constants:
+        for c in layout.constants:
             packed, constants[c] = divmod(packed, size)
         return Structure(size, relations, functions, constants)
 
@@ -653,11 +642,6 @@ class TheoryDraws(_LazyList):
             s = self.unpack(packed)
             if satisfies_all(s, rest):
                 yield s
-
-
-def _vocabulary_key(vocab: Vocabulary) -> tuple:
-    return (tuple(sorted(vocab.relations.items())),
-            tuple(sorted(vocab.functions.items())), tuple(sorted(vocab.constants)))
 
 
 class BoundedSearchBackend:
@@ -689,7 +673,6 @@ class BoundedSearchBackend:
         self.calls = 0
         self._tables: dict[tuple, TheoryModels] = {}
         self._draws: dict[tuple, TheoryDraws] = {}
-        self._tuples: dict[tuple[int, int], tuple] = {}
         self._tables_lock = threading.Lock()
 
     def _shared(self, lists: dict, key: tuple, make):
@@ -702,17 +685,17 @@ class BoundedSearchBackend:
     def _models(self, query: SatQuery, size: int) -> Iterator[Structure]:
         theory = query.theory
         # Theory holds dicts, so it is keyed by value
-        key = (theory.axioms, _vocabulary_key(theory.vocabulary), size)
+        key = (theory.axioms, vocabulary_key(theory.vocabulary), size)
         return self._shared(self._tables, key,
                             lambda: TheoryModels(theory, size)).models(query)
 
     def _drawn(self, query: SatQuery, size: int, p: float, draws: int
                ) -> Iterator[Structure]:
         theory, vocab = query.theory, query.vocabulary
-        key = (theory.axioms, _vocabulary_key(vocab), size, p, draws)
+        key = (theory.axioms, vocabulary_key(vocab), size, p, draws)
         return self._shared(self._draws, key, lambda: TheoryDraws(
             theory, vocab, size, p, random.Random(f"{self.seed}:backend:{size}:{p}"),
-            draws, self._tuples)).models(query)
+            draws)).models(query)
 
     def check_sat(self, query: SatQuery, timeout_ms: int | None = None,
                   want_model: bool = True) -> SatResult:
@@ -752,8 +735,9 @@ class JsonlCache:
     """Values by string key, optionally persisted as JSON lines: the file
     is read when the cache is opened, and every put appends one line
     under the lock. A line that does not parse, as a process killed during
-    a put leaves, is skipped, and the next put starts on a fresh line.
-    Subclasses turn values into records and back."""
+    a put leaves, is skipped, and the next put starts on a fresh line; so
+    is a line that parses but is not a record of this cache. Subclasses
+    turn values into records and back."""
 
     def __init__(self, path: str | None = None):
         self._data: dict[str, object] = {}
@@ -766,9 +750,9 @@ class JsonlCache:
                 for line in fh:
                     try:
                         obj = json.loads(line)
-                    except json.JSONDecodeError:
+                        self._data[obj["key"]] = self._decode(obj)
+                    except (ValueError, LookupError, TypeError, AttributeError):
                         continue
-                    self._data[obj["key"]] = self._decode(obj)
             self._torn = bool(line) and not line.endswith("\n")
 
     def _decode(self, record: dict):

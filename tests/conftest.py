@@ -6,7 +6,8 @@ from foleq.parser import parse
 from foleq.prover import BoundedSearchBackend, DecisionCache
 from foleq.definability import NecessityCache
 from foleq.syntax import (
-    And, Atom, Exists, Forall, Formula, Iff, Implies, Not, Or, Var, Vocabulary,
+    And, Atom, Const, Eq, Exists, Forall, Formula, Func, Iff, Implies, Not, Or,
+    Term, Var, Vocabulary,
 )
 from foleq.theory import Theory
 
@@ -46,7 +47,9 @@ class FormulaSampler:
     """Seeded random formulas over at most 2 unary + 1 binary relation.
 
     Quantifier depth is at most 2 and the variable pool is small, so the
-    brute-force oracle stays cheap on everything generated here.
+    brute-force oracle stays cheap on everything generated here. Atoms are
+    relation atoms over variables; a vocabulary without relations gets
+    equations between variables, constants and function terms instead.
     """
 
     def __init__(self, seed: int, vocab: Vocabulary | None = None):
@@ -55,10 +58,23 @@ class FormulaSampler:
         self.variables = ["x", "y", "z"]
 
     def atom(self) -> Formula:
+        if not self.vocab.relations:
+            return Eq(self.term(), self.term())
         rel = self.rng.choice(sorted(self.vocab.relations))
         arity = self.vocab.relations[rel]
         return Atom(rel, tuple(Var(self.rng.choice(self.variables))
                                for _ in range(arity)))
+
+    def term(self, depth: int = 1) -> Term:
+        choices = [Var(v) for v in self.variables]
+        choices += [Const(c) for c in sorted(self.vocab.constants)]
+        if depth > 0:
+            choices += sorted(self.vocab.functions)
+        pick = self.rng.choice(choices)
+        if isinstance(pick, str):
+            return Func(pick, tuple(self.term(depth - 1)
+                                    for _ in range(self.vocab.functions[pick])))
+        return pick
 
     def formula(self, depth: int = 3, quant_budget: int = 2) -> Formula:
         if depth <= 0:

@@ -1,13 +1,26 @@
-import pytest
+import itertools
+import os
+import random
+import re
+import subprocess
+import sys
 
+import pytest
+from hypothesis import example, given, seed, settings, strategies as st
+
+from foleq.corpus import scenario
 from foleq.models import (
     BudgetExceededError, EvalError, Structure, brute_force_verdict,
-    close_formulas, count_structures, enumerate_structures, eval_formula,
-    satisfies_all,
+    close_formulas, count_structures, draw_layout, enumerate_structures,
+    eval_formula, random_models, random_structure, satisfies_all,
 )
 from foleq.parser import parse
-from foleq.syntax import Vocabulary, alpha_normalize, free_variables, nnf
+from foleq.syntax import (
+    Atom, Exists, Forall, Var, Vocabulary, alpha_normalize, free_variables, nnf,
+)
 from foleq.theory import Theory
+
+from conftest import FormulaSampler
 
 VP = Vocabulary(relations={"P": 1})
 VPQ = Vocabulary(relations={"P": 1, "Q": 1})
@@ -146,3 +159,144 @@ def test_eval_agrees_with_nnf_and_alpha(sampler):
                 expected = eval_formula(s, f)
                 assert eval_formula(s, nnf(f)) == expected
                 assert eval_formula(s, alpha_normalize(f)) == expected
+
+
+# random draws: bulk reads of the stream, and axioms compiled over them
+
+
+def reference_structure(vocab, size, p, rng):
+    """`random_structure` as it reads its stream: one `rng.random() < p`
+    per relation tuple, then one `randrange` per function value and
+    constant."""
+    universe = range(size)
+    relations = {r: frozenset(t for t in itertools.product(universe, repeat=vocab.relations[r])
+                              if rng.random() < p)
+                 for r in sorted(vocab.relations)}
+    functions = {f: {t: rng.randrange(size)
+                     for t in itertools.product(universe, repeat=vocab.functions[f])}
+                 for f in sorted(vocab.functions)}
+    constants = {c: rng.randrange(size) for c in sorted(vocab.constants)}
+    return Structure(size, relations, functions, constants)
+
+
+BOUNDARY_P = 1 / 3        # not dyadic, unlike the probabilities foleq uses
+
+
+def test_bulk_draws_match_per_tuple_reads():
+    seen = {"boundary": 0, "tuples": 0}
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @seed(12)
+    @given(st.dictionaries(st.sampled_from("ABPQRT"), st.integers(0, 3), max_size=4),
+           st.dictionaries(st.sampled_from("fgh"), st.integers(1, 2), max_size=2),
+           st.sets(st.sampled_from("abc"), max_size=3), st.integers(1, 10),
+           st.sampled_from((0.0, 0.1, 0.2, 0.5, 0.9, 1.0, BOUNDARY_P)),
+           st.integers(0, 999), st.integers(0, 3))
+    @example({"T": 3, "R": 2, "A": 0}, {"f": 2}, {"a"}, 10, BOUNDARY_P, 1, 2)
+    def draws_agree(relations, functions, constants, size, p, n, more):
+        vocab = Vocabulary(relations=relations, functions=functions, constants=constants)
+        ours, theirs = random.Random(n), random.Random(n)
+        tuples = sum(size ** a for a in relations.values())
+        probe = random.Random()
+        probe.setstate(theirs.getstate())
+        high = [probe.getrandbits(32) >> 24 for _ in range(2 * tuples)][::2]
+        # a high byte that is the threshold's own is decided by both words
+        seen["boundary"] += p * 256 % 1 > 0 and int(p * 256) in high
+        seen["tuples"] += tuples
+        assert random_structure(vocab, size, p, ours) == reference_structure(
+            vocab, size, p, theirs)
+        assert ours.getstate() == theirs.getstate()
+        # without axioms every draw is a model
+        assert list(random_models(vocab, (), size, p, ours, more)) == [
+            reference_structure(vocab, size, p, theirs) for _ in range(more)]
+        assert ours.getstate() == theirs.getstate()
+
+    draws_agree()
+    assert seen["boundary"] and seen["tuples"]
+
+
+def test_random_models_draw_only_what_is_asked():
+    rng, theirs = random.Random(3), random.Random(3)
+    models = random_models(VPQ, (parse("exists x P(x)", VPQ),), 3, 0.5, rng, 50)
+    first = next(models)
+    while not satisfies_all(reference_structure(VPQ, 3, 0.5, theirs),
+                            (parse("exists x P(x)", VPQ),)):
+        pass
+    assert rng.getstate() == theirs.getstate()
+    assert first.relations["P"]
+
+
+COMPILED_VOCABS = [
+    Vocabulary(relations={"P": 1, "Q": 1, "R": 2}),
+    scenario("E-9").vocabulary,                       # op/2 and e, no relations
+    Vocabulary(functions={"f": 1, "g": 2}, constants={"a", "b"}),
+    Vocabulary(relations={"A": 0, "P": 1, "R": 2, "T": 3}, functions={"f": 1},
+               constants={"c"}),
+]
+COMPILED_FORMULAS = [
+    "forall x exists x P(x)",
+    "forall x forall x forall y (R(x, y) -> x = y)",
+    "exists x (P(x) <-> forall x (R(x, x) | ~P(f(x))))",
+    "forall x (P(f(x)) <-> R(x, c)) & (A | T(c, f(c), f(f(c))))",
+    "forall x forall y (f(x) = f(y) -> x = y) -> exists z forall x ~(f(x) = z)",
+    "forall x exists y (T(x, y, x) & forall x (x = y | ~A))",
+]
+
+
+def _deep(n, quantifiers):
+    g = Atom("P", (Var("x"),))
+    for i in range(n):
+        g = quantifiers[i % len(quantifiers)]("x", g)
+    return g
+
+
+def test_compiled_axioms_agree_with_eval_formula():
+    rich = COMPILED_VOCABS[-1]
+    written = [parse(text, rich) for text in COMPILED_FORMULAS]
+    # nested past what Python compiles: checked on the structure instead
+    deep = [_deep(40, (Forall,)), _deep(300, (Forall, Exists))]
+    seen = {True: 0, False: 0, "source": 0}
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @seed(12)
+    @given(st.integers(0, len(COMPILED_VOCABS) - 1), st.integers(0, 9999),
+           st.integers(1, 4), st.sampled_from((0.2, 0.5, 0.8)))
+    def agree(which, n, size, p):
+        vocab = COMPILED_VOCABS[which]
+        formulas = [FormulaSampler(n, vocab).closed_formula(depth=3)]
+        if vocab is rich:
+            formulas += written + (deep if size == 1 else [])
+        layout = draw_layout(vocab, size)
+        for f in formulas:
+            check = layout.check(f)
+            source = layout._formula(f, {}, 0) if f not in deep else ""
+            # only offsets and v0, v1, ... name anything in the source
+            names = set(re.findall(r"[A-Za-z_]\w*", source))
+            assert names <= {"F", "V", "U", "all", "any", "for", "in", "and", "or", "not"} | {
+                f"v{i}" for i in range(10)}, source
+            seen["source"] += bool(source)
+            for flags, values in layout.draws(p, random.Random(n), 3):
+                expected = eval_formula(layout.structure(flags, values), f)
+                assert bool(check(flags, values)) is expected, (f, flags, values)
+                seen[expected] += 1
+
+    agree()
+    assert seen[True] and seen[False] and seen["source"]
+
+
+def test_batch_imports_no_numpy():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = (
+        "import sys\n"
+        "import workloads\n"
+        "from foleq.harness import run_batch\n"
+        "state = workloads.Batch().setup(1)\n"
+        "report = run_batch(state['records'], state['engine'])\n"
+        "assert report.total['all'] == len(state['records'])\n"
+        "print('numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, cwd=root,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

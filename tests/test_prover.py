@@ -357,11 +357,10 @@ def _sampled_query(theory, n, k):
 
 
 def test_shared_draws_match_a_plain_filter():
-    # the sampler draws atoms of relations, which E-9 lacks
-    theories = [th for th in [sc.theory for sc in load_scenarios()] + _doubled_theories()
-                if th.vocabulary.relations]
+    theories = [sc.theory for sc in load_scenarios()] + _doubled_theories()
     assert any(not th.axioms for th in theories)
-    seen = {"models": 0, "constants": 0}
+    assert any(not th.vocabulary.relations for th in theories)     # E-9
+    seen = {"models": 0, "constants": 0, "relation-free": 0}
 
     @settings(max_examples=60, deadline=None, database=None)
     @seed(5)
@@ -380,6 +379,7 @@ def test_shared_draws_match_a_plain_filter():
         expected = [plain(one), plain(two)]
         seen["models"] += len(expected[0]) + len(expected[1])
         seen["constants"] += len(one.vocabulary.constants) > len(theory.vocabulary.constants)
+        seen["relation-free"] += not theory.vocabulary.relations and bool(expected[0])
 
         # the two queries walk one list, step by step in turn
         backend = BoundedSearchBackend(seed=5)
@@ -411,7 +411,7 @@ def test_shared_draws_match_a_plain_filter():
         assert got == expected * 2
 
     walks_agree()
-    assert seen["models"] and seen["constants"]
+    assert seen["models"] and seen["constants"] and seen["relation-free"]
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -526,6 +526,25 @@ def test_cache_file_with_a_torn_last_line(tmp_path, cls, value):
     lines = path.read_text().splitlines()
     assert lines[:2] == [line[:-1], line[:len(line) // 2]]
     assert len(lines) == 3 and json.loads(lines[2])["key"] == "second"
+
+
+@pytest.mark.parametrize("cls, value", [
+    (DecisionCache, Verdict(status="equivalent", method="bounded<=2")),
+    (NecessityCache, NecessityReport({"P": NECESSARY}, {"P": "q1"})),
+], ids=["decision", "necessity"])
+def test_cache_file_with_lines_that_are_not_records(tmp_path, cls, value):
+    path = tmp_path / "cache.jsonl"
+    cls(str(path)).put("first", value)
+    strays = ['{"status": "equivalent", "method": "bounded<=2"}', "[1, 2]", '"text"',
+              "3", "null", '{"key": "second"}', '{"key": "third", "counter": 7}',
+              '{"key": "fourth", "status": "non-equivalent", "counter": {"size": 2, '
+              '"relations": {"P": 5}}}']
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n".join(strays) + "\n")
+    loaded = cls(str(path))
+    assert len(loaded) == 1 and loaded.get("first") == value
+    loaded.put("fifth", value)
+    assert cls(str(path)).get("fifth") == value
 
 
 def test_cache_serves_no_direction(tmp_path, backend):

@@ -5,10 +5,11 @@ draws them: every relation tuple is included independently with a fixed
 probability, and every function output and constant is drawn uniformly
 from the universe. The search walks universe sizes in ascending order and
 returns the first generated theory model on which the two formulas
-disagree. Its theory models come from `models.random_models`, which
+disagree. Its theory models come from `DrawLayout.model_draws`, which
 reads each draw's relation tuples in one bulk read of the stream and
-tests the theory's axioms on the flat draw, so only theory models become
-`Structure`s and meet `eval_formula`.
+tests the theory's axioms on the flat draw. The pair is compiled once
+per size and tested on the flat draw too, so only the witness becomes a
+`Structure`.
 
 A witness satisfying the solution but not the attempt marks the attempt
 as too restrictive (it misses an intended model); the opposite
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from .syntax import Formula
 from .theory import Theory
 from .models import (  # random_structure is re-exported
-    Structure, close_formulas, eval_formula, random_models, random_structure,
+    Structure, close_formulas, draw_layout, random_structure,
 )
 
 TOO_RESTRICTIVE = "too-restrictive"
@@ -68,10 +69,13 @@ def search_countermodel(solution: Formula, attempt: Formula, theory: Theory,
     (sol, att), vocab = close_formulas([solution, attempt], theory.vocabulary)
     for size in SIZES:
         rng = random.Random(f"{seed}:search:{size}")
-        for s in random_models(vocab, theory.axioms, size, TUPLE_PROBABILITY, rng,
-                               DRAWS_PER_ELEMENT * size):
-            sol_val = eval_formula(s, sol)
-            if sol_val != eval_formula(s, att):
+        layout = draw_layout(vocab, size)
+        sol_holds, att_holds = layout.compile(sol), layout.compile(att)
+        for flags, values in layout.model_draws(theory.axioms, TUPLE_PROBABILITY, rng,
+                                                DRAWS_PER_ELEMENT * size):
+            sol_val = sol_holds(flags, values)
+            if sol_val != att_holds(flags, values):
                 direction = TOO_RESTRICTIVE if sol_val else TOO_PERMISSIVE
-                return CounterExample(structure=s, direction=direction, source="random")
+                return CounterExample(structure=layout.structure(flags, values),
+                                      direction=direction, source="random")
     return None

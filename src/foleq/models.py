@@ -13,8 +13,11 @@ decides all but about one tuple in 256 (`DrawLayout.draws`); function
 values and constants are drawn with `randrange`. The draws are those of
 one `random()` per tuple. `random_models` tests axioms on the flat draw
 with closures compiled once per vocabulary and size, and builds a
-`Structure` only for a model. `eval_formula` stays the evaluator of one
-structure and the reference the compiled closures are tested against.
+`Structure` only for a model. Enumerated structures share the flat
+layout (`DrawLayout.choices`), and `models_among` tests a query's own
+axioms on flat candidates, compiling them only for a long walk.
+`eval_formula` stays the evaluator of one structure and the reference
+the compiled closures are tested against.
 """
 
 from __future__ import annotations
@@ -159,30 +162,12 @@ def count_structures(vocab: Vocabulary, size: int) -> int:
     return total
 
 
-def symbol_choices(vocab: Vocabulary, size: int
-                   ) -> tuple[dict[str, list], dict[str, list]]:
-    """Every interpretation over {0, ..., size-1} of each relation and of
-    each function, keyed by name in sorted order, each list in the order
-    `enumerate_structures` varies it."""
-    universe = range(size)
-    relations = {}
-    for r in sorted(vocab.relations):
-        tuples = list(itertools.product(universe, repeat=vocab.relations[r]))
-        relations[r] = [frozenset(itertools.compress(tuples, mask))
-                        for mask in itertools.product((0, 1), repeat=len(tuples))]
-    functions = {}
-    for f in sorted(vocab.functions):
-        tuples = list(itertools.product(universe, repeat=vocab.functions[f]))
-        functions[f] = [dict(zip(tuples, outputs))
-                        for outputs in itertools.product(universe, repeat=len(tuples))]
-    return relations, functions
-
-
 def enumerate_structures(vocab: Vocabulary, size: int,
                          budget: int = 1_000_000) -> Iterator[Structure]:
     """Every structure of exactly `size`, in a fixed deterministic order:
-    the product of the relation, function and constant choices (see
-    `symbol_choices`), the last constant varying fastest."""
+    the product of the relation and function choices (see
+    `DrawLayout.choices`) and the constants' values, the last constant
+    varying fastest."""
     if size < 1:
         raise ValueError("size must be >= 1")
     total = count_structures(vocab, size)
@@ -190,17 +175,22 @@ def enumerate_structures(vocab: Vocabulary, size: int,
         raise BudgetExceededError(
             f"{total} structures of size {size} exceed the budget of {budget}")
 
-    relations, functions = symbol_choices(vocab, size)
-    rel_names, func_names = list(relations), list(functions)
-    const_names = sorted(vocab.constants)
+    layout = draw_layout(vocab, size)
+    relations, functions = layout.choices()
+    # each choice becomes its table once; the structures share them
+    tables = [[frozenset(itertools.compress(tuples, flags)) for flags in choices]
+              for (_, tuples), choices in zip(layout.relations, relations)]
+    tables += [[dict(zip(tuples, values)) for values in choices]
+               for (_, tuples), choices in zip(layout.functions, functions)]
+    rel_names = [name for name, _ in layout.relations]
+    func_names = [name for name, _ in layout.functions]
     nr, nf = len(rel_names), len(func_names)
-    for combo in itertools.product(*relations.values(), *functions.values(),
-                                   *[range(size)] * len(const_names)):
+    for combo in itertools.product(*tables, *[range(size)] * len(layout.constants)):
         yield Structure(
             size=size,
             relations=dict(zip(rel_names, combo[:nr])),
             functions=dict(zip(func_names, combo[nr:nr + nf])),
-            constants=dict(zip(const_names, combo[nr + nf:])),
+            constants=dict(zip(layout.constants, combo[nr + nf:])),
         )
 
 
@@ -234,8 +224,12 @@ class DrawLayout:
     list of the function values (functions sorted by name, the same tuple
     order) followed by the constants, sorted by name.
 
-    `check` compiles an axiom into a closure over a draw, once per layout.
-    Its source holds only integer offsets and the names v0, v1, ... of the
+    The same layout holds an enumerated structure: `choices` lists each
+    symbol's interpretations in `enumerate_structures`' order.
+
+    `compile` turns an axiom into a closure over a draw, and `check`
+    keeps the closures of theory axioms for every later caller. The
+    source holds only integer offsets and the names v0, v1, ... of the
     quantified variables by depth; no symbol name from the input reaches
     it. Quantified variables range over `range(size)`."""
 
@@ -281,7 +275,19 @@ class DrawLayout:
                     i = flags.find(2, i + 1)
             yield flags, [randrange(size) for _ in values]
 
-    def structure(self, flags: bytes, values: list[int]) -> Structure:
+    def choices(self) -> tuple[list[list[bytes]], list[list[tuple[int, ...]]]]:
+        """Every interpretation of each relation, as its flags, and of
+        each function, as its values, each list in the order
+        `enumerate_structures` varies it. A structure's flags are its
+        relations' joined, its values its functions' and then the
+        constants."""
+        relations = [[bytes(mask) for mask in itertools.product((0, 1), repeat=len(tuples))]
+                     for _, tuples in self.relations]
+        functions = [list(itertools.product(range(self.size), repeat=len(tuples)))
+                     for _, tuples in self.functions]
+        return relations, functions
+
+    def structure(self, flags: bytes, values) -> Structure:
         relations, functions, at = {}, {}, 0
         for name, tuples in self.relations:
             relations[name] = frozenset(itertools.compress(tuples, flags[at:at + len(tuples)]))
@@ -294,18 +300,30 @@ class DrawLayout:
                          dict(zip(self.constants, values[at:])))
 
     def check(self, axiom: Formula):
-        """A function of a draw's (flags, values): whether the structure
-        they stand for satisfies the closed axiom."""
+        """`compile`'s closure for the axiom, kept by the layout: for
+        theory axioms, which every query over the theory tests again."""
         fn = self._checks.get(axiom)
         if fn is None:
-            try:
-                fn = eval(f"lambda F, V: {self._formula(axiom, {}, 0)}", self._names)
-            except (SyntaxError, RecursionError):
-                # nested past what the compiler takes: walk the structure
-                def fn(flags, values, axiom=axiom):
-                    return eval_formula(self.structure(flags, values), axiom)
-            self._checks[axiom] = fn
+            fn = self._checks[axiom] = self.compile(axiom)
         return fn
+
+    def compile(self, axiom: Formula):
+        """A function of a draw's (flags, values): whether the structure
+        they stand for satisfies the closed axiom."""
+        try:
+            return eval(f"lambda F, V: {self._formula(axiom, {}, 0)}", self._names)
+        except (SyntaxError, RecursionError):
+            # nested past what the compiler takes: walk the structure
+            def fn(flags, values):
+                return eval_formula(self.structure(flags, values), axiom)
+            return fn
+
+    def model_draws(self, axioms, p: float, rng: random.Random, count: int
+                    ) -> Iterator[tuple[bytes, list[int]]]:
+        """The draws among the stream's next `count` that satisfy every
+        axiom, in draw order; the stream is advanced by the draws
+        consumed only."""
+        return _passing([self.check(ax) for ax in axioms], self.draws(p, rng, count))
 
     def _formula(self, g: Formula, scope: dict[str, str], depth: int) -> str:
         if isinstance(g, Atom):
@@ -398,13 +416,46 @@ def random_models(vocab: Vocabulary, axioms, size: int, p: float,
     The axioms are tested on the flat draw by closures compiled once per
     vocabulary and size; a `Structure` is built for a model only."""
     layout = draw_layout(vocab, size)
-    checks = [layout.check(ax) for ax in axioms]
-    for flags, values in layout.draws(p, rng, draws):
+    for flags, values in layout.model_draws(axioms, p, rng, draws):
+        yield layout.structure(flags, values)
+
+
+# Compiling a query's own axioms costs about as much as 20 `eval_formula`
+# calls (0.22 ms for a pair's negated biconditional), and most walks end
+# within a few candidates: compiling every query at once made the median
+# decision 25% slower. So a walk compiles only once it has tested this
+# many candidates on their `Structure`s.
+EVALUATED_BEFORE_COMPILING = 24
+
+
+def models_among(layout: DrawLayout, axioms, candidates) -> Iterator[Structure]:
+    """The candidate draws (flags, values) that satisfy every axiom, in
+    order, as `Structure`s. The first `EVALUATED_BEFORE_COMPILING` are
+    tested with `satisfies_all`; past them, the axioms are compiled, for
+    this walk only, and tested on the flat draw, so only models are
+    built. A query's closures are not kept: a dataset has as many
+    distinct queries as pairs."""
+    candidates = iter(candidates)
+    for flags, values in itertools.islice(candidates, EVALUATED_BEFORE_COMPILING):
+        s = layout.structure(flags, values)
+        if satisfies_all(s, axioms):
+            yield s
+    following = next(candidates, None)
+    if following is None:
+        return
+    for flags, values in _passing([layout.compile(ax) for ax in axioms],
+                                  itertools.chain((following,), candidates)):
+        yield layout.structure(flags, values)
+
+
+def _passing(checks, draws) -> Iterator[tuple[bytes, list[int]]]:
+    """The draws (flags, values) that pass every check, in order."""
+    for flags, values in draws:
         for check in checks:
             if not check(flags, values):
                 break
         else:
-            yield layout.structure(flags, values)
+            yield flags, values
 
 
 # ---------------------------------------------------------------------------

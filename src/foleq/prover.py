@@ -25,7 +25,9 @@ Two backends implement the query contract:
   of filtering `models.enumerate_structures`. Every random query walks
   a per-backend list of the theory's models among the draws of its
   stream (TheoryDraws), packed one int per kept draw, so the answers are
-  those of filtering `models.random_models`.
+  those of filtering `models.random_models`. Both hold their candidates
+  in the flat layout of `models.DrawLayout`, test axioms with its
+  compiled closures, and build a `Structure` only for a model returned.
 
 Pinned finite-model output format (a subset of Vampire's fmb output)::
 
@@ -66,7 +68,7 @@ from .syntax import (
 from .theory import Theory
 from .models import (
     Structure, close_formulas, count_structures, draw_layout, eval_formula,
-    random_models, satisfies_all, symbol_choices, vocabulary_key,
+    models_among, satisfies_all, vocabulary_key,
 )
 
 
@@ -505,18 +507,24 @@ class TheoryModels(_LazyList):
     """The models of one theory at one size, in `enumerate_structures`'s
     order, found lazily and shared by every query on the theory.
 
-    An entry is one choice of relation and function tables (an index
-    into their product) that has a model, packed into one int with the
-    bitmask of the theory-constant tuples that complete it to a model.
+    A candidate is held flat, as a draw of `DrawLayout`: each relation
+    choice is its flags, each function choice its values
+    (`DrawLayout.choices`). An entry is one choice of relation and
+    function tables (an index into their product) that has a model,
+    packed into one int with the bitmask of the theory-constant tuples
+    that complete it to a model. The theory's axioms are tested by the
+    layout's compiled closures, so filling builds no `Structure`.
     """
 
     def __init__(self, theory: Theory, size: int):
         self.size = size
         self.axioms = theory.axioms
-        relations, functions = symbol_choices(theory.vocabulary, size)
-        self._names = list(relations), list(functions)
-        self._choices = [*relations.values(), *functions.values()]
-        self._constants = sorted(theory.vocabulary.constants)
+        layout = draw_layout(theory.vocabulary, size)
+        relations, functions = layout.choices()
+        self._relations = len(relations)
+        self._choices = [*relations, *functions]
+        self._checks = [layout.check(ax) for ax in theory.axioms]
+        self._constants = layout.constants
         self._tuples = list(itertools.product(range(size), repeat=len(self._constants)))
         self._unscanned = enumerate(itertools.product(*self._choices))
         self._index_bits = math.prod(map(len, self._choices)).bit_length()
@@ -524,39 +532,48 @@ class TheoryModels(_LazyList):
         wide = self._index_bits + len(self._tuples) > 64
         super().__init__([] if wide else array("Q"))
 
+    def _draw(self, combo) -> tuple[bytes, tuple[int, ...]]:
+        """The flags and function values of a choice of tables."""
+        return (b"".join(combo[:self._relations]),
+                tuple(itertools.chain.from_iterable(combo[self._relations:])))
+
     def _grow(self) -> bool:
         index, combo = next(self._unscanned, (None, None))
         if combo is None:
             return False
-        relations, functions = self._tables(combo)
-        # without axioms every constant tuple completes the choice
-        mask = 0 if self.axioms else (1 << len(self._tuples)) - 1
-        for bit, values in enumerate(self._tuples if self.axioms else ()):
-            s = Structure(self.size, relations, functions,
-                          dict(zip(self._constants, values)))
-            if satisfies_all(s, self.axioms):
-                mask |= 1 << bit
+        if self._checks:
+            flags, head = self._draw(combo)
+            mask = 0
+            for bit, constants in enumerate(self._tuples):
+                values = head + constants
+                for check in self._checks:
+                    if not check(flags, values):
+                        break
+                else:
+                    mask |= 1 << bit
+        else:
+            # without axioms every constant tuple completes the choice
+            mask = (1 << len(self._tuples)) - 1
         if mask:
             self._entries.append(mask << self._index_bits | index)
         return True
-
-    def _tables(self, combo) -> tuple[dict, dict]:
-        rel_names, func_names = self._names
-        return (dict(zip(rel_names, combo)),
-                dict(zip(func_names, combo[len(rel_names):])))
 
     def models(self, query: SatQuery) -> Iterator[Structure]:
         """The models of the query's axioms, in the order of
         `enumerate_structures(query.vocabulary, size)`: its extra
         constants take every value, interleaved by name with the
-        theory's, and only the axioms after the theory's are tested."""
+        theory's, and only the axioms after the theory's are tested
+        (`models_among`)."""
         size = self.size
-        names = sorted(query.vocabulary.constants)
-        places = [names.index(c) for c in self._constants]
-        values = list(itertools.product(range(size), repeat=len(names)))
+        layout = draw_layout(query.vocabulary, size)
+        places = [layout.constants.index(c) for c in self._constants]
+        values = list(itertools.product(range(size), repeat=len(layout.constants)))
         bits = [sum(v[p] * size ** (len(places) - 1 - k) for k, p in enumerate(places))
                 for v in values]
-        rest = query.axioms[len(self.axioms):]
+        return models_among(layout, query.axioms[len(self.axioms):],
+                            self._candidates(values, bits))
+
+    def _candidates(self, values, bits) -> Iterator[tuple[bytes, tuple[int, ...]]]:
         low = (1 << self._index_bits) - 1
         for entry in self._walk():
             index, mask = entry & low, entry >> self._index_bits
@@ -564,12 +581,14 @@ class TheoryModels(_LazyList):
             for choices in reversed(self._choices):
                 index, digit = divmod(index, len(choices))
                 combo.append(choices[digit])
-            relations, functions = self._tables(combo[::-1])
+            flags, head = self._draw(combo[::-1])
             for v, bit in zip(values, bits):
                 if mask >> bit & 1:
-                    s = Structure(size, relations, functions, dict(zip(names, v)))
-                    if satisfies_all(s, rest):
-                        yield s
+                    yield flags, head + v
+
+
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 class TheoryDraws(_LazyList):
@@ -591,57 +610,39 @@ class TheoryDraws(_LazyList):
         self.size = size
         self.axioms = theory.axioms
         self._layout = draw_layout(vocab, size)
-        self._source = random_models(vocab, theory.axioms, size, p, rng, draws)
+        self._source = self._layout.model_draws(theory.axioms, p, rng, draws)
 
     def _grow(self) -> bool:
-        s = next(self._source, None)
-        if s is not None:
-            self._entries.append(self.pack(s))
-        return s is not None
+        draw = next(self._source, None)
+        if draw is not None:
+            self._entries.append(self.pack(*draw))
+        return draw is not None
 
-    def pack(self, s: Structure) -> int:
-        layout, packed, bit = self._layout, 0, 0
-        for name, tuples in layout.relations:
-            table = s.relations[name]
-            for t in tuples:
-                if t in table:
-                    packed |= 1 << bit
-                bit += 1
-        digits = [s.functions[name][t] for name, tuples in layout.functions for t in tuples]
-        digits += [s.constants[c] for c in layout.constants]
+    def pack(self, flags: bytes, values) -> int:
         value = 0
-        for digit in reversed(digits):
+        for digit in reversed(values):
             value = value * self.size + digit
-        return packed | value << layout.bits
+        # the first flag is the lowest bit
+        return int(b"0" + flags.translate(_BIT_DIGITS)[::-1], 2) | value << self._layout.bits
 
-    def unpack(self, packed: int) -> Structure:
-        layout, size = self._layout, self.size
-        relations = {}
-        for name, tuples in layout.relations:
-            # the low bits first; a missing high bit is a tuple left out
-            relations[name] = frozenset(itertools.compress(
-                tuples, map(int, bin(packed & ((1 << len(tuples)) - 1))[:1:-1])))
-            packed >>= len(tuples)
-        functions = {}
-        for name, tuples in layout.functions:
-            table = functions[name] = {}
-            for t in tuples:
-                packed, table[t] = divmod(packed, size)
-        constants = {}
-        for c in layout.constants:
-            packed, constants[c] = divmod(packed, size)
-        return Structure(size, relations, functions, constants)
+    def unpack(self, packed: int) -> tuple[bytes, list[int]]:
+        bits = self._layout.bits
+        # a leading 1 keeps the relation bits' leading zeros
+        flags = bin(packed & ((1 << bits) - 1) | 1 << bits)[:2:-1].encode().translate(_FLAGS)
+        packed >>= bits
+        values = []
+        for _ in range(self._layout.values):
+            packed, digit = divmod(packed, self.size)
+            values.append(digit)
+        return flags, values
 
     def models(self, query: SatQuery) -> Iterator[Structure]:
         """The models of the query's axioms among the draws, in draw
         order: those `random_models(query.vocabulary, query.axioms, ...)`
         yields on a fresh stream. Only the axioms after the theory's are
-        tested."""
-        rest = query.axioms[len(self.axioms):]
-        for packed in self._walk():
-            s = self.unpack(packed)
-            if satisfies_all(s, rest):
-                yield s
+        tested (`models_among`)."""
+        return models_among(self._layout, query.axioms[len(self.axioms):],
+                            map(self.unpack, self._walk()))
 
 
 class BoundedSearchBackend:
@@ -673,6 +674,7 @@ class BoundedSearchBackend:
         self.calls = 0
         self._tables: dict[tuple, TheoryModels] = {}
         self._draws: dict[tuple, TheoryDraws] = {}
+        self._theories: dict[tuple, int] = {}
         self._tables_lock = threading.Lock()
 
     def _shared(self, lists: dict, key: tuple, make):
@@ -682,20 +684,25 @@ class BoundedSearchBackend:
                 found = lists[key] = make()
         return found
 
-    def _models(self, query: SatQuery, size: int) -> Iterator[Structure]:
+    def _query_key(self, query: SatQuery) -> tuple[int, tuple]:
+        """The query's theory as a number, and its vocabulary's key.
+        Theory holds dicts, so it is keyed by value, and a query looks it
+        up once: hashing the axioms costs as much as a few candidates."""
         theory = query.theory
-        # Theory holds dicts, so it is keyed by value
-        key = (theory.axioms, vocabulary_key(theory.vocabulary), size)
-        return self._shared(self._tables, key,
-                            lambda: TheoryModels(theory, size)).models(query)
+        key = (theory.axioms, vocabulary_key(theory.vocabulary))
+        with self._tables_lock:
+            number = self._theories.setdefault(key, len(self._theories))
+        return number, vocabulary_key(query.vocabulary)
 
-    def _drawn(self, query: SatQuery, size: int, p: float, draws: int
+    def _models(self, query: SatQuery, key: tuple, size: int) -> Iterator[Structure]:
+        return self._shared(self._tables, (key[0], size),
+                            lambda: TheoryModels(query.theory, size)).models(query)
+
+    def _drawn(self, query: SatQuery, key: tuple, size: int, p: float, draws: int
                ) -> Iterator[Structure]:
-        theory, vocab = query.theory, query.vocabulary
-        key = (theory.axioms, vocabulary_key(vocab), size, p, draws)
-        return self._shared(self._draws, key, lambda: TheoryDraws(
-            theory, vocab, size, p, random.Random(f"{self.seed}:backend:{size}:{p}"),
-            draws)).models(query)
+        return self._shared(self._draws, (*key, size, p, draws), lambda: TheoryDraws(
+            query.theory, query.vocabulary, size, p,
+            random.Random(f"{self.seed}:backend:{size}:{p}"), draws)).models(query)
 
     def check_sat(self, query: SatQuery, timeout_ms: int | None = None,
                   want_model: bool = True) -> SatResult:
@@ -703,11 +710,12 @@ class BoundedSearchBackend:
         # cost is bounded by the budget instead
         del timeout_ms, want_model
         self.calls += 1
+        key = self._query_key(query)
         exhausted = 0
         for size in range(1, MAX_SIZE + 1):
             if count_structures(query.vocabulary, size) > EXHAUSTIVE_BUDGET:
                 break
-            model = next(self._models(query, size), None)
+            model = next(self._models(query, key, size), None)
             if model is not None:
                 return SatResult("sat", model=model)
             exhausted = size
@@ -718,7 +726,7 @@ class BoundedSearchBackend:
             total = SAMPLES_PER_SIZE * size if size <= MAX_SIZE else LARGE_SAMPLES
             draws = max(1, total // len(TUPLE_PROBABILITIES))
             for p in TUPLE_PROBABILITIES:
-                model = next(self._drawn(query, size, p, draws), None)
+                model = next(self._drawn(query, key, size, p, draws), None)
                 if model is not None:
                     return SatResult("sat", model=model)
 

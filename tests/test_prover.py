@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -9,17 +10,17 @@ import time
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from foleq import prover
+from foleq import models, prover
 from foleq.corpus import all_solutions, load_scenarios, scenario
 from foleq.definability import (
     NECESSARY, NecessityCache, NecessityReport, encode_padoa, star_transform,
 )
 from foleq.explain import StrategyContext
 from foleq.models import (
-    brute_force_verdict, close_formulas, count_structures, enumerate_structures,
-    random_models, random_structure, satisfies_all,
+    brute_force_verdict, close_formulas, count_structures, draw_layout,
+    enumerate_structures, random_models, random_structure, satisfies_all,
 )
-from foleq.mutate import mutate, mutate_all
+from foleq.mutate import MUTATIONS, mutate, mutate_all
 from foleq.parser import parse
 from foleq.prover import (
     BoundedSearchBackend, DecisionCache,
@@ -293,14 +294,24 @@ def _doubled_theories():
             encode_padoa(star.formula, star.theory, {star.equality_symbol}).theory]
 
 
-def test_theory_tables_keep_enumeration_order():
+def _nested(f, depth):
+    """f under `depth` double negations: past what Python compiles."""
+    for _ in range(depth):
+        f = Not(Not(f))
+    return f
+
+
+def test_theory_tables_keep_enumeration_order(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was filled with eval_formula")
+
     # seven constants: 128 constant tuples at size 2, a mask wider than 64 bits
     many = Vocabulary(relations={"P": 1}, constants=set("abdefgh"))
     theories = [sc.theory for sc in load_scenarios()] + _doubled_theories()
     theories.append(Theory(many, (parse("P(a) & ~P(h) & (d = e)", many),)))
     theories.append(Theory(many))   # no axioms: every constant tuple is a model
-    checked = 0
-    for theory in theories:
+    checked = compiled = 0
+    for n, theory in enumerate(theories):
         for size in (1, 2):
             for k in (0, 1, 2):
                 vocab = _with_constants(theory, k)
@@ -308,11 +319,49 @@ def test_theory_tables_keep_enumeration_order():
                     continue
                 expected = [s for s in enumerate_structures(vocab, size)
                             if satisfies_all(s, theory.axioms)]
-                query = SatQuery(axioms=theory.axioms, vocabulary=vocab, theory=theory)
-                assert list(TheoryModels(theory, size).models(query)) == expected, \
-                    (sorted(vocab.constants), size)
+                # the theory's axioms are tested compiled, on the flat choices
+                with monkeypatch.context() as patched:
+                    patched.setattr(models, "eval_formula", refuse)
+                    table = TheoryModels(theory, size)
+                    while table._grow():
+                        pass
+                # the query's own axioms: none, a sampled one, and the same
+                # nested past what Python compiles, tested on the structure
+                own = FormulaSampler(6 * n + 3 * size + k, vocab).closed_formula(depth=2)
+                for rest in ((), (own,), (_nested(own, 150),)):
+                    query = SatQuery(axioms=theory.axioms + rest, vocabulary=vocab,
+                                     theory=theory)
+                    assert list(table.models(query)) == [
+                        s for s in expected if satisfies_all(s, rest)], \
+                        (sorted(vocab.constants), size, rest)
                 checked += 1
-    assert checked >= 80
+                # a walk past this many candidates tests compiled closures
+                compiled += len(expected) > models.EVALUATED_BEFORE_COMPILING
+    assert checked >= 80 and compiled >= 20
+
+
+def test_query_closures_are_not_kept(monkeypatch):
+    """Only theory axioms stay compiled in the shared layouts: a query's
+    own closures, compiled once its walk is long, go with the walk."""
+    models._layout.cache_clear()
+    compiled = []
+    compile_ = models.DrawLayout.compile
+    monkeypatch.setattr(models.DrawLayout, "compile",
+                        lambda layout, f: compiled.append(f) or compile_(layout, f))
+    sc = scenario("E-2")
+    backend = BoundedSearchBackend(seed=23)
+    vocabularies = {repr(sc.vocabulary.to_json()): sc.vocabulary}
+    for sol in sc.solutions:
+        for family in MUTATIONS:
+            for mutant in mutate_all(sol.formula, family):
+                decide_equivalence(sol.formula, mutant, sc.theory, backend)
+                vocab = encode_equivalence(sol.formula, mutant, sc.theory).vocabulary
+                vocabularies[repr(vocab.to_json())] = vocab
+    own = [f for f in compiled if f not in sc.theory.axioms]
+    assert len(own) >= 10, len(own)
+    for vocab in vocabularies.values():
+        for size in prover.SAMPLE_SIZES:
+            assert set(draw_layout(vocab, size)._checks) <= set(sc.theory.axioms)
 
 
 def test_theory_table_resumes_after_an_early_stop(monkeypatch):
@@ -383,20 +432,21 @@ def test_shared_draws_match_a_plain_filter():
 
         # the two queries walk one list, step by step in turn
         backend = BoundedSearchBackend(seed=5)
-        walks = [backend._drawn(q, size, p, draws) for q in (one, two)]
+        walks = [backend._drawn(q, backend._query_key(q), size, p, draws) for q in (one, two)]
         got = [[], []]
         for pair in itertools.zip_longest(*walks):
             for models, s in zip(got, pair):
                 if s is not None:
                     models.append(s)
         assert got == expected and len(backend._draws) == 1
-        assert list(backend._drawn(one, size, p, draws)) == expected[0]
+        assert list(backend._drawn(one, backend._query_key(one), size, p, draws)) == expected[0]
 
         # and from more threads than cores at once, each query twice
         backend = BoundedSearchBackend(seed=5)
         got = [[], [], [], []]
-        threads = [threading.Thread(target=models.extend,
-                                    args=(backend._drawn(q, size, p, draws),))
+        threads = [threading.Thread(
+                       target=models.extend,
+                       args=(backend._drawn(q, backend._query_key(q), size, p, draws),))
                    for models, q in zip(got, (one, two, one, two))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -423,8 +473,10 @@ def test_shared_draws_match_a_plain_filter():
 def test_packed_draws_round_trip(relations, functions, constants, size, p, n):
     vocab = Vocabulary(relations=relations, functions=functions, constants=constants)
     draws = TheoryDraws(Theory(vocab), vocab, size, p, random.Random(n), 1)
+    flags, values = next(draw_layout(vocab, size).draws(p, random.Random(n), 1))
+    assert draws.unpack(draws.pack(flags, values)) == (flags, values)
     s = random_structure(vocab, size, p, random.Random(n))
-    assert draws.unpack(draws.pack(s)) == s
+    assert draw_layout(vocab, size).structure(*draws.unpack(draws.pack(flags, values))) == s
 
 
 # the pairs whose non-equivalence only the random phase finds (the
@@ -465,6 +517,28 @@ def test_random_phase_regression_set():
             sizes[f"{sol.id}/{name}"] = verdict.counter.size
     assert sizes == {f"{sid}/{name}": size for sid, pairs in RANDOM_PHASE_PAIRS.items()
                      for name, size in pairs.items()}
+
+
+# sha256 over the decisions of every mutate_all mutant of every corpus
+# solution, one JSON line each (verdict, direction, counter model), from
+# one BoundedSearchBackend(seed=23) without a cache. A change that means
+# to change answers updates it; any other change keeps it.
+MUTATE_ALL_DECISIONS = (568, "49fbece800d4c942d8ac0633968de85786d1fb6fb14aa463d54d5b2c2b10b2ed")
+
+
+def test_mutate_all_decisions_are_pinned():
+    backend = BoundedSearchBackend(seed=23)
+    digest, pairs = hashlib.sha256(), 0
+    for sc, sol in all_solutions():
+        for family in MUTATIONS:
+            for mutant in mutate_all(sol.formula, family):
+                verdict = decide_equivalence(sol.formula, mutant, sc.theory, backend)
+                counter = verdict.counter.to_json() if verdict.counter else None
+                digest.update(json.dumps({"verdict": verdict.to_json(), "counter": counter,
+                                          "direction": verdict.direction},
+                                         sort_keys=True).encode() + b"\n")
+                pairs += 1
+    assert (pairs, digest.hexdigest()) == MUTATE_ALL_DECISIONS
 
 
 # cache

@@ -18,16 +18,25 @@ import argparse
 import json
 import sys
 
-from .harness import Engine, PairRecord, load_dataset, run_batch, run_pair
+from .harness import (
+    Engine, PairRecord, load_dataset, parse_timeout_ms, run_batch, run_pair,
+)
 from .definability import necessary_symbols
 from .profiles import profiles_to_json
+
+
+def _timeout_ms(text: str) -> int:
+    try:
+        return parse_timeout_ms(text, "a timeout")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_engine_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prover", help="path to an external prover executable")
     p.add_argument("--modes", help="comma-separated prover modes")
-    p.add_argument("--timeout-ms", type=int, help="per-call prover timeout")
-    p.add_argument("--strategy-timeout-ms", type=int,
+    p.add_argument("--timeout-ms", type=_timeout_ms, help="per-call prover timeout")
+    p.add_argument("--strategy-timeout-ms", type=_timeout_ms,
                    help="per-call timeout for strategy confirmations")
     p.add_argument("--seed", type=int, default=0, help="random model generator seed")
     p.add_argument("--cache", help="decision cache file (JSON lines, appended)")
@@ -35,12 +44,15 @@ def _add_engine_options(p: argparse.ArgumentParser) -> None:
                    help="stop at the first strategy that yields an explanation")
 
 
-def _make_engine(args) -> Engine:
+def _make_engine(args, parser: argparse.ArgumentParser) -> Engine:
     modes = tuple(m.strip() for m in args.modes.split(",")) if args.modes else None
-    return Engine.make(prover_path=args.prover, modes=modes,
-                       timeout_ms=args.timeout_ms,
-                       strategy_timeout_ms=args.strategy_timeout_ms,
-                       seed=args.seed, cache_path=args.cache)
+    try:
+        return Engine.make(prover_path=args.prover, modes=modes,
+                           timeout_ms=args.timeout_ms,
+                           strategy_timeout_ms=args.strategy_timeout_ms,
+                           seed=args.seed, cache_path=args.cache)
+    except ValueError as exc:   # a setting from the environment
+        parser.error(str(exc))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -73,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_engine_options(bt)
 
     args = parser.parse_args(argv)
-    engine = _make_engine(args)
+    engine = _make_engine(args, parser)
 
     if args.command == "feedback":
         with open(args.pairfile, encoding="utf-8") as fh:

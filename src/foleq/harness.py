@@ -83,6 +83,19 @@ def load_dataset(path: str) -> tuple[list[PairRecord], list[str]]:
 # Engine
 
 
+def parse_timeout_ms(text: str, name: str) -> int:
+    """The positive whole number of milliseconds `text` spells; a
+    ValueError naming `name` otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise ValueError(f"{name} must be a positive whole number of milliseconds, "
+                         f"not {text!r}")
+    return value
+
+
 @dataclass
 class Engine:
     backend: object
@@ -104,12 +117,13 @@ class Engine:
             modes = tuple(m.strip() for m in env_modes.split(",") if m.strip())
         env_timeout = os.environ.get(ENV_TIMEOUT_MS)
         if timeout_ms is None and env_timeout:
-            timeout_ms = int(env_timeout)
+            timeout_ms = parse_timeout_ms(env_timeout, ENV_TIMEOUT_MS)
         config = ProverConfig(
             executable=prover_path,
             modes=modes or ProverConfig.modes,
-            timeout_ms=timeout_ms or ProverConfig.timeout_ms,
-            strategy_timeout_ms=strategy_timeout_ms or ProverConfig.strategy_timeout_ms,
+            timeout_ms=ProverConfig.timeout_ms if timeout_ms is None else timeout_ms,
+            strategy_timeout_ms=ProverConfig.strategy_timeout_ms
+            if strategy_timeout_ms is None else strategy_timeout_ms,
         )
         if prover_path:
             backend = ExternalProverBackend(config)

@@ -22,12 +22,15 @@ Two backends implement the query contract:
   Every exhaustive query walks a per-backend table of its theory's
   models (TheoryModels), filled lazily and in enumeration order, so a
   theory's axioms are tested once per backend and the answers are those
-  of filtering `models.enumerate_structures`. Every random query walks
-  a per-backend list of the theory's models among the draws of its
-  stream (TheoryDraws), packed one int per kept draw, so the answers are
-  those of filtering `models.random_models`. Both hold their candidates
-  in the flat layout of `models.DrawLayout`, test axioms with its
-  compiled closures, and build a `Structure` only for a model returned.
+  of filtering `models.enumerate_structures`. The fill chooses the
+  tables one symbol at a time and tests each axiom once the tables it
+  reads are chosen, skipping the choices below a failure. Every random
+  query walks a per-backend list of the theory's models among the draws
+  of its stream (TheoryDraws), packed one int per kept draw, so the
+  answers are those of filtering `models.random_models`. Both hold their
+  candidates in the flat layout of `models.DrawLayout`, test axioms with
+  its compiled closures, and build a `Structure` only for a model
+  returned.
 
 Pinned finite-model output format (a subset of Vampire's fmb output)::
 
@@ -63,7 +66,7 @@ from typing import Iterator
 from .syntax import (
     And, Atom, Const, Eq, Exists, Forall, Formula, FoleqError, Func, Iff,
     Implies, Not, Or, Var, Vocabulary, alpha_normalize, check_vocabulary,
-    to_str,
+    symbols_of, to_str,
 )
 from .theory import Theory
 from .models import (
@@ -486,8 +489,7 @@ class _LazyList:
         self._lock = threading.Lock()
 
     def _grow(self) -> bool:
-        """Examine the next candidate, appending it if it is an entry;
-        False once there are none left."""
+        """Append the next entry; False once there are none left."""
         raise NotImplementedError
 
     def _walk(self) -> Iterator[int]:
@@ -514,6 +516,13 @@ class TheoryModels(_LazyList):
     packed into one int with the bitmask of the theory-constant tuples
     that complete it to a model. The theory's axioms are tested by the
     layout's compiled closures, so filling builds no `Structure`.
+
+    The fill is a depth-first scan over the tables, one level per
+    relation or function, in the choices' order, which keeps the
+    product's order. An axiom that reads tables only is tested at the
+    level of the last one it reads (`symbols_of`), and a failure skips
+    the choices of every later table; one that reads a constant, or no
+    table, is tested per constant tuple on each full choice.
     """
 
     def __init__(self, theory: Theory, size: int):
@@ -523,11 +532,20 @@ class TheoryModels(_LazyList):
         relations, functions = layout.choices()
         self._relations = len(relations)
         self._choices = [*relations, *functions]
-        self._checks = [layout.check(ax) for ax in theory.axioms]
+        level = {name: n for n, (name, _) in enumerate([*layout.relations, *layout.functions])}
+        self._levels = [[] for _ in self._choices]
+        self._checks = []
+        for ax in theory.axioms:
+            rels, funcs, consts, _ = symbols_of(ax)
+            read = [level[name] for name in rels | funcs]
+            if read and not consts:
+                self._levels[max(read)].append(layout.check(ax))
+            else:
+                self._checks.append(layout.check(ax))
         self._constants = layout.constants
         self._tuples = list(itertools.product(range(size), repeat=len(self._constants)))
-        self._unscanned = enumerate(itertools.product(*self._choices))
         self._index_bits = math.prod(map(len, self._choices)).bit_length()
+        self._unscanned = self._scan()
         # more constant tuples than a 64-bit entry holds: plain ints
         wide = self._index_bits + len(self._tuples) > 64
         super().__init__([] if wide else array("Q"))
@@ -538,25 +556,51 @@ class TheoryModels(_LazyList):
                 tuple(itertools.chain.from_iterable(combo[self._relations:])))
 
     def _grow(self) -> bool:
-        index, combo = next(self._unscanned, (None, None))
-        if combo is None:
-            return False
-        if self._checks:
-            flags, head = self._draw(combo)
-            mask = 0
-            for bit, constants in enumerate(self._tuples):
-                values = head + constants
-                for check in self._checks:
-                    if not check(flags, values):
-                        break
+        entry = next(self._unscanned, None)
+        if entry is not None:
+            self._entries.append(entry)
+        return entry is not None
+
+    def _scan(self) -> Iterator[int]:
+        """The entries in product order. Tables not chosen yet keep their
+        first choice, which the axioms tested so far do not read; past
+        the deepest level with axioms the rest run as one plain product."""
+        choices, levels, checks, tuples = self._choices, self._levels, self._checks, self._tuples
+        deep = max((n for n, level in enumerate(levels) if level), default=-1)
+        strides = [math.prod(map(len, choices[n + 1:])) for n in range(len(choices))]
+        combo = [c[0] for c in choices]
+        full = (1 << len(tuples)) - 1
+
+        def descend(depth: int, index: int) -> Iterator[int]:
+            if depth <= deep:
+                level = levels[depth]
+                for digit, choice in enumerate(choices[depth]):
+                    combo[depth] = choice
+                    if level:
+                        flags, head = self._draw(combo)
+                        if not all(check(flags, head) for check in level):
+                            continue
+                    yield from descend(depth + 1, index + digit * strides[depth])
+                return
+            for offset, rest in enumerate(itertools.product(*choices[depth:])):
+                combo[depth:] = rest
+                if checks:
+                    flags, head = self._draw(combo)
+                    mask = 0
+                    for bit, constants in enumerate(tuples):
+                        values = head + constants
+                        for check in checks:
+                            if not check(flags, values):
+                                break
+                        else:
+                            mask |= 1 << bit
                 else:
-                    mask |= 1 << bit
-        else:
-            # without axioms every constant tuple completes the choice
-            mask = (1 << len(self._tuples)) - 1
-        if mask:
-            self._entries.append(mask << self._index_bits | index)
-        return True
+                    # every constant tuple completes the choice
+                    mask = full
+                if mask:
+                    yield mask << self._index_bits | index + offset
+
+        return descend(0, 0)
 
     def models(self, query: SatQuery) -> Iterator[Structure]:
         """The models of the query's axioms, in the order of

@@ -79,12 +79,29 @@ class Vocabulary:
 
     @staticmethod
     def from_json(obj: dict) -> "Vocabulary":
-        return Vocabulary(
-            relations=obj.get("relations", {}),
-            functions=obj.get("functions", {}),
-            constants=frozenset(obj.get("constants", ())),
-            with_equality=obj.get("with_equality", True),
-        )
+        """The vocabulary of `to_json`'s form; VocabularyError names the
+        first field of another type."""
+        if not isinstance(obj, dict):
+            raise VocabularyError("a vocabulary must be an object")
+        arities = {}
+        for kind, least in (("relations", 0), ("functions", 1)):
+            symbols = obj.get(kind, {})
+            if not isinstance(symbols, dict):
+                raise VocabularyError(f"{kind} must be an object of arities")
+            for name, arity in symbols.items():
+                # bool is an int subclass, and no arity
+                if type(arity) is not int or arity < least:
+                    raise VocabularyError(f"{kind[:-1]} {name} must have an integer "
+                                          f"arity >= {least}, not {arity!r}")
+            arities[kind] = symbols
+        constants = obj.get("constants", [])
+        if not (isinstance(constants, list) and all(isinstance(c, str) for c in constants)):
+            raise VocabularyError("constants must be a list of names")
+        with_equality = obj.get("with_equality", True)
+        if not isinstance(with_equality, bool):
+            raise VocabularyError("with_equality must be true or false")
+        return Vocabulary(constants=frozenset(constants), with_equality=with_equality,
+                          **arities)
 
 
 def fresh_name(base: str, taken) -> str:

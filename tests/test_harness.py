@@ -14,7 +14,7 @@ from foleq.definability import NOT_SHOWN, UNKNOWN, necessary_symbols
 from foleq.mutate import MUTATIONS, mutate
 from foleq.parser import parse
 from foleq.prover import SatResult, decide_equivalence
-from foleq.syntax import Vocabulary, to_str
+from foleq.syntax import Vocabulary, VocabularyError, to_str
 from foleq.theory import Theory
 
 
@@ -48,6 +48,42 @@ def test_load_dataset_and_errors(tmp_path):
     assert len(errors) == 2
     assert "line 2" in errors[0]
     assert "line 3" in errors[1] and "W" in errors[1]
+
+
+MALFORMED_VOCABULARIES = {
+    "relations-list": {"relations": ["P"]},
+    "null": None,
+    "constants-string": {"relations": {"P": 1}, "constants": "ab"},
+    "with-equality-string": {"relations": {"P": 1}, "with_equality": "no"},
+    "arity-string": {"relations": {"P": "x"}},
+    "arity-float": {"relations": {"P": 1.5}},
+    "arity-bool": {"relations": {"P": True}},
+    "function-arity-zero": {"relations": {"P": 1}, "functions": {"f": 0}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_VOCABULARIES))
+def test_malformed_vocabulary_is_a_dataset_error(tmp_path, capsys, case):
+    with pytest.raises(VocabularyError):
+        Vocabulary.from_json(MALFORMED_VOCABULARIES[case])
+    bad = {**record_obj("bad", "forall x P(x)", "exists x P(x)"),
+           "vocabulary": MALFORMED_VOCABULARIES[case]}
+    path = tmp_path / "data.jsonl"
+    write_dataset(path, [bad, record_obj("good", "forall x P(x)", "exists x P(x)")])
+    records, errors = load_dataset(str(path))
+    assert [r.id for r in records] == ["good"]
+    assert len(errors) == 1 and errors[0].startswith("line 1: ")
+    report = str(tmp_path / "report.json")
+    assert cli_main(["batch", str(path), "--report", report]) == 2
+    assert cli_main(["batch", str(path), "--report", report, "--lenient"]) == 0
+    assert "dataset error: line 1" in capsys.readouterr().err
+
+
+def test_vocabulary_json_round_trip():
+    vocab = Vocabulary(relations={"A": 0, "R": 2}, functions={"f": 1},
+                       constants={"c", "d"}, with_equality=False)
+    assert Vocabulary.from_json(vocab.to_json()) == vocab
+    assert Vocabulary.from_json({}) == Vocabulary()
 
 
 def test_empty_dataset(tmp_path):
@@ -436,6 +472,43 @@ def test_engine_env_configuration(monkeypatch, tmp_path):
     assert engine.prover_config.timeout_ms == 1234
     monkeypatch.delenv("FOLEQ_PROVER")
     assert Engine.make().backend.name == "bounded"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", ""])
+@pytest.mark.parametrize("option", ["--timeout-ms", "--strategy-timeout-ms"])
+def test_cli_rejects_a_timeout_that_is_not_positive(tmp_path, capsys, option, value):
+    data = tmp_path / "d.jsonl"
+    write_dataset(data, [record_obj("x", "forall x P(x)", "exists x P(x)")])
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["batch", str(data), "--report", str(tmp_path / "r.json"),
+                  f"{option}={value}"])
+    assert exit_.value.code == 2
+    assert "positive whole number of milliseconds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
+def test_timeout_from_the_environment_must_be_positive(tmp_path, monkeypatch, capsys,
+                                                       value):
+    monkeypatch.setenv("FOLEQ_TIMEOUT_MS", value)
+    with pytest.raises(ValueError, match="FOLEQ_TIMEOUT_MS"):
+        Engine.make()
+    data = tmp_path / "d.jsonl"
+    write_dataset(data, [record_obj("x", "forall x P(x)", "exists x P(x)")])
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["batch", str(data), "--report", str(tmp_path / "r.json")])
+    assert exit_.value.code == 2
+    assert "FOLEQ_TIMEOUT_MS" in capsys.readouterr().err
+    # an option given on the command line is taken before the environment
+    assert cli_main(["batch", str(data), "--report", str(tmp_path / "r.json"),
+                     "--timeout-ms", "100"]) == 0
+
+
+def test_timeouts_are_kept_as_given():
+    engine = Engine.make(timeout_ms=7, strategy_timeout_ms=9)
+    assert (engine.prover_config.timeout_ms, engine.prover_config.strategy_timeout_ms) == (7, 9)
+    for bad in ({"timeout_ms": 0}, {"strategy_timeout_ms": 0}, {"timeout_ms": -1}):
+        with pytest.raises(ValueError):
+            Engine.make(**bad)
 
 
 def test_cli_entry_point_runs():

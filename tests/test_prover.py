@@ -301,6 +301,29 @@ def _nested(f, depth):
     return f
 
 
+def _level_theories():
+    """Theories whose axioms are tested at every level of a table fill:
+    after each relation (arities 0-2), after the function, and per
+    constant tuple (an axiom with a constant, or with no symbol)."""
+    vocab = Vocabulary(relations={"A": 0, "P": 1, "R": 2}, functions={"f": 1},
+                       constants={"c"})
+    theories = []
+    for n in range(4):
+        sampler = FormulaSampler(100 + n, vocab)
+        theories.append(Theory(vocab, tuple(sampler.closed_formula(depth=2)
+                                            for _ in range(2))))
+    fixed = [parse(text, vocab) for text in (
+        "forall x forall y x = y",              # reads no symbol
+        "forall x f(f(x)) = x",                 # reads the last table only
+        "forall x (R(x, f(x)) -> P(x))",
+        "P(c) | A")]
+    theories += [Theory(vocab, (ax,)) for ax in fixed] + [Theory(vocab, tuple(fixed[1:]))]
+    constants = Vocabulary(constants={"a", "b"})
+    theories += [Theory(constants, (parse(text, constants),))
+                 for text in ("~(a = b)", "forall x forall y x = y")]
+    return theories
+
+
 def test_theory_tables_keep_enumeration_order(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a table was filled with eval_formula")
@@ -308,6 +331,7 @@ def test_theory_tables_keep_enumeration_order(monkeypatch):
     # seven constants: 128 constant tuples at size 2, a mask wider than 64 bits
     many = Vocabulary(relations={"P": 1}, constants=set("abdefgh"))
     theories = [sc.theory for sc in load_scenarios()] + _doubled_theories()
+    theories += _level_theories()
     theories.append(Theory(many, (parse("P(a) & ~P(h) & (d = e)", many),)))
     theories.append(Theory(many))   # no axioms: every constant tuple is a model
     checked = compiled = 0
@@ -338,6 +362,26 @@ def test_theory_tables_keep_enumeration_order(monkeypatch):
                 # a walk past this many candidates tests compiled closures
                 compiled += len(expected) > models.EVALUATED_BEFORE_COMPILING
     assert checked >= 80 and compiled >= 20
+
+
+def test_theory_table_fill_skips_failing_subtrees(monkeypatch):
+    """E-14's axioms read its tables only, so each is tested once the
+    tables it reads are chosen, and a failure skips every choice of the
+    later tables: the flat scan of all 65,536 choices called the
+    closures 260,120 times."""
+    calls = []
+    check = models.DrawLayout.check
+
+    def counted(layout, axiom):
+        fn = check(layout, axiom)
+        return lambda flags, values: calls.append(1) or fn(flags, values)
+
+    monkeypatch.setattr(models.DrawLayout, "check", counted)
+    table = TheoryModels(scenario("E-14").theory, 2)
+    while table._grow():
+        pass
+    assert len(table._entries) == 16
+    assert 0 < len(calls) <= 10_000, len(calls)
 
 
 def test_query_closures_are_not_kept(monkeypatch):

@@ -6,10 +6,12 @@ probability, and every function output and constant is drawn uniformly
 from the universe. The search walks universe sizes in ascending order and
 returns the first generated theory model on which the two formulas
 disagree. Its theory models come from `DrawLayout.model_draws`, which
-reads each draw's relation tuples in one bulk read of the stream and
-tests the theory's axioms on the flat draw. The pair is compiled once
-per size and tested on the flat draw too, so only the witness becomes a
-`Structure`.
+reads each draw (relation tuples, function values and constants) in one
+bulk read of the words that `random()` per tuple and `randrange` per
+value would read, reading more words only for values whose word
+`randrange` rejects. It tests the theory's axioms on each flat draw as
+it is read. The pair is compiled once per size and tested on the flat
+draw too, so only the witness becomes a `Structure`.
 
 A witness satisfying the solution but not the attempt marks the attempt
 as too restrictive (it misses an intended model); the opposite

@@ -38,6 +38,10 @@ ENV_MODES = "FOLEQ_MODES"
 ENV_TIMEOUT_MS = "FOLEQ_TIMEOUT_MS"
 
 
+class RecordError(FoleqError):
+    """A dataset record, or one of its formula fields, has the wrong type."""
+
+
 @dataclass(frozen=True)
 class PairRecord:
     id: str
@@ -48,14 +52,27 @@ class PairRecord:
 
     @staticmethod
     def from_json(obj: dict, default_id: str = "?") -> "PairRecord":
+        """The record of the dataset form above; RecordError names the
+        first formula field of another type."""
+        if not isinstance(obj, dict):
+            raise RecordError(f"a record must be an object, not {type(obj).__name__}")
         vocab = Vocabulary.from_json(obj["vocabulary"])
-        theory = Theory(vocab, tuple(parse(ax, vocab) for ax in obj.get("gamma", ())))
+        psi, phi, gamma = obj["psi"], obj["phi"], obj.get("gamma", [])
+        for name, text in (("psi", psi), ("phi", phi)):
+            if not isinstance(text, str):
+                raise RecordError(f"{name} must be a string, not {type(text).__name__}")
+        if not isinstance(gamma, list):
+            raise RecordError(f"gamma must be a list of strings, not {type(gamma).__name__}")
+        for axiom in gamma:
+            if not isinstance(axiom, str):
+                raise RecordError("gamma must be a list of strings, not a list holding "
+                                  f"{type(axiom).__name__}")
         return PairRecord(
             id=str(obj.get("id", default_id)),
             vocabulary=vocab,
-            theory=theory,
-            solution=parse(obj["psi"], vocab),
-            attempt=parse(obj["phi"], vocab),
+            theory=Theory(vocab, tuple(parse(ax, vocab) for ax in gamma)),
+            solution=parse(psi, vocab),
+            attempt=parse(phi, vocab),
         )
 
     def duplicate_key(self) -> str:

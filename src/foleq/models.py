@@ -7,15 +7,19 @@ of a given size exactly once in a fixed order, which makes it usable as
 ground truth for small instances.
 
 Random structures are read from a `random.Random` stream in bulk: one
-`getrandbits` call reads the words that one `random() < p` test per
-relation tuple would read, and a table over each tuple's high byte
-decides all but about one tuple in 256 (`DrawLayout.draws`); function
-values and constants are drawn with `randrange`. The draws are those of
-one `random()` per tuple. `random_models` tests axioms on the flat draw
-with closures compiled once per vocabulary and size, and builds a
-`Structure` only for a model. Enumerated structures share the flat
-layout (`DrawLayout.choices`), and `models_among` tests a query's own
-axioms on flat candidates, compiling them only for a long walk.
+`getrandbits` call per draw reads the words that one `random() < p` test
+per relation tuple and one `randrange(size)` per function value and
+constant would read (`DrawLayout.draws`). A table over each tuple's high
+byte decides all but about one tuple in 256. A value is the top
+`size.bit_length()` bits of one word; a word that gives `size` or more is
+rejected and the next word read instead, as CPython's `randrange` does
+(checked on 3.10 to 3.13), so a draw with rejected words reads one more
+word per missing value until none is missing. `random_models` tests
+axioms on the flat draw with closures compiled once per vocabulary and
+size, and builds a `Structure` only for a model. Enumerated structures
+share the flat layout (`DrawLayout.choices`), and `models_among` tests a
+query's own axioms on flat candidates, compiling them only for a long
+walk.
 `eval_formula` stays the evaluator of one structure and the reference
 the compiled closures are tested against.
 """
@@ -200,6 +204,22 @@ def vocabulary_key(vocab: Vocabulary) -> tuple:
             tuple(sorted(vocab.functions.items())), tuple(sorted(vocab.constants)))
 
 
+_REJECTED = b"\xff"
+
+
+@functools.lru_cache(maxsize=None)
+def _value_table(size: int) -> bytes:
+    """`randrange(size)` from the high byte of the 32-bit word it reads.
+
+    CPython's `randrange(n)` (`_randbelow_with_getrandbits`, the same in
+    3.10 to 3.13) keeps the top k = n.bit_length() bits of one word and
+    reads another word while they give n or more. For n <= 255 those bits
+    lie in the high byte: the table maps it to the value, or to
+    `_REJECTED` (255, never a value)."""
+    shift = 8 - size.bit_length()
+    return bytes(h >> shift if h >> shift < size else _REJECTED[0] for h in range(256))
+
+
 @functools.lru_cache(maxsize=64)
 def _inclusion_test(p: float) -> tuple[bytes, int]:
     """`random() < p` for one relation tuple, from the high byte of the
@@ -253,18 +273,27 @@ class DrawLayout:
             offset += self.size ** arity
         return offset
 
-    def draws(self, p: float, rng: random.Random, count: int
+    def draws(self, p: float, rng: random.Random, count: int, checks=()
               ) -> Iterator[tuple[bytes, list[int]]]:
-        """The stream's next `count` draws, each made when asked for: the
-        relation tuples from one `getrandbits` read of the words that one
-        `random()` per tuple reads, then one `randrange(size)` per
-        function value and constant."""
+        """The draws among the stream's next `count` that pass every
+        check, in draw order, each made when asked for and checked on its
+        flat form (`values` as bytes) as it is read.
+
+        A draw is one `getrandbits` read of the words that one `random()`
+        per relation tuple and one `randrange(size)` per function value
+        and constant read (`_inclusion_test`, `_value_table`). Each word
+        that `randrange` would reject shifts the later values by one
+        word, so while values are missing the draw reads one more word
+        per missing value: never a word of the next draw."""
         table, t = _inclusion_test(p)
-        getrandbits, randrange, size = rng.getrandbits, rng.randrange, self.size
-        nbytes, values = 8 * self.bits, range(self.values)
+        pick = _value_table(self.size)
+        getrandbits, wanted = rng.getrandbits, self.values
+        split = 8 * self.bits                 # the value words start here
+        nbytes = split + 4 * wanted
+        nbits = 8 * nbytes
         for _ in range(count):
-            raw = getrandbits(8 * nbytes).to_bytes(nbytes, "little")
-            flags = raw[3::8].translate(table)
+            raw = getrandbits(nbits).to_bytes(nbytes, "little")
+            flags = raw[3:split:8].translate(table)
             if 2 in flags:
                 flags = bytearray(flags)
                 i = flags.find(2)
@@ -273,7 +302,16 @@ class DrawLayout:
                     b = int.from_bytes(raw[8 * i + 4:8 * i + 8], "little")
                     flags[i] = (a >> 5 << 26 | b >> 6) < t
                     i = flags.find(2, i + 1)
-            yield flags, [randrange(size) for _ in values]
+            values = raw[split + 3::4].translate(pick).replace(_REJECTED, b"")
+            while len(values) < wanted:
+                missing = wanted - len(values)
+                more = getrandbits(32 * missing).to_bytes(4 * missing, "little")
+                values += more[3::4].translate(pick).replace(_REJECTED, b"")
+            for check in checks:
+                if not check(flags, values):
+                    break
+            else:
+                yield flags, list(values)
 
     def choices(self) -> tuple[list[list[bytes]], list[list[tuple[int, ...]]]]:
         """Every interpretation of each relation, as its flags, and of
@@ -321,9 +359,10 @@ class DrawLayout:
     def model_draws(self, axioms, p: float, rng: random.Random, count: int
                     ) -> Iterator[tuple[bytes, list[int]]]:
         """The draws among the stream's next `count` that satisfy every
-        axiom, in draw order; the stream is advanced by the draws
-        consumed only."""
-        return _passing([self.check(ax) for ax in axioms], self.draws(p, rng, count))
+        axiom, in draw order: `draws` tests the axioms' compiled closures
+        on each draw as it is read, and the stream is advanced by the
+        draws consumed only."""
+        return self.draws(p, rng, count, [self.check(ax) for ax in axioms])
 
     def _formula(self, g: Formula, scope: dict[str, str], depth: int) -> str:
         if isinstance(g, Atom):
@@ -380,6 +419,10 @@ def _tuples(size: int, arity: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(range(size), repeat=arity))
 
 
+# a draw's values are decoded from one byte of each word (`_value_table`)
+MAX_DRAW_SIZE = 255
+
+
 @functools.lru_cache(maxsize=512)
 def _layout(key: tuple, size: int) -> DrawLayout:
     return DrawLayout(key, size)
@@ -388,8 +431,8 @@ def _layout(key: tuple, size: int) -> DrawLayout:
 def draw_layout(vocab: Vocabulary, size: int) -> DrawLayout:
     """The layout of the vocabulary's draws at the size, shared by every
     caller (with its compiled axioms)."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    if not 1 <= size <= MAX_DRAW_SIZE:
+        raise ValueError(f"size must be between 1 and {MAX_DRAW_SIZE}")
     return _layout(vocabulary_key(vocab), size)
 
 
@@ -401,8 +444,10 @@ def random_structure(vocab: Vocabulary, size: int, p: float,
     function outputs and constants are drawn uniformly. Draw order is
     fixed: relations, functions, constants, each sorted by name, tuples
     in lexicographic order. A tuple is in when `rng.random() < p` would
-    have been true at its turn; the relation tuples are read in one bulk
-    read of the same words (`DrawLayout.draws`).
+    have been true at its turn, and a value is what `rng.randrange(size)`
+    would have returned at its turn; the whole draw is read in one bulk
+    read of the same words, with more words read only for values whose
+    word was rejected (`DrawLayout.draws`).
     """
     layout = draw_layout(vocab, size)
     return layout.structure(*next(layout.draws(p, rng, 1)))

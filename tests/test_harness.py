@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 
 from foleq import harness, prover
 from foleq.harness import (
-    Engine, PairRecord, Report, _section, load_dataset, run_batch, run_pair,
+    Engine, PairRecord, RecordError, Report, _section, load_dataset, run_batch, run_pair,
 )
 from foleq.cli import main as cli_main
 from foleq.corpus import load_scenarios
@@ -77,6 +78,46 @@ def test_malformed_vocabulary_is_a_dataset_error(tmp_path, capsys, case):
     assert cli_main(["batch", str(path), "--report", report]) == 2
     assert cli_main(["batch", str(path), "--report", report, "--lenient"]) == 0
     assert "dataset error: line 1" in capsys.readouterr().err
+
+
+MALFORMED_RECORDS = {
+    "psi-number": ({"psi": 3}, "psi must be a string, not int"),
+    "phi-null": ({"phi": None}, "phi must be a string, not NoneType"),
+    "phi-list": ({"phi": ["exists x P(x)"]}, "phi must be a string, not list"),
+    # a string would be parsed one character at a time
+    "gamma-string": ({"gamma": "forall x P(x)"},
+                     "gamma must be a list of strings, not str"),
+    "gamma-number": ({"gamma": ["forall x P(x)", 1]},
+                     "gamma must be a list of strings, not a list holding int"),
+    "gamma-null": ({"gamma": None}, "gamma must be a list of strings, not NoneType"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+def test_malformed_record_field_is_a_dataset_error(tmp_path, capsys, case):
+    fields, message = MALFORMED_RECORDS[case]
+    bad = {**record_obj("bad", "forall x P(x)", "exists x P(x)"), **fields}
+    with pytest.raises(RecordError, match=f"^{re.escape(message)}$"):
+        PairRecord.from_json(bad)
+    path = tmp_path / "data.jsonl"
+    write_dataset(path, [record_obj("good", "forall x P(x)", "exists x P(x)"), bad])
+    records, errors = load_dataset(str(path))
+    assert [r.id for r in records] == ["good"]
+    assert errors == [f"line 2: {message}"]
+    report = str(tmp_path / "report.json")
+    assert cli_main(["batch", str(path), "--report", report]) == 2
+    assert f"dataset error: line 2: {message}" in capsys.readouterr().err
+    assert cli_main(["batch", str(path), "--report", report, "--lenient"]) == 0
+    assert f"dataset error: line 2: {message}" in capsys.readouterr().err
+    assert json.loads((tmp_path / "report.json").read_text())["total"]["all"] == 1
+
+
+def test_record_that_is_not_an_object_is_a_dataset_error(tmp_path):
+    with pytest.raises(RecordError, match="^a record must be an object, not list$"):
+        PairRecord.from_json(["forall x P(x)"])
+    path = tmp_path / "data.jsonl"
+    path.write_text('["forall x P(x)"]\n')
+    assert load_dataset(str(path)) == ([], ["line 1: a record must be an object, not list"])
 
 
 def test_vocabulary_json_round_trip():

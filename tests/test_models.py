@@ -182,8 +182,19 @@ def reference_structure(vocab, size, p, rng):
 BOUNDARY_P = 1 / 3        # not dyadic, unlike the probabilities foleq uses
 
 
+def topped_up(state, vocab, size, after):
+    """Whether the draw that took the stream from `state` to `after` read
+    more words than one per value: a `randrange` word was rejected."""
+    probe = random.Random()
+    probe.setstate(state)
+    tuples = sum(size ** a for a in vocab.relations.values())
+    values = sum(size ** a for a in vocab.functions.values()) + len(vocab.constants)
+    probe.getrandbits(64 * tuples + 32 * values)
+    return probe.getstate() != after
+
+
 def test_bulk_draws_match_per_tuple_reads():
-    seen = {"boundary": 0, "tuples": 0}
+    seen = {"boundary": 0, "tuples": 0, "topped-up": 0}
 
     @settings(max_examples=150, deadline=None, database=None)
     @seed(12)
@@ -193,6 +204,12 @@ def test_bulk_draws_match_per_tuple_reads():
            st.sampled_from((0.0, 0.1, 0.2, 0.5, 0.9, 1.0, BOUNDARY_P)),
            st.integers(0, 999), st.integers(0, 3))
     @example({"T": 3, "R": 2, "A": 0}, {"f": 2}, {"a"}, 10, BOUNDARY_P, 1, 2)
+    # randrange(1), (2) and (4) reject half of their words
+    @example({"P": 1}, {"g": 2}, {"c"}, 1, 0.5, 2, 3)
+    @example({"R": 2}, {"f": 1}, {"a", "b"}, 2, 0.2, 5, 3)
+    @example({"A": 0}, {"f": 2}, {"c"}, 4, 0.9, 8, 2)
+    @example({}, {"f": 1, "g": 2}, {"a", "b"}, 4, 0.5, 7, 3)     # no relation
+    @example({}, {}, set(), 3, 0.5, 0, 2)                       # getrandbits(0)
     def draws_agree(relations, functions, constants, size, p, n, more):
         vocab = Vocabulary(relations=relations, functions=functions, constants=constants)
         ours, theirs = random.Random(n), random.Random(n)
@@ -203,27 +220,59 @@ def test_bulk_draws_match_per_tuple_reads():
         # a high byte that is the threshold's own is decided by both words
         seen["boundary"] += p * 256 % 1 > 0 and int(p * 256) in high
         seen["tuples"] += tuples
+        before = theirs.getstate()
         assert random_structure(vocab, size, p, ours) == reference_structure(
             vocab, size, p, theirs)
         assert ours.getstate() == theirs.getstate()
+        seen["topped-up"] += topped_up(before, vocab, size, theirs.getstate())
         # without axioms every draw is a model
-        assert list(random_models(vocab, (), size, p, ours, more)) == [
-            reference_structure(vocab, size, p, theirs) for _ in range(more)]
+        drawn = random_models(vocab, (), size, p, ours, more)
+        for _ in range(more):
+            before = theirs.getstate()
+            assert next(drawn) == reference_structure(vocab, size, p, theirs)
+            assert ours.getstate() == theirs.getstate()
+            seen["topped-up"] += topped_up(before, vocab, size, theirs.getstate())
+        assert next(drawn, None) is None
         assert ours.getstate() == theirs.getstate()
 
     draws_agree()
-    assert seen["boundary"] and seen["tuples"]
+    assert seen["boundary"] and seen["tuples"] and seen["topped-up"]
+
+
+# size 3: randrange(3) rejects a quarter of its words, so most draws of
+# four values read more words than their first read
+VPQFC = Vocabulary(relations={"P": 1, "Q": 1}, functions={"f": 1}, constants={"c"})
 
 
 def test_random_models_draw_only_what_is_asked():
-    rng, theirs = random.Random(3), random.Random(3)
-    models = random_models(VPQ, (parse("exists x P(x)", VPQ),), 3, 0.5, rng, 50)
-    first = next(models)
-    while not satisfies_all(reference_structure(VPQ, 3, 0.5, theirs),
-                            (parse("exists x P(x)", VPQ),)):
-        pass
-    assert rng.getstate() == theirs.getstate()
-    assert first.relations["P"]
+    for vocab, text in ((VPQ, "exists x P(x)"), (VPQFC, "exists x P(f(x)) & Q(c)")):
+        axioms = (parse(text, vocab),)
+        rng, theirs = random.Random(3), random.Random(3)
+        models = random_models(vocab, axioms, 3, 0.5, rng, 50)
+        topped = 0
+        for _ in range(5):
+            model = next(models)
+            while True:
+                before = theirs.getstate()
+                expected = reference_structure(vocab, 3, 0.5, theirs)
+                topped += topped_up(before, vocab, 3, theirs.getstate())
+                if satisfies_all(expected, axioms):
+                    break
+            # the stream stops at the model's last word, top-up reads included
+            assert model == expected
+            assert rng.getstate() == theirs.getstate()
+        assert topped or not vocab.functions
+
+
+def test_draw_sizes_fit_one_byte_per_value():
+    vocab = Vocabulary(functions={"f": 1}, constants={"c"})
+    with pytest.raises(ValueError, match="255"):
+        draw_layout(vocab, 256)
+    # 254 is the largest value; 255 only marks a rejected word
+    ours, theirs = random.Random(4), random.Random(4)
+    assert random_structure(vocab, 255, 0.5, ours) == reference_structure(
+        vocab, 255, 0.5, theirs)
+    assert ours.getstate() == theirs.getstate()
 
 
 COMPILED_VOCABS = [

@@ -19,24 +19,29 @@ import json
 import sys
 
 from .harness import (
-    Engine, PairRecord, load_dataset, parse_timeout_ms, run_batch, run_pair,
+    RECORD_ERRORS, Engine, PairRecord, load_dataset, parse_positive, run_batch,
+    run_pair,
 )
 from .definability import necessary_symbols
 from .profiles import profiles_to_json
 
 
-def _timeout_ms(text: str) -> int:
-    try:
-        return parse_timeout_ms(text, "a timeout")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _positive(name: str, unit: str = ""):
+    """An argparse type: the positive whole number `parse_positive` reads."""
+    def convert(text: str) -> int:
+        try:
+            return parse_positive(text, name, unit)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def _add_engine_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prover", help="path to an external prover executable")
     p.add_argument("--modes", help="comma-separated prover modes")
-    p.add_argument("--timeout-ms", type=_timeout_ms, help="per-call prover timeout")
-    p.add_argument("--strategy-timeout-ms", type=_timeout_ms,
+    timeout_ms = _positive("a timeout", "milliseconds")
+    p.add_argument("--timeout-ms", type=timeout_ms, help="per-call prover timeout")
+    p.add_argument("--strategy-timeout-ms", type=timeout_ms,
                    help="per-call timeout for strategy confirmations")
     p.add_argument("--seed", type=int, default=0, help="random model generator seed")
     p.add_argument("--cache", help="decision cache file (JSON lines, appended)")
@@ -79,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
                     help="only the cheap counter-model cascade")
     bt.add_argument("--lenient", action="store_true",
                     help="skip malformed dataset lines instead of failing")
-    bt.add_argument("--workers", type=int, default=1,
+    bt.add_argument("--workers", type=_positive("--workers"), default=1,
                     help="records processed in parallel threads; this speeds up "
                          "only the external prover, not the CPU-bound bounded search")
     _add_engine_options(bt)
@@ -88,8 +93,12 @@ def main(argv: list[str] | None = None) -> int:
     engine = _make_engine(args, parser)
 
     if args.command == "feedback":
-        with open(args.pairfile, encoding="utf-8") as fh:
-            record = PairRecord.from_json(json.load(fh), default_id=args.pairfile)
+        try:
+            with open(args.pairfile, encoding="utf-8") as fh:
+                record = PairRecord.from_json(json.load(fh), default_id=args.pairfile)
+        except RECORD_ERRORS as exc:
+            print(f"pair file error: {exc}", file=sys.stderr)
+            return 2
         result = run_pair(record, engine, both_methods=args.both_methods,
                           first_only=args.first_only)
         if args.dump_profiles:

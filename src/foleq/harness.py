@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 import os
 import time
 import zlib
@@ -79,6 +80,11 @@ class PairRecord:
         return DecisionCache.key(self.solution, self.attempt, self.theory)
 
 
+# what reading one record can raise: malformed JSON, a missing field, a
+# field of the wrong type, a formula that does not parse
+RECORD_ERRORS = (json.JSONDecodeError, KeyError, FoleqError, TypeError)
+
+
 def load_dataset(path: str) -> tuple[list[PairRecord], list[str]]:
     """Parse a JSONL dataset; returns (records, per-line error messages)."""
     records: list[PairRecord] = []
@@ -91,7 +97,7 @@ def load_dataset(path: str) -> tuple[list[PairRecord], list[str]]:
             try:
                 obj = json.loads(line)
                 records.append(PairRecord.from_json(obj, default_id=f"line-{line_no}"))
-            except (json.JSONDecodeError, KeyError, FoleqError, TypeError) as exc:
+            except RECORD_ERRORS as exc:
                 errors.append(f"line {line_no}: {exc}")
     return records, errors
 
@@ -100,16 +106,16 @@ def load_dataset(path: str) -> tuple[list[PairRecord], list[str]]:
 # Engine
 
 
-def parse_timeout_ms(text: str, name: str) -> int:
-    """The positive whole number of milliseconds `text` spells; a
+def parse_positive(text: str, name: str, unit: str = "") -> int:
+    """The positive whole number (of `unit`) that `text` spells; a
     ValueError naming `name` otherwise."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value <= 0:
-        raise ValueError(f"{name} must be a positive whole number of milliseconds, "
-                         f"not {text!r}")
+        unit = f" of {unit}" if unit else ""
+        raise ValueError(f"{name} must be a positive whole number{unit}, not {text!r}")
     return value
 
 
@@ -134,7 +140,7 @@ class Engine:
             modes = tuple(m.strip() for m in env_modes.split(",") if m.strip())
         env_timeout = os.environ.get(ENV_TIMEOUT_MS)
         if timeout_ms is None and env_timeout:
-            timeout_ms = parse_timeout_ms(env_timeout, ENV_TIMEOUT_MS)
+            timeout_ms = parse_positive(env_timeout, ENV_TIMEOUT_MS, "milliseconds")
         config = ProverConfig(
             executable=prover_path,
             modes=modes or ProverConfig.modes,
@@ -271,8 +277,8 @@ class Report:
         data = sorted(self.timings_ms)
 
         def pct(q: float) -> float:
-            idx = min(len(data) - 1, max(0, round(q / 100 * len(data)) - 1))
-            return round(data[idx], 3)
+            # nearest rank: the smallest timing with q% of them at or below it
+            return round(data[max(1, math.ceil(q * len(data) / 100)) - 1], 3)
 
         return {"p50": pct(50), "p90": pct(90), "p95": pct(95), "p99": pct(99),
                 "max": round(data[-1], 3)}

@@ -16,7 +16,8 @@ rejected and the next word read instead, as CPython's `randrange` does
 (checked on 3.10 to 3.13), so a draw with rejected words reads one more
 word per missing value until none is missing. `random_models` tests
 axioms on the flat draw with closures compiled once per vocabulary and
-size, and builds a `Structure` only for a model. Enumerated structures
+size (early-exit loops and ground chains of Python, see `DrawLayout`),
+and builds a `Structure` only for a model. Enumerated structures
 share the flat layout (`DrawLayout.choices`), and `models_among` tests a
 query's own axioms on flat candidates, compiling them only for a long
 walk.
@@ -36,7 +37,7 @@ from typing import Iterator, Mapping
 from .syntax import (
     And, Atom, Const, Eq, Exists, Forall, Formula, FoleqError, Func, Iff,
     Implies, Not, Or, Term, Var, Vocabulary, fresh_name, free_variables,
-    substitute_variables,
+    subformulas, substitute_variables,
 )
 from .theory import Theory
 
@@ -235,6 +236,12 @@ def _inclusion_test(p: float) -> tuple[bytes, int]:
     return bytes(2 if h == edge else int(h < t >> 45) for h in range(256)), t
 
 
+# The most instances of an innermost run that `DrawLayout` grounds. Caps of
+# 16, 64 and 256 decided pairs equally fast; the smallest keeps the source
+# and each walk's compile cost of its query the smallest.
+GROUNDED_INSTANCES = 16
+
+
 class DrawLayout:
     """Where one vocabulary's symbols sit in a flat random draw at one size.
 
@@ -248,10 +255,15 @@ class DrawLayout:
     symbol's interpretations in `enumerate_structures`' order.
 
     `compile` turns an axiom into a closure over a draw, and `check`
-    keeps the closures of theory axioms for every later caller. The
-    source holds only integer offsets and the names v0, v1, ... of the
-    quantified variables by depth; no symbol name from the input reaches
-    it. Quantified variables range over `range(size)`."""
+    keeps the closures of theory axioms for every later caller. In the
+    `source`, a quantifier run is nested loops over `range(size)` in a def
+    `_q<n>` that returns at the first instance that decides it and takes
+    the outer loop variables as parameters. An innermost run (no
+    quantifier in its body) of at most `GROUNDED_INSTANCES` instances is
+    grounded instead: one `and`/`or` chain of its instances, indices and
+    equalities of elements folded to constants. The source holds only
+    integers, the loop variables v0, v1, ... by depth and the helpers'
+    names; no symbol name from the input reaches it."""
 
     def __init__(self, key: tuple, size: int):
         relations, functions, constants = key       # `vocabulary_key`'s
@@ -263,8 +275,7 @@ class DrawLayout:
         self.bits = self._place(relations)
         self.values = self._place([*functions, *((c, 0) for c in constants)])
         self._checks: dict[Formula, object] = {}
-        self._names = {"__builtins__": {}, "all": all, "any": any,
-                       "U": tuple(range(size))}
+        self._names = {"__builtins__": {}, "U": tuple(range(size))}
 
     def _place(self, symbols) -> int:
         offset = 0
@@ -349,12 +360,22 @@ class DrawLayout:
         """A function of a draw's (flags, values): whether the structure
         they stand for satisfies the closed axiom."""
         try:
-            return eval(f"lambda F, V: {self._formula(axiom, {}, 0)}", self._names)
+            namespace = dict(self._names)
+            exec(self.source(axiom), namespace)
+            return namespace["_q0"]
         except (SyntaxError, RecursionError):
-            # nested past what the compiler takes: walk the structure
+            # nested past what Python compiles (20 loops in a def): walk the structure
             def fn(flags, values):
                 return eval_formula(self.structure(flags, values), axiom)
             return fn
+
+    def source(self, axiom: Formula) -> str:
+        """The Python source `compile` executes for the axiom: `_q0(F, V)`
+        and the helper defs `_q1`, `_q2`, ... it calls."""
+        defs = [""]
+        expr = self._formula(axiom, {}, 0, defs)
+        defs[0] = f"def _q0(F, V):\n    return {expr}\n"
+        return "".join(defs)
 
     def model_draws(self, axioms, p: float, rng: random.Random, count: int
                     ) -> Iterator[tuple[bytes, list[int]]]:
@@ -364,16 +385,22 @@ class DrawLayout:
         draws consumed only."""
         return self.draws(p, rng, count, [self.check(ax) for ax in axioms])
 
-    def _formula(self, g: Formula, scope: dict[str, str], depth: int) -> str:
+    def _formula(self, g: Formula, scope: dict[str, int | str], depth: int,
+                 defs: list[str]) -> str:
+        """The expression of g; scope maps each bound variable to its
+        loop variable or, in a grounded run, its element."""
         if isinstance(g, Atom):
             return f"F[{self._index(g.rel, g.args, scope)}]"
         if isinstance(g, Eq):
-            return f"({self._term(g.left, scope)} == {self._term(g.right, scope)})"
+            left, right = self._term(g.left, scope), self._term(g.right, scope)
+            if isinstance(left, int) and isinstance(right, int):
+                return str(left == right)
+            return f"({left} == {right})"
         if isinstance(g, Not):
-            return f"(not {self._formula(g.sub, scope, depth)})"
+            return f"(not {self._formula(g.sub, scope, depth, defs)})"
         if isinstance(g, (And, Or, Implies, Iff)):
-            left = self._formula(g.left, scope, depth)
-            right = self._formula(g.right, scope, depth)
+            left = self._formula(g.left, scope, depth, defs)
+            right = self._formula(g.right, scope, depth, defs)
             if isinstance(g, And):
                 return f"({left} and {right})"
             if isinstance(g, Or):
@@ -382,18 +409,41 @@ class DrawLayout:
                 return f"(not {left} or {right})"
             return f"((not {left}) == (not {right}))"
         if isinstance(g, (Forall, Exists)):
-            # a run of one quantifier is one generator over all its loops
-            kind, loops, scope = type(g), [], dict(scope)
+            kind, run, whole = type(g), [], g
             while isinstance(g, kind):
-                scope[g.var] = f"v{depth}"
-                loops.append(f"for v{depth} in U")
-                depth += 1
+                run.append(g.var)
                 g = g.body
-            body = self._formula(g, scope, depth)
-            return f"{'all' if kind is Forall else 'any'}({body} {' '.join(loops)})"
+            if self.size ** len(run) > GROUNDED_INSTANCES or any(
+                    isinstance(h, (Forall, Exists)) for _, h in subformulas(g)):
+                return self._loops(whole, run, g, scope, depth, defs)
+            # grounded: one instance of the body per tuple of elements
+            tuples = itertools.product(range(self.size), repeat=len(run))
+            instances = [self._formula(g, {**scope, **dict(zip(run, t))}, depth, defs)
+                         for t in tuples]
+            return f"({(' and ' if kind is Forall else ' or ').join(instances)})"
         raise TypeError(f"not a formula: {g!r}")
 
-    def _term(self, t: Term, scope: dict[str, str]) -> str:
+    def _loops(self, whole: Formula, run: list[str], body: Formula,
+               scope: dict[str, int | str], depth: int, defs: list[str]) -> str:
+        """A call of a new def: loops over the run's variables that return
+        at the first instance that decides the run, with the outer loop
+        variables the run reads as parameters."""
+        at, forall = len(defs), isinstance(whole, Forall)
+        outer = [scope[v] for v in free_variables(whole) if v in scope]
+        params = ", ".join(["F", "V", *outer])
+        defs.append("")
+        lines, scope = [f"def _q{at}({params}):"], dict(scope)
+        for k, var in enumerate(run):
+            scope[var] = f"v{depth + k}"
+            lines.append(f"{'    ' * (k + 1)}for v{depth + k} in U:")
+        test = self._formula(body, scope, depth + len(run), defs)
+        lines += [f"{'    ' * (len(run) + 1)}if {'not ' * forall}{test}: return {not forall}",
+                  f"    return {forall}\n"]
+        defs[at] = "\n".join(lines)
+        return f"_q{at}({params})"
+
+    def _term(self, t: Term, scope: dict[str, int | str]) -> int | str:
+        """An element, when the term names a known one, or its expression."""
         if isinstance(t, Var):
             if t.name not in scope:
                 raise EvalError(f"unassigned free variable {t.name}")
@@ -402,16 +452,23 @@ class DrawLayout:
             return f"V[{self._index(t.name, t.args if isinstance(t, Func) else (), scope)}]"
         raise TypeError(f"not a term: {t!r}")
 
-    def _index(self, name: str, args, scope: dict[str, str]) -> str:
+    def _index(self, name: str, args, scope: dict[str, int | str]) -> str:
+        """The index of the symbol's entry for the arguments, its known
+        part folded into one integer."""
         offset, arity = self._at.get(name, (0, None))
         if arity != len(args):
             raise EvalError(f"no interpretation for {name}/{len(args)}")
-        parts = [str(offset)] if offset else []
+        parts = []
         for k, arg in enumerate(args):
             stride = self.size ** (arity - 1 - k)
             term = self._term(arg, scope)
-            parts.append(term if stride == 1 else f"{term} * {stride}")
-        return " + ".join(parts) or "0"
+            if isinstance(term, int):
+                offset += term * stride
+            else:
+                parts.append(term if stride == 1 else f"{term} * {stride}")
+        if offset or not parts:
+            parts.insert(0, str(offset))
+        return " + ".join(parts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -465,11 +522,12 @@ def random_models(vocab: Vocabulary, axioms, size: int, p: float,
         yield layout.structure(flags, values)
 
 
-# Compiling a query's own axioms costs about as much as 20 `eval_formula`
-# calls (0.22 ms for a pair's negated biconditional), and most walks end
-# within a few candidates: compiling every query at once made the median
-# decision 25% slower. So a walk compiles only once it has tested this
-# many candidates on their `Structure`s.
+# Compiling a query's own axioms costs about as much as 12 `eval_formula`
+# calls (0.3-0.4 ms for a pair's negated biconditional at sizes 2-4), and
+# most walks end within a few candidates: compiling every query at once
+# made the median decision 25% slower. So a walk compiles only once it has
+# tested this many candidates on their `Structure`s (12 and 48 did no
+# better on the decide benchmark).
 EVALUATED_BEFORE_COMPILING = 24
 
 

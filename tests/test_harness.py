@@ -322,6 +322,20 @@ def test_timing_buckets_double_up_to_the_slowest_pair():
     assert sum(buckets) == 3 and buckets.count(1) == 3
 
 
+@pytest.mark.parametrize("n, expected", [
+    (1, (1, 1, 1, 1)),
+    (5, (3, 5, 5, 5)),
+    (9, (5, 9, 9, 9)),
+    (22, (11, 20, 21, 22)),
+])
+def test_timing_percentiles_take_the_nearest_rank(n, expected):
+    # the p-th percentile of n timings is the ceil(p / 100 * n)-th smallest
+    report = Report(timings_ms=[float(ms) for ms in range(n, 0, -1)])
+    percentiles = report.timing_percentiles()
+    assert tuple(percentiles[k] for k in ("p50", "p90", "p95", "p99")) == expected
+    assert percentiles["max"] == n
+
+
 def test_csv_when_only_a_duplicate_finds_a_random_model():
     # the record id seeds the random search, so a duplicate can hit where
     # the first record of its key missed
@@ -475,6 +489,36 @@ def test_cli_feedback(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"]["status"] == "non-equivalent"
     assert "profiles" in out and "necessity" in out
+
+
+@pytest.mark.parametrize("content, message", [
+    (json.dumps({k: v for k, v in record_obj("cli", "P(a)", "P(a)").items() if k != "phi"}),
+     "'phi'"),
+    (json.dumps(record_obj("cli", "forall x (P(x)", "P(a)")), ""),
+    (json.dumps(record_obj("cli", "forall x P(x)", 5)), "phi must be a string"),
+    ("[1, 2]", "must be an object"),
+    ("{nope", ""),
+])
+def test_cli_feedback_reports_a_malformed_pair_file(tmp_path, capsys, content, message):
+    path = tmp_path / "pair.json"
+    path.write_text(content)
+    assert cli_main(["feedback", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pair file error: ") and message in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "1.5", "two", ""])
+def test_cli_rejects_workers_that_are_not_positive(tmp_path, capsys, value):
+    data = tmp_path / "d.jsonl"
+    write_dataset(data, [record_obj("x", "forall x P(x)", "exists x P(x)")])
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["batch", str(data), "--report", str(tmp_path / "r.json"),
+                  f"--workers={value}"])
+    assert exit_.value.code == 2
+    assert "--workers must be a positive whole number" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_cli_batch_and_exit_codes(tmp_path, capsys):

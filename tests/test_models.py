@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from foleq.corpus import scenario
+from foleq import models
 from foleq.models import (
     BudgetExceededError, EvalError, Structure, brute_force_verdict,
     close_formulas, count_structures, draw_layout, enumerate_structures,
@@ -17,6 +18,7 @@ from foleq.models import (
 from foleq.parser import parse
 from foleq.syntax import (
     Atom, Exists, Forall, Var, Vocabulary, alpha_normalize, free_variables, nnf,
+    subformulas,
 )
 from foleq.theory import Theory
 
@@ -299,17 +301,31 @@ def _deep(n, quantifiers):
     return g
 
 
+def source_names_are_generated(source):
+    """Only the compiler's own names occur in a source: keywords, the
+    draw F, V, the universe U, loop variables v<n> and helpers _q<n>; no
+    symbol name from the input."""
+    names = set(re.findall(r"[A-Za-z_]\w*", source))
+    keywords = {"F", "V", "U", "def", "return", "if", "for", "in", "and", "or", "not",
+                "True", "False"}
+    return all(n in keywords or re.fullmatch(r"v\d+|_q\d+", n) for n in names)
+
+
+def quantified(f):
+    return any(isinstance(g, (Forall, Exists)) for _, g in subformulas(f))
+
+
 def test_compiled_axioms_agree_with_eval_formula():
     rich = COMPILED_VOCABS[-1]
     written = [parse(text, rich) for text in COMPILED_FORMULAS]
     # nested past what Python compiles: checked on the structure instead
     deep = [_deep(40, (Forall,)), _deep(300, (Forall, Exists))]
-    seen = {True: 0, False: 0, "source": 0}
+    seen = {True: 0, False: 0, "grounded": 0, "looped": 0}
 
     @settings(max_examples=300, deadline=None, database=None)
     @seed(12)
     @given(st.integers(0, len(COMPILED_VOCABS) - 1), st.integers(0, 9999),
-           st.integers(1, 4), st.sampled_from((0.2, 0.5, 0.8)))
+           st.integers(1, 6), st.sampled_from((0.2, 0.5, 0.8)))
     def agree(which, n, size, p):
         vocab = COMPILED_VOCABS[which]
         formulas = [FormulaSampler(n, vocab).closed_formula(depth=3)]
@@ -318,19 +334,77 @@ def test_compiled_axioms_agree_with_eval_formula():
         layout = draw_layout(vocab, size)
         for f in formulas:
             check = layout.check(f)
-            source = layout._formula(f, {}, 0) if f not in deep else ""
-            # only offsets and v0, v1, ... name anything in the source
-            names = set(re.findall(r"[A-Za-z_]\w*", source))
-            assert names <= {"F", "V", "U", "all", "any", "for", "in", "and", "or", "not"} | {
-                f"v{i}" for i in range(10)}, source
-            seen["source"] += bool(source)
+            if f not in deep:
+                source = layout.source(f)
+                assert source_names_are_generated(source), source
+                # every run small enough at this size is one chain, the rest loops
+                seen["looped"] += "for v" in source
+                seen["grounded"] += quantified(f) and "for v" not in source
             for flags, values in layout.draws(p, random.Random(n), 3):
                 expected = eval_formula(layout.structure(flags, values), f)
                 assert bool(check(flags, values)) is expected, (f, flags, values)
                 seen[expected] += 1
 
     agree()
-    assert seen[True] and seen[False] and seen["source"]
+    assert all(seen.values()), seen
+
+
+def agrees_on_draws(layout, f, draws=40):
+    check = layout.compile(f)
+    for flags, values in layout.draws(0.5, random.Random(5), draws):
+        assert bool(check(flags, values)) is eval_formula(layout.structure(flags, values), f)
+
+
+def test_compiled_runs_pass_their_outer_variables():
+    vocab = Vocabulary(relations={"P": 1, "R": 2}, functions={"f": 1})
+    f = parse("forall x exists y forall z forall w (R(x, z) -> R(y, f(w)) | x = z)", vocab)
+    for size, inner in ((3, None), (5, "def _q3(F, V, v0, v1):")):
+        layout = draw_layout(vocab, size)
+        source = layout.source(f)
+        # each looped run is a def that takes the variables bound outside it;
+        # the innermost run is grounded at 3 ** 2 instances, looped at 5 ** 2
+        assert "def _q1(F, V):" in source and "def _q2(F, V, v0):" in source
+        assert ("_q3" in source) == bool(inner) and (inner or "") in source
+        assert source_names_are_generated(source)
+        agrees_on_draws(layout, f)
+
+
+def test_compiled_grounded_runs_fold_elements():
+    vocab = Vocabulary(relations={"R": 2})
+    f = parse("forall x forall y (x = y | R(x, y))", vocab)
+    layout = draw_layout(vocab, 2)
+    source = layout.source(f)
+    # four instances with their indices and equalities folded: R(0, 1) is F[1]
+    assert source == ("def _q0(F, V):\n"
+                      "    return ((True or F[0]) and (False or F[1]) and "
+                      "(False or F[2]) and (True or F[3]))\n")
+    agrees_on_draws(layout, f)
+    # 3 ** 3 instances are past the cap: loops, with nothing to fold
+    f = parse("forall x forall y forall z (R(x, y) & R(y, z) -> R(x, z))", vocab)
+    assert "for v2 in U" in draw_layout(vocab, 3).source(f)
+    agrees_on_draws(draw_layout(vocab, 3), f)
+
+
+def test_compiled_run_nested_too_deep_walks_the_structure(monkeypatch):
+    layout = draw_layout(VP, 2)
+    walked = []
+
+    def counting(s, f, assignment=None):
+        walked.append(f)
+        return eval_formula(s, f, assignment)
+
+    monkeypatch.setattr(models, "eval_formula", counting)
+    for quantifier, flags, expected in ((Forall, b"\x00\x01", False),
+                                        (Exists, b"\x01\x00", True)):
+        f = Atom("P", (Var("x0"),))
+        for i in reversed(range(25)):
+            f = quantifier(f"x{i}", f)
+        # 2 ** 25 instances are too many to ground, and 25 nested loops
+        # are more than Python compiles in one def
+        with pytest.raises(SyntaxError):
+            exec(layout.source(f), {})
+        check = layout.compile(f)
+        assert check(flags, []) is expected and walked[-1] is f
 
 
 def test_batch_imports_no_numpy():

@@ -96,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with open(args.pairfile, encoding="utf-8") as fh:
                 record = PairRecord.from_json(json.load(fh), default_id=args.pairfile)
-        except RECORD_ERRORS as exc:
+        except (*RECORD_ERRORS, OSError, UnicodeDecodeError) as exc:
             print(f"pair file error: {exc}", file=sys.stderr)
             return 2
         result = run_pair(record, engine, both_methods=args.both_methods,
@@ -113,7 +113,11 @@ def main(argv: list[str] | None = None) -> int:
         print()
         return 0
 
-    records, errors = load_dataset(args.dataset)
+    try:
+        records, errors = load_dataset(args.dataset)
+    except (OSError, UnicodeDecodeError) as exc:    # the file, not a line of it
+        print(f"dataset error: {exc}", file=sys.stderr)
+        return 2
     for message in errors:
         print(f"dataset error: {message}", file=sys.stderr)
     if errors and not args.lenient:

@@ -216,12 +216,6 @@ def core_profile(f: Formula) -> frozenset[tuple]:
 # Guards
 
 
-def variable_positions(atom: Formula, var: str) -> frozenset[int]:
-    """1-based argument positions of the atom in which `var` occurs."""
-    return frozenset(
-        j + 1 for j, t in enumerate(formula_terms(atom)) if var in term_variables(t))
-
-
 def binder_chain(f: Formula, address: Address) -> tuple[BinderInfo, ...]:
     """All quantifiers enclosing `address`, with NNF-resolved kinds.
 

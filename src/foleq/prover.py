@@ -26,11 +26,12 @@ Two backends implement the query contract:
   tables one symbol at a time and tests each axiom once the tables it
   reads are chosen, skipping the choices below a failure. Every random
   query walks a per-backend list of the theory's models among the draws
-  of its stream (TheoryDraws), packed one int per kept draw, so the
-  answers are those of filtering `models.random_models`. Both hold their
-  candidates in the flat layout of `models.DrawLayout`, test axioms with
-  its compiled closures, and build a `Structure` only for a model
-  returned.
+  of its stream, kept as `DrawLayout.model_draws` yields them, so the
+  answers are those of filtering `models.random_models`. Tables and
+  lists alike are walked through one lazily grown shared list (_Shared),
+  hold their candidates in the flat layout of `models.DrawLayout`, test
+  axioms with its compiled closures, and build a `Structure` only for a
+  model returned.
 
 Pinned finite-model output format (a subset of Vampire's fmb output)::
 
@@ -479,33 +480,31 @@ LARGE_SAMPLES = 600               # flat budget for the sizes beyond
 TUPLE_PROBABILITIES = (0.5, 0.2, 0.1, 0.9)
 
 
-class _LazyList:
-    """Entries found lazily and shared by every query that walks them.
-    The list grows only as far as a walk has gone; a lock guards the
-    growth, as threads share one backend."""
+class _Shared:
+    """The entries of `source`, taken lazily and shared by every walk.
+    `entries` grows only as far as the furthest walk has gone; a lock
+    guards the growth, as threads share one backend."""
 
-    def __init__(self, entries):
+    def __init__(self, source: Iterator, entries):
+        self._source = source
         self._entries = entries
         self._lock = threading.Lock()
 
-    def _grow(self) -> bool:
-        """Append the next entry; False once there are none left."""
-        raise NotImplementedError
-
-    def _walk(self) -> Iterator[int]:
-        pos = 0
+    def __iter__(self) -> Iterator:
+        entries, pos = self._entries, 0
         while True:
             with self._lock:
-                while pos == len(self._entries) and self._grow():
-                    pass
-                if pos == len(self._entries):
-                    return
-                entry = self._entries[pos]
+                if pos == len(entries):
+                    entry = next(self._source, None)
+                    if entry is None:
+                        return
+                    entries.append(entry)
+                entry = entries[pos]
             pos += 1
             yield entry
 
 
-class TheoryModels(_LazyList):
+class TheoryModels:
     """The models of one theory at one size, in `enumerate_structures`'s
     order, found lazily and shared by every query on the theory.
 
@@ -514,8 +513,10 @@ class TheoryModels(_LazyList):
     (`DrawLayout.choices`). An entry is one choice of relation and
     function tables (an index into their product) that has a model,
     packed into one int with the bitmask of the theory-constant tuples
-    that complete it to a model. The theory's axioms are tested by the
-    layout's compiled closures, so filling builds no `Structure`.
+    that complete it to a model; the entries sit in one `_Shared` list,
+    in an `array` of 64-bit words when they fit. The theory's axioms are
+    tested by the layout's compiled closures, so filling builds no
+    `Structure`.
 
     The fill is a depth-first scan over the tables, one level per
     relation or function, in the choices' order, which keeps the
@@ -545,21 +546,14 @@ class TheoryModels(_LazyList):
         self._constants = layout.constants
         self._tuples = list(itertools.product(range(size), repeat=len(self._constants)))
         self._index_bits = math.prod(map(len, self._choices)).bit_length()
-        self._unscanned = self._scan()
         # more constant tuples than a 64-bit entry holds: plain ints
         wide = self._index_bits + len(self._tuples) > 64
-        super().__init__([] if wide else array("Q"))
+        self._found = _Shared(self._scan(), [] if wide else array("Q"))
 
     def _draw(self, combo) -> tuple[bytes, tuple[int, ...]]:
         """The flags and function values of a choice of tables."""
         return (b"".join(combo[:self._relations]),
                 tuple(itertools.chain.from_iterable(combo[self._relations:])))
-
-    def _grow(self) -> bool:
-        entry = next(self._unscanned, None)
-        if entry is not None:
-            self._entries.append(entry)
-        return entry is not None
 
     def _scan(self) -> Iterator[int]:
         """The entries in product order. Tables not chosen yet keep their
@@ -578,9 +572,11 @@ class TheoryModels(_LazyList):
                     combo[depth] = choice
                     if level:
                         flags, head = self._draw(combo)
-                        if not all(check(flags, head) for check in level):
-                            continue
-                    yield from descend(depth + 1, index + digit * strides[depth])
+                    for check in level:
+                        if not check(flags, head):
+                            break
+                    else:
+                        yield from descend(depth + 1, index + digit * strides[depth])
                 return
             for offset, rest in enumerate(itertools.product(*choices[depth:])):
                 combo[depth:] = rest
@@ -619,7 +615,7 @@ class TheoryModels(_LazyList):
 
     def _candidates(self, values, bits) -> Iterator[tuple[bytes, tuple[int, ...]]]:
         low = (1 << self._index_bits) - 1
-        for entry in self._walk():
+        for entry in self._found:
             index, mask = entry & low, entry >> self._index_bits
             combo = []
             for choices in reversed(self._choices):
@@ -629,64 +625,6 @@ class TheoryModels(_LazyList):
             for v, bit in zip(values, bits):
                 if mask >> bit & 1:
                     yield flags, head + v
-
-
-_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-class TheoryDraws(_LazyList):
-    """The models of one theory among `draws` draws of one random
-    stream over a query vocabulary, in draw order, found lazily and
-    shared by every query over that vocabulary.
-
-    The draws and the test of the theory's axioms are `random_models`'s
-    over the whole query vocabulary: it draws constants last, so each
-    closure constant shifts the stream. A kept draw is packed into one
-    int, in `random_structure`'s order: one bit per relation tuple, then
-    the function values and constants as base-`size` digits. The stream
-    is dropped once spent.
-    """
-
-    def __init__(self, theory: Theory, vocab: Vocabulary, size: int, p: float,
-                 rng: random.Random, draws: int):
-        super().__init__([])
-        self.size = size
-        self.axioms = theory.axioms
-        self._layout = draw_layout(vocab, size)
-        self._source = self._layout.model_draws(theory.axioms, p, rng, draws)
-
-    def _grow(self) -> bool:
-        draw = next(self._source, None)
-        if draw is not None:
-            self._entries.append(self.pack(*draw))
-        return draw is not None
-
-    def pack(self, flags: bytes, values) -> int:
-        value = 0
-        for digit in reversed(values):
-            value = value * self.size + digit
-        # the first flag is the lowest bit
-        return int(b"0" + flags.translate(_BIT_DIGITS)[::-1], 2) | value << self._layout.bits
-
-    def unpack(self, packed: int) -> tuple[bytes, list[int]]:
-        bits = self._layout.bits
-        # a leading 1 keeps the relation bits' leading zeros
-        flags = bin(packed & ((1 << bits) - 1) | 1 << bits)[:2:-1].encode().translate(_FLAGS)
-        packed >>= bits
-        values = []
-        for _ in range(self._layout.values):
-            packed, digit = divmod(packed, self.size)
-            values.append(digit)
-        return flags, values
-
-    def models(self, query: SatQuery) -> Iterator[Structure]:
-        """The models of the query's axioms among the draws, in draw
-        order: those `random_models(query.vocabulary, query.axioms, ...)`
-        yields on a fresh stream. Only the axioms after the theory's are
-        tested (`models_among`)."""
-        return models_among(self._layout, query.axioms[len(self.axioms):],
-                            map(self.unpack, self._walk()))
 
 
 class BoundedSearchBackend:
@@ -705,10 +643,12 @@ class BoundedSearchBackend:
 
     At each sampled size and tuple probability a query walks the
     backend's list of its theory's models among the draws of the stream
-    `{seed}:backend:{size}:{p}` (`TheoryDraws`), one list per theory and
-    whole query vocabulary. The stream does not depend on the query, so
-    the draws are made and the theory's axioms tested once per backend;
-    the first model found is the one a fresh stream would give.
+    `{seed}:backend:{size}:{p}`, one `_Shared` list of the draws
+    `DrawLayout.model_draws` keeps, as it yields them, per theory and
+    whole query vocabulary (each closure constant shifts the stream). The
+    stream does not depend on the query, so the draws are made and the
+    theory's axioms tested once per backend; the first model found is the
+    one a fresh stream would give.
     """
 
     name = "bounded"
@@ -717,7 +657,7 @@ class BoundedSearchBackend:
         self.seed = seed
         self.calls = 0
         self._tables: dict[tuple, TheoryModels] = {}
-        self._draws: dict[tuple, TheoryDraws] = {}
+        self._draws: dict[tuple, _Shared] = {}
         self._theories: dict[tuple, int] = {}
         self._tables_lock = threading.Lock()
 
@@ -744,9 +684,16 @@ class BoundedSearchBackend:
 
     def _drawn(self, query: SatQuery, key: tuple, size: int, p: float, draws: int
                ) -> Iterator[Structure]:
-        return self._shared(self._draws, (*key, size, p, draws), lambda: TheoryDraws(
-            query.theory, query.vocabulary, size, p,
-            random.Random(f"{self.seed}:backend:{size}:{p}"), draws)).models(query)
+        """The models of the query's axioms among the draws, in draw
+        order: those `random_models(query.vocabulary, query.axioms, ...)`
+        yields on a fresh stream. Only the axioms after the theory's are
+        tested (`models_among`)."""
+        theory, layout = query.theory, draw_layout(query.vocabulary, size)
+        shared = self._shared(self._draws, (*key, size, p, draws), lambda: _Shared(
+            layout.model_draws(theory.axioms, p,
+                               random.Random(f"{self.seed}:backend:{size}:{p}"), draws),
+            []))
+        return models_among(layout, query.axioms[len(theory.axioms):], shared)
 
     def check_sat(self, query: SatQuery, timeout_ms: int | None = None,
                   want_model: bool = True) -> SatResult:

@@ -462,7 +462,7 @@ def test_batch_parallel_matches_serial_on_a_theory(monkeypatch):
         engine = Engine.make(seed=3)
         report = run_batch(records, engine, workers=workers)
         # each table holds the same entries in the same order as a serial run's
-        tables = {key: list(table._entries)
+        tables = {key: list(table._found._entries)
                   for key, table in engine.backend._tables.items()}
         return report.to_json()["total"], dict(results), tables
 
@@ -507,6 +507,38 @@ def test_cli_feedback_reports_a_malformed_pair_file(tmp_path, capsys, content, m
     assert captured.out == ""
     assert captured.err.startswith("pair file error: ") and message in captured.err
     assert "Traceback" not in captured.err
+
+
+def _unreadable(tmp_path, kind):
+    """A path that is missing, or a file whose bytes are not UTF-8."""
+    path = tmp_path / "input"
+    if kind == "not-utf-8":
+        path.write_bytes(b"\xff\xfe" + json.dumps(record_obj("x", "P(a)", "P(a)")).encode())
+    return path
+
+
+@pytest.mark.parametrize("kind, message", [("missing", "No such file"),
+                                           ("not-utf-8", "utf-8")])
+def test_cli_feedback_reports_an_unreadable_pair_file(tmp_path, capsys, kind, message):
+    assert cli_main(["feedback", str(_unreadable(tmp_path, kind))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pair file error: ") and message in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("lenient", [[], ["--lenient"]])
+@pytest.mark.parametrize("kind, message", [("missing", "No such file"),
+                                           ("not-utf-8", "utf-8")])
+def test_cli_batch_reports_an_unreadable_dataset(tmp_path, capsys, kind, message, lenient):
+    report = tmp_path / "r.json"
+    assert cli_main(["batch", str(_unreadable(tmp_path, kind)), "--report", str(report),
+                     *lenient]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dataset error: ") and message in captured.err
+    assert "Traceback" not in captured.err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-2", "1.5", "two", ""])

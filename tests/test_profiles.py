@@ -7,7 +7,7 @@ from foleq.profiles import (
     EXISTS, FORALL, PrefixEntry, add_guard, atom_occurrences, atom_quantifier_prefix,
     binder_chain, core_profile, extract_guards, flip_quantifier, formula_profile,
     permute_arguments, profiles_to_json, remove_guard, swap_implication,
-    toggle_negation, variable_positions,
+    toggle_negation,
 )
 from foleq.syntax import (
     QUANTIFIERS, Atom, Implies, Not, Var, Vocabulary, alpha_normalize, atoms_of,
@@ -174,13 +174,6 @@ def test_prefix_type_partitions_bound_positions(sampler):
                 assert e.positions, "position sets must be nonempty"
                 assert not (seen & e.positions), "variable-only atoms partition"
                 seen |= e.positions
-
-
-def test_variable_positions():
-    f = parse("T(x,y,x)", V)
-    atom = next(node for _, node in atoms_of(f))
-    assert variable_positions(atom, "x") == {1, 3}
-    assert variable_positions(atom, "y") == {2}
 
 
 def test_binder_chain_resolves_kinds():

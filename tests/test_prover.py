@@ -6,6 +6,7 @@ import stat
 import sys
 import threading
 import time
+from array import array
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -18,7 +19,7 @@ from foleq.definability import (
 from foleq.explain import StrategyContext
 from foleq.models import (
     brute_force_verdict, close_formulas, count_structures, draw_layout,
-    enumerate_structures, random_models, random_structure, satisfies_all,
+    enumerate_structures, random_models, satisfies_all,
 )
 from foleq.mutate import MUTATIONS, mutate, mutate_all
 from foleq.parser import parse
@@ -26,7 +27,7 @@ from foleq.prover import (
     BoundedSearchBackend, DecisionCache,
     ExternalProverBackend, ProverConfig, ProverError, SatQuery,
     decide_equivalence, encode_equivalence, mangle_table, parse_finite_model,
-    TheoryDraws, TheoryModels, Verdict, parse_szs_status, to_tptp,
+    TheoryModels, Verdict, parse_szs_status, to_tptp,
 )
 from foleq.syntax import Forall, Not, Vocabulary, VocabularyError, free_variables, to_str
 from foleq.theory import Theory
@@ -347,8 +348,7 @@ def test_theory_tables_keep_enumeration_order(monkeypatch):
                 with monkeypatch.context() as patched:
                     patched.setattr(models, "eval_formula", refuse)
                     table = TheoryModels(theory, size)
-                    while table._grow():
-                        pass
+                    list(table._found)
                 # the query's own axioms: none, a sampled one, and the same
                 # nested past what Python compiles, tested on the structure
                 own = FormulaSampler(6 * n + 3 * size + k, vocab).closed_formula(depth=2)
@@ -378,9 +378,7 @@ def test_theory_table_fill_skips_failing_subtrees(monkeypatch):
 
     monkeypatch.setattr(models.DrawLayout, "check", counted)
     table = TheoryModels(scenario("E-14").theory, 2)
-    while table._grow():
-        pass
-    assert len(table._entries) == 16
+    assert len(list(table._found)) == 16
     assert 0 < len(calls) <= 10_000, len(calls)
 
 
@@ -418,10 +416,10 @@ def test_theory_table_resumes_after_an_early_stop(monkeypatch):
     shared = BoundedSearchBackend()
     first = shared.check_sat(sat)
     table = shared._tables[next(key for key in shared._tables if key[-1] == 2)]
-    models_after_sat = len(table._entries)
+    models_after_sat = len(table._found._entries)
     second = shared.check_sat(unsat)
     assert first.status == "sat" and second.status == "unsat"
-    assert models_after_sat < len(table._entries)
+    assert models_after_sat < len(table._found._entries)
     assert first == BoundedSearchBackend().check_sat(sat)
     assert second == BoundedSearchBackend().check_sat(unsat)
 
@@ -437,6 +435,30 @@ def test_query_theory_must_extend_by_constants_only():
 
 
 # random phase: the shared lists of theory models among the draws
+
+
+@pytest.mark.parametrize("entries", [[], array("Q")])
+def test_shared_list_reads_its_source_as_far_as_the_furthest_walk(entries):
+    read = []
+
+    def source():
+        for n in range(5):
+            read.append(n)
+            yield n * n
+
+    shared = prover._Shared(source(), entries)
+    one, two = iter(shared), iter(shared)
+    # two interleaved walks see the same sequence
+    assert [next(one), next(two), next(one), next(one), next(two)] == [0, 0, 1, 4, 1]
+    assert read == [0, 1, 2]
+    # a walk that stops early reads no further than the furthest walk
+    assert next(iter(shared)) == 0 and read == [0, 1, 2]
+    assert list(itertools.islice(shared, 4)) == [0, 1, 4, 9] and read == [0, 1, 2, 3]
+    # once the source is spent, every walk ends at the same length
+    assert list(two) == [4, 9, 16] and read == [0, 1, 2, 3, 4]
+    assert list(one) == [9, 16]
+    assert list(shared) == list(shared) == [0, 1, 4, 9, 16]
+    assert read == [0, 1, 2, 3, 4] and list(entries) == [0, 1, 4, 9, 16]
 
 
 def _sampled_query(theory, n, k):
@@ -506,21 +528,6 @@ def test_shared_draws_match_a_plain_filter():
 
     walks_agree()
     assert seen["models"] and seen["constants"] and seen["relation-free"]
-
-
-@settings(max_examples=100, deadline=None, database=None)
-@seed(5)
-@given(st.dictionaries(st.sampled_from("ABPQRT"), st.integers(0, 3), max_size=4),
-       st.dictionaries(st.sampled_from("fgh"), st.integers(1, 2), max_size=2),
-       st.sets(st.sampled_from("abc"), max_size=3), st.integers(1, 4),
-       st.sampled_from(prover.TUPLE_PROBABILITIES), st.integers(0, 999))
-def test_packed_draws_round_trip(relations, functions, constants, size, p, n):
-    vocab = Vocabulary(relations=relations, functions=functions, constants=constants)
-    draws = TheoryDraws(Theory(vocab), vocab, size, p, random.Random(n), 1)
-    flags, values = next(draw_layout(vocab, size).draws(p, random.Random(n), 1))
-    assert draws.unpack(draws.pack(flags, values)) == (flags, values)
-    s = random_structure(vocab, size, p, random.Random(n))
-    assert draw_layout(vocab, size).structure(*draws.unpack(draws.pack(flags, values))) == s
 
 
 # the pairs whose non-equivalence only the random phase finds (the

@@ -10,8 +10,9 @@ reads each draw (relation tuples, function values and constants) in one
 bulk read of the words that `random()` per tuple and `randrange` per
 value would read, reading more words only for values whose word
 `randrange` rejects. It tests the theory's axioms on each flat draw as
-it is read. The pair is compiled once per size and tested on the flat
-draw too, so only the witness becomes a `Structure`.
+it is read. The pair is compiled once per size, when the size's first
+theory model is drawn, and tested on the flat draw too, so only the
+witness becomes a `Structure`.
 
 A witness satisfying the solution but not the attempt marks the attempt
 as too restrictive (it misses an intended model); the opposite
@@ -72,9 +73,11 @@ def search_countermodel(solution: Formula, attempt: Formula, theory: Theory,
     for size in SIZES:
         rng = random.Random(f"{seed}:search:{size}")
         layout = draw_layout(vocab, size)
-        sol_holds, att_holds = layout.compile(sol), layout.compile(att)
+        sol_holds = att_holds = None
         for flags, values in layout.model_draws(theory.axioms, TUPLE_PROBABILITY, rng,
                                                 DRAWS_PER_ELEMENT * size):
+            if sol_holds is None:       # a size without theory models compiles nothing
+                sol_holds, att_holds = layout.compile(sol), layout.compile(att)
             sol_val = sol_holds(flags, values)
             if sol_val != att_holds(flags, values):
                 direction = TOO_RESTRICTIVE if sol_val else TOO_PERMISSIVE

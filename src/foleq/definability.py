@@ -28,7 +28,7 @@ from .syntax import (
 )
 from .theory import Theory
 from .models import close_formulas
-from .prover import JsonlCache, SatQuery, backend_key
+from .prover import JsonlCache, SatQuery, axiom_text, backend_key
 
 NECESSARY = "necessary"
 NOT_SHOWN = "not-shown-necessary"
@@ -223,9 +223,8 @@ class NecessityCache(JsonlCache):
 
     @staticmethod
     def key(solution: Formula, theory: Theory) -> str:
-        axioms = sorted(to_str(alpha_normalize(ax)) for ax in theory.axioms)
         return json.dumps({"formula": to_str(alpha_normalize(solution)),
-                           "axioms": axioms}, sort_keys=True)
+                           "axioms": sorted(map(axiom_text, theory.axioms))}, sort_keys=True)
 
 
 def symbol_necessity(solution: Formula, theory: Theory, symbol: str, backend,

@@ -261,9 +261,11 @@ class DrawLayout:
     the outer loop variables as parameters. An innermost run (no
     quantifier in its body) of at most `GROUNDED_INSTANCES` instances is
     grounded instead: one `and`/`or` chain of its instances, indices and
-    equalities of elements folded to constants. The source holds only
-    integers, the loop variables v0, v1, ... by depth and the helpers'
-    names; no symbol name from the input reaches it."""
+    equalities of elements folded to constants. A helper called in loops
+    whose variables it does not read is evaluated once, at its first use
+    (`_loops`). The source holds only integers, the loop variables v0,
+    v1, ... by depth, the helpers' names `_q<n>` and their kept results
+    `r<n>`; no symbol name from the input reaches it."""
 
     def __init__(self, key: tuple, size: int):
         relations, functions, constants = key       # `vocabulary_key`'s
@@ -386,9 +388,12 @@ class DrawLayout:
         return self.draws(p, rng, count, [self.check(ax) for ax in axioms])
 
     def _formula(self, g: Formula, scope: dict[str, int | str], depth: int,
-                 defs: list[str]) -> str:
+                 defs: list[str], enclosing: tuple[set[str], list[int]] | None = None
+                 ) -> str:
         """The expression of g; scope maps each bound variable to its
-        loop variable or, in a grounded run, its element."""
+        loop variable or, in a grounded run, its element. `enclosing` is
+        the loop variables of the def whose loops g sits in, and the
+        helpers whose calls that def evaluates once (see `_loops`)."""
         if isinstance(g, Atom):
             return f"F[{self._index(g.rel, g.args, scope)}]"
         if isinstance(g, Eq):
@@ -397,10 +402,10 @@ class DrawLayout:
                 return str(left == right)
             return f"({left} == {right})"
         if isinstance(g, Not):
-            return f"(not {self._formula(g.sub, scope, depth, defs)})"
+            return f"(not {self._formula(g.sub, scope, depth, defs, enclosing)})"
         if isinstance(g, (And, Or, Implies, Iff)):
-            left = self._formula(g.left, scope, depth, defs)
-            right = self._formula(g.right, scope, depth, defs)
+            left = self._formula(g.left, scope, depth, defs, enclosing)
+            right = self._formula(g.right, scope, depth, defs, enclosing)
             if isinstance(g, And):
                 return f"({left} and {right})"
             if isinstance(g, Or):
@@ -415,7 +420,7 @@ class DrawLayout:
                 g = g.body
             if self.size ** len(run) > GROUNDED_INSTANCES or any(
                     isinstance(h, (Forall, Exists)) for _, h in subformulas(g)):
-                return self._loops(whole, run, g, scope, depth, defs)
+                return self._loops(whole, run, g, scope, depth, defs, enclosing)
             # grounded: one instance of the body per tuple of elements
             tuples = itertools.product(range(self.size), repeat=len(run))
             instances = [self._formula(g, {**scope, **dict(zip(run, t))}, depth, defs)
@@ -424,23 +429,35 @@ class DrawLayout:
         raise TypeError(f"not a formula: {g!r}")
 
     def _loops(self, whole: Formula, run: list[str], body: Formula,
-               scope: dict[str, int | str], depth: int, defs: list[str]) -> str:
+               scope: dict[str, int | str], depth: int, defs: list[str],
+               enclosing: tuple[set[str], list[int]] | None) -> str:
         """A call of a new def: loops over the run's variables that return
         at the first instance that decides the run, with the outer loop
-        variables the run reads as parameters."""
+        variables the run reads as parameters.
+
+        A call in the loops of an enclosing def that reads none of their
+        variables is evaluated once per call of that def, at its first
+        use: its result `r<n>` is set to None before those loops."""
         at, forall = len(defs), isinstance(whole, Forall)
         outer = [scope[v] for v in free_variables(whole) if v in scope]
         params = ", ".join(["F", "V", *outer])
         defs.append("")
+        loops = [f"v{depth + k}" for k in range(len(run))]
+        inner = set(loops), []
         lines, scope = [f"def _q{at}({params}):"], dict(scope)
-        for k, var in enumerate(run):
-            scope[var] = f"v{depth + k}"
-            lines.append(f"{'    ' * (k + 1)}for v{depth + k} in U:")
-        test = self._formula(body, scope, depth + len(run), defs)
+        for k, (var, loop) in enumerate(zip(run, loops)):
+            scope[var] = loop
+            lines.append(f"{'    ' * (k + 1)}for {loop} in U:")
+        test = self._formula(body, scope, depth + len(run), defs, inner)
+        lines[1:1] = [f"    r{n} = None" for n in inner[1]]
         lines += [f"{'    ' * (len(run) + 1)}if {'not ' * forall}{test}: return {not forall}",
                   f"    return {forall}\n"]
         defs[at] = "\n".join(lines)
-        return f"_q{at}({params})"
+        call = f"_q{at}({params})"
+        if enclosing is None or enclosing[0].intersection(outer):
+            return call
+        enclosing[1].append(at)
+        return f"(r{at} if r{at} is not None else (r{at} := {call}))"
 
     def _term(self, t: Term, scope: dict[str, int | str]) -> int | str:
         """An element, when the term names a known one, or its expression."""

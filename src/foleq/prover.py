@@ -24,14 +24,15 @@ Two backends implement the query contract:
   theory's axioms are tested once per backend and the answers are those
   of filtering `models.enumerate_structures`. The fill chooses the
   tables one symbol at a time and tests each axiom once the tables it
-  reads are chosen, skipping the choices below a failure. Every random
-  query walks a per-backend list of the theory's models among the draws
-  of its stream, kept as `DrawLayout.model_draws` yields them, so the
-  answers are those of filtering `models.random_models`. Tables and
-  lists alike are walked through one lazily grown shared list (_Shared),
-  hold their candidates in the flat layout of `models.DrawLayout`, test
-  axioms with its compiled closures, and build a `Structure` only for a
-  model returned.
+  reads are chosen, skipping the choices below a failure. At each
+  sampled size a query walks, once, a per-backend list of the theory's
+  models among the draws of the size's streams, one stream per tuple
+  probability, taken in turn and kept as `DrawLayout.model_draws` yields
+  them, so the answers are those of filtering `models.random_models` on
+  each stream in turn. Tables and lists alike are walked through one
+  lazily grown shared list (_Shared), hold their candidates in the flat
+  layout of `models.DrawLayout`, test axioms with its compiled closures,
+  and build a `Structure` only for a model returned.
 
 Pinned finite-model output format (a subset of Vampire's fmb output)::
 
@@ -50,6 +51,7 @@ Distinctness literals (fmb_$i_j != fmb_$i_k) are ignored.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -641,14 +643,15 @@ class BoundedSearchBackend:
     models in the same order as `enumerate_structures`, so the answers
     and bounds are those of filtering it.
 
-    At each sampled size and tuple probability a query walks the
-    backend's list of its theory's models among the draws of the stream
-    `{seed}:backend:{size}:{p}`, one `_Shared` list of the draws
-    `DrawLayout.model_draws` keeps, as it yields them, per theory and
-    whole query vocabulary (each closure constant shifts the stream). The
-    stream does not depend on the query, so the draws are made and the
+    At each sampled size a query walks, once, the backend's list of its
+    theory's models among the draws of the streams
+    `{seed}:backend:{size}:{p}`, the tuple probabilities p taken in
+    order: one `_Shared` list of the draws `DrawLayout.model_draws` keeps
+    from each stream in turn, as it yields them, per theory and whole
+    query vocabulary (each closure constant shifts the streams). The
+    streams do not depend on the query, so the draws are made and the
     theory's axioms tested once per backend; the first model found is the
-    one a fresh stream would give.
+    one fresh streams, tried one p after another, would give.
     """
 
     name = "bounded"
@@ -682,16 +685,22 @@ class BoundedSearchBackend:
         return self._shared(self._tables, (key[0], size),
                             lambda: TheoryModels(query.theory, size)).models(query)
 
-    def _drawn(self, query: SatQuery, key: tuple, size: int, p: float, draws: int
+    def _drawn(self, query: SatQuery, key: tuple, size: int, draws: int
                ) -> Iterator[Structure]:
         """The models of the query's axioms among the draws, in draw
         order: those `random_models(query.vocabulary, query.axioms, ...)`
-        yields on a fresh stream. Only the axioms after the theory's are
-        tested (`models_among`)."""
+        yields on a fresh stream for each p of `TUPLE_PROBABILITIES`, in
+        turn. Only the axioms after the theory's are tested
+        (`models_among`)."""
         theory, layout = query.theory, draw_layout(query.vocabulary, size)
-        shared = self._shared(self._draws, (*key, size, p, draws), lambda: _Shared(
-            layout.model_draws(theory.axioms, p,
-                               random.Random(f"{self.seed}:backend:{size}:{p}"), draws),
+        # the list's source must not hold the backend, which holds the list:
+        # a cycle would keep every list until the garbage collector runs
+        seed = self.seed
+        shared = self._shared(self._draws, (*key, size, draws), lambda: _Shared(
+            itertools.chain.from_iterable(
+                layout.model_draws(theory.axioms, p,
+                                   random.Random(f"{seed}:backend:{size}:{p}"), draws)
+                for p in TUPLE_PROBABILITIES),
             []))
         return models_among(layout, query.axioms[len(theory.axioms):], shared)
 
@@ -716,10 +725,9 @@ class BoundedSearchBackend:
                 continue
             total = SAMPLES_PER_SIZE * size if size <= MAX_SIZE else LARGE_SAMPLES
             draws = max(1, total // len(TUPLE_PROBABILITIES))
-            for p in TUPLE_PROBABILITIES:
-                model = next(self._drawn(query, key, size, p, draws), None)
-                if model is not None:
-                    return SatResult("sat", model=model)
+            model = next(self._drawn(query, key, size, draws), None)
+            if model is not None:
+                return SatResult("sat", model=model)
 
         if exhausted == 0:
             return SatResult("unknown", reason="resource")
@@ -777,6 +785,19 @@ class JsonlCache:
         return len(self._data)
 
 
+@functools.lru_cache(maxsize=4096)
+def axiom_text(axiom: Formula) -> str:
+    """The axiom's text up to bound-variable names, as cache keys hold
+    it: computed once per axiom, as every key of a theory repeats it."""
+    return to_str(alpha_normalize(axiom))
+
+
+def _pair_key(solution: Formula, attempt: Formula, theory: Theory) -> str:
+    """`DecisionCache.key` of a pair already alpha-normalized."""
+    return json.dumps({"pair": sorted([to_str(solution), to_str(attempt)]),
+                       "axioms": sorted(map(axiom_text, theory.axioms))}, sort_keys=True)
+
+
 def backend_key(backend, key: str) -> str:
     """A cache key among the entries of the backend's kind, so that a
     bounded "equivalent" or "not shown necessary" never serves a prover."""
@@ -810,9 +831,7 @@ class DecisionCache(JsonlCache):
 
     @staticmethod
     def key(solution: Formula, attempt: Formula, theory: Theory) -> str:
-        pair = sorted([to_str(alpha_normalize(solution)), to_str(alpha_normalize(attempt))])
-        axioms = sorted(to_str(alpha_normalize(ax)) for ax in theory.axioms)
-        return json.dumps({"pair": pair, "axioms": axioms}, sort_keys=True)
+        return _pair_key(alpha_normalize(solution), alpha_normalize(attempt), theory)
 
     def get(self, key: str) -> Verdict | None:
         with self._lock:
@@ -843,9 +862,10 @@ def decide_equivalence(solution: Formula, attempt: Formula, theory: Theory,
     an invalid one is dropped (the verdict stands, the structure does not).
     Only a top-level decision (origin "equivalence") asks for a model.
     """
+    normal = alpha_normalize(solution), alpha_normalize(attempt)
     key = None
     if cache is not None:
-        key = backend_key(backend, DecisionCache.key(solution, attempt, theory))
+        key = backend_key(backend, _pair_key(*normal, theory))
         hit = cache.get(key)
         if hit is not None:
             counter, direction = revalidate_counter(hit.counter, solution, attempt, theory)
@@ -853,7 +873,7 @@ def decide_equivalence(solution: Formula, attempt: Formula, theory: Theory,
                            method="cache", cached_method=hit.method)
 
     # formulas identical up to bound-variable names need no backend at all
-    if alpha_normalize(solution) == alpha_normalize(attempt):
+    if normal[0] == normal[1]:
         verdict = Verdict(status="equivalent", method="syntactic")
         if cache is not None:
             cache.put(key, verdict)

@@ -2,7 +2,7 @@ import random
 
 from foleq import countermodel
 from foleq.countermodel import random_structure, search_countermodel
-from foleq.models import eval_formula, random_models, satisfies_all
+from foleq.models import DrawLayout, eval_formula, random_models, satisfies_all
 from foleq.parser import parse
 from foleq.syntax import Vocabulary
 from foleq.theory import Theory
@@ -87,6 +87,19 @@ def test_search_self_pair_absent(monkeypatch):
     th = Theory(VP)
     f = parse("forall x P(x)", VP)
     assert search_countermodel(f, f, th) is None
+
+
+def test_search_compiles_the_pair_only_at_sizes_with_theory_models(monkeypatch):
+    # only the one-element structures are models; the pair agrees on them
+    th = Theory(VP, (parse("forall x forall y x = y", VP),))
+    psi, phi = parse("forall x P(x)", VP), parse("exists x P(x)", VP)
+    compiled = []
+    compile_ = DrawLayout.compile
+    monkeypatch.setattr(DrawLayout, "compile", lambda layout, f: compiled.append(
+        (layout.size, f)) or compile_(layout, f))
+    monkeypatch.setattr(countermodel, "DRAWS_PER_ELEMENT", 50)
+    assert search_countermodel(psi, phi, th) is None
+    assert [c for c in compiled if c[1] in (psi, phi)] == [(1, psi), (1, phi)]
 
 
 def test_search_restrictive_direction():

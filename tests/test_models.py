@@ -303,12 +303,12 @@ def _deep(n, quantifiers):
 
 def source_names_are_generated(source):
     """Only the compiler's own names occur in a source: keywords, the
-    draw F, V, the universe U, loop variables v<n> and helpers _q<n>; no
-    symbol name from the input."""
+    draw F, V, the universe U, loop variables v<n>, helpers _q<n> and
+    their kept results r<n>; no symbol name from the input."""
     names = set(re.findall(r"[A-Za-z_]\w*", source))
-    keywords = {"F", "V", "U", "def", "return", "if", "for", "in", "and", "or", "not",
-                "True", "False"}
-    return all(n in keywords or re.fullmatch(r"v\d+|_q\d+", n) for n in names)
+    keywords = {"F", "V", "U", "def", "return", "if", "else", "for", "in", "is", "and",
+                "or", "not", "True", "False", "None"}
+    return all(n in keywords or re.fullmatch(r"v\d+|_q\d+|r\d+", n) for n in names)
 
 
 def quantified(f):
@@ -367,6 +367,39 @@ def test_compiled_runs_pass_their_outer_variables():
         assert ("_q3" in source) == bool(inner) and (inner or "") in source
         assert source_names_are_generated(source)
         agrees_on_draws(layout, f)
+
+
+def test_compiled_runs_call_a_loop_invariant_run_once():
+    vocab = Vocabulary(relations={"R": 2})
+    f = parse("forall x exists y (R(x, y) & exists x exists y forall z R(x, z))", vocab)
+    source = draw_layout(vocab, 3).source(f)
+    # the inner run reads neither x nor y of the runs around it: its result
+    # is set before _q2's loop and computed there at its first use only
+    assert ("def _q2(F, V, v0):\n"
+            "    r3 = None\n"
+            "    for v1 in U:\n"
+            "        if (F[v0 * 3 + v1] and (r3 if r3 is not None else (r3 := _q3(F, V)))):"
+            " return True\n") in source
+    assert re.findall(r"(?<!def )_q3\(", source) == ["_q3("]       # one call
+    assert source_names_are_generated(source)
+    for size in range(1, 7):
+        layout = draw_layout(vocab, size)
+        agrees_on_draws(layout, f)
+        # _q3 runs at most once per call of _q2, and not before it is needed
+        namespace = dict(layout._names)
+        exec(layout.source(f), namespace)
+        calls = {"_q2": 0, "_q3": 0}
+        for name in calls:
+            def counted(*args, fn=namespace[name], name=name):
+                calls[name] += 1
+                return fn(*args)
+            namespace[name] = counted
+        for flags, values in layout.draws(0.5, random.Random(size), 40):
+            before = dict(calls)
+            namespace["_q0"](flags, values)
+            assert calls["_q3"] - before["_q3"] <= calls["_q2"] - before["_q2"]
+            if not any(flags):              # R empty: R(x, y) fails first
+                assert calls["_q3"] == before["_q3"]
 
 
 def test_compiled_grounded_runs_fold_elements():

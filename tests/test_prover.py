@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -6,10 +7,11 @@ import stat
 import sys
 import threading
 import time
+import weakref
 from array import array
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from foleq import models, prover
 from foleq.corpus import all_solutions, load_scenarios, scenario
@@ -480,16 +482,18 @@ def test_shared_draws_match_a_plain_filter():
     @settings(max_examples=60, deadline=None, database=None)
     @seed(5)
     @given(st.sampled_from(theories), st.integers(0, 2), st.integers(1, 4),
-           st.sampled_from(prover.TUPLE_PROBABILITIES), st.integers(1, 200),
-           st.integers(0, 999))
-    def walks_agree(theory, k, size, p, draws, n):
+           st.integers(1, 200), st.integers(0, 999))
+    @example(scenario("E-9").theory, 1, 2, 50, 1)     # relation-free, with models
+    def walks_agree(theory, k, size, draws, n):
         one = _sampled_query(theory, n, k)
         two = SatQuery(axioms=theory.axioms + (Not(one.axioms[-1]),),
                        vocabulary=one.vocabulary, theory=theory)
 
         def plain(query):
-            rng = random.Random(f"5:backend:{size}:{p}")
-            return list(random_models(query.vocabulary, query.axioms, size, p, rng, draws))
+            # each tuple probability's stream in turn, each filtered alone
+            return [s for p in prover.TUPLE_PROBABILITIES
+                    for s in random_models(query.vocabulary, query.axioms, size, p,
+                                           random.Random(f"5:backend:{size}:{p}"), draws)]
 
         expected = [plain(one), plain(two)]
         seen["models"] += len(expected[0]) + len(expected[1])
@@ -498,21 +502,21 @@ def test_shared_draws_match_a_plain_filter():
 
         # the two queries walk one list, step by step in turn
         backend = BoundedSearchBackend(seed=5)
-        walks = [backend._drawn(q, backend._query_key(q), size, p, draws) for q in (one, two)]
+        walks = [backend._drawn(q, backend._query_key(q), size, draws) for q in (one, two)]
         got = [[], []]
         for pair in itertools.zip_longest(*walks):
             for models, s in zip(got, pair):
                 if s is not None:
                     models.append(s)
         assert got == expected and len(backend._draws) == 1
-        assert list(backend._drawn(one, backend._query_key(one), size, p, draws)) == expected[0]
+        assert list(backend._drawn(one, backend._query_key(one), size, draws)) == expected[0]
 
         # and from more threads than cores at once, each query twice
         backend = BoundedSearchBackend(seed=5)
         got = [[], [], [], []]
         threads = [threading.Thread(
                        target=models.extend,
-                       args=(backend._drawn(q, backend._query_key(q), size, p, draws),))
+                       args=(backend._drawn(q, backend._query_key(q), size, draws),))
                    for models, q in zip(got, (one, two, one, two))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -528,6 +532,26 @@ def test_shared_draws_match_a_plain_filter():
 
     walks_agree()
     assert seen["models"] and seen["constants"] and seen["relation-free"]
+
+
+def test_bounded_backend_is_freed_by_reference_counting():
+    # a list whose source held the backend would keep both alive until the
+    # garbage collector runs: one cycle per engine
+    sc, sol = next((sc, sol) for sc, sol in all_solutions() if sol.id == "E-5-1")
+    found = mutate_all(sol.formula, "negation-toggle")[0]      # at size 2, by a draw
+    gc.disable()
+    try:
+        backend = BoundedSearchBackend(seed=23)
+        # the walk stops inside the size-2 list, whose source stays open
+        result = backend.check_sat(encode_equivalence(sol.formula, found, sc.theory))
+        assert result.status == "sat" and result.model.size == 2
+        assert backend._tables and backend._draws
+        lists = [weakref.ref(shared) for shared in backend._draws.values()]
+        freed = weakref.ref(backend)
+        del backend
+        assert freed() is None and all(ref() is None for ref in lists)
+    finally:
+        gc.enable()
 
 
 # the pairs whose non-equivalence only the random phase finds (the

@@ -5,14 +5,14 @@ draws them: every relation tuple is included independently with a fixed
 probability, and every function output and constant is drawn uniformly
 from the universe. The search walks universe sizes in ascending order and
 returns the first generated theory model on which the two formulas
-disagree. Its theory models come from `DrawLayout.model_draws`, which
-reads each draw (relation tuples, function values and constants) in one
-bulk read of the words that `random()` per tuple and `randrange` per
-value would read, reading more words only for values whose word
-`randrange` rejects. It tests the theory's axioms on each flat draw as
-it is read. The pair is compiled once per size, when the size's first
-theory model is drawn, and tested on the flat draw too, so only the
-witness becomes a `Structure`.
+disagree. Its theory models come from `DrawLayout.draws`, which reads
+each draw (relation tuples, function values and constants) in one bulk
+read of the words that `random()` per tuple and `randrange` per value
+would read, reading more words only for values whose word `randrange`
+rejects. It tests the theory's axioms on each flat draw as it is read.
+The pair is compiled once per size, when the size's first theory model
+is drawn, and tested on the flat draw too, so only the witness becomes a
+`Structure`.
 
 A witness satisfying the solution but not the attempt marks the attempt
 as too restrictive (it misses an intended model); the opposite
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .syntax import Formula
 from .theory import Theory
 from .models import (  # random_structure is re-exported
-    Structure, close_formulas, draw_layout, random_structure,
+    Structure, close_formulas, draw_layout, drawable, random_structure,
 )
 
 TOO_RESTRICTIVE = "too-restrictive"
@@ -67,15 +67,19 @@ def search_countermodel(solution: Formula, attempt: Formula, theory: Theory,
     """First random theory model distinguishing the pair, sizes ascending.
 
     Each size draws from its own stream derived from the seed, so a
-    size's draws do not depend on the sizes searched before it.
+    size's draws do not depend on the sizes searched before it. A size
+    whose draws would hold more than `MAX_DRAW_ENTRIES` flags and values
+    is skipped (`models.drawable`).
     """
     (sol, att), vocab = close_formulas([solution, attempt], theory.vocabulary)
     for size in SIZES:
+        if not drawable(vocab, size):
+            continue
         rng = random.Random(f"{seed}:search:{size}")
         layout = draw_layout(vocab, size)
         sol_holds = att_holds = None
-        for flags, values in layout.model_draws(theory.axioms, TUPLE_PROBABILITY, rng,
-                                                DRAWS_PER_ELEMENT * size):
+        for flags, values in layout.draws(TUPLE_PROBABILITY, rng, DRAWS_PER_ELEMENT * size,
+                                          theory.axioms):
             if sol_holds is None:       # a size without theory models compiles nothing
                 sol_holds, att_holds = layout.compile(sol), layout.compile(att)
             sol_val = sol_holds(flags, values)

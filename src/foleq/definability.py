@@ -212,11 +212,15 @@ def encode_padoa(solution: Formula, theory: Theory, tested: set[str]) -> SatQuer
 
 class NecessityCache(JsonlCache):
     """Necessity reports keyed by the canonicalized (formula, theory) pair;
-    `necessary_symbols` files them under the backend's kind."""
+    `necessary_symbols` files them under the backend's kind. A line whose
+    statuses are not an object of the three statuses is skipped."""
 
     def _decode(self, record: dict) -> NecessityReport:
-        return NecessityReport(statuses=record["statuses"],
-                               query_ids=record.get("queries", {}))
+        statuses, queries = record["statuses"], record.get("queries", {})
+        if not isinstance(statuses, dict) or not isinstance(queries, dict) or any(
+                status not in (NECESSARY, NOT_SHOWN, UNKNOWN) for status in statuses.values()):
+            raise ValueError(f"not a necessity report: {statuses!r}")
+        return NecessityReport(statuses=statuses, query_ids=queries)
 
     def _encode(self, report: NecessityReport) -> dict:
         return report.to_json()

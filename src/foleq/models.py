@@ -14,13 +14,13 @@ byte decides all but about one tuple in 256. A value is the top
 `size.bit_length()` bits of one word; a word that gives `size` or more is
 rejected and the next word read instead, as CPython's `randrange` does
 (checked on 3.10 to 3.13), so a draw with rejected words reads one more
-word per missing value until none is missing. `random_models` tests
-axioms on the flat draw with closures compiled once per vocabulary and
-size (early-exit loops and ground chains of Python, see `DrawLayout`),
-and builds a `Structure` only for a model. Enumerated structures
-share the flat layout (`DrawLayout.choices`), and `models_among` tests a
-query's own axioms on flat candidates, compiling them only for a long
-walk.
+word per missing value until none is missing. `DrawLayout.draws` tests
+the axioms it is given on the flat draw with closures compiled once per
+vocabulary and size (early-exit loops and ground chains of Python, see
+`DrawLayout`), and `random_models` builds a `Structure` only for a
+model. Enumerated structures share the flat layout
+(`DrawLayout.choices`), and `models_among` tests a query's own axioms on
+flat candidates, compiling them only for a long walk.
 `eval_formula` stays the evaluator of one structure and the reference
 the compiled closures are tested against.
 """
@@ -76,13 +76,36 @@ class Structure:
 
     @staticmethod
     def from_json(obj: dict) -> "Structure":
+        """The structure `to_json` rendered; a `ValueError` for a size
+        below 1, an element outside 1..size, one symbol's tuples of
+        different lengths or a function table that is not total."""
+        size = obj["size"]
+        if type(size) is not int or size < 1:
+            raise ValueError(f"not a structure size: {size!r}")
+
+        def elements(name: str, rows) -> list[tuple[int, ...]]:
+            rows = [tuple(row) for row in rows]
+            if len(set(map(len, rows))) > 1:
+                raise ValueError(f"{name} has tuples of different lengths")
+            if not all(type(e) is int and 1 <= e <= size for row in rows for e in row):
+                raise ValueError(f"{name} has an element outside 1..{size}")
+            return [tuple(e - 1 for e in row) for row in rows]
+
+        functions = {}
+        for f, rows in obj.get("functions", {}).items():
+            rows = elements(f, rows)
+            arity = len(rows[0]) - 1 if rows else 0
+            if arity < 1 or not len({row[:-1] for row in rows}) == len(rows) == size ** arity:
+                raise ValueError(f"the table of {f} is not total")
+            functions[f] = {row[:-1]: row[-1] for row in rows}
+        constants = obj.get("constants", {})
+        [values] = elements("a constant", [constants.values()])
         return Structure(
-            size=obj["size"],
-            relations={r: frozenset(tuple(e - 1 for e in t) for t in ts)
+            size=size,
+            relations={r: frozenset(elements(r, ts))
                        for r, ts in obj.get("relations", {}).items()},
-            functions={f: {tuple(a - 1 for a in row[:-1]): row[-1] - 1 for row in rows}
-                       for f, rows in obj.get("functions", {}).items()},
-            constants={c: v - 1 for c, v in obj.get("constants", {}).items()},
+            functions=functions,
+            constants=dict(zip(constants, values)),
         )
 
 
@@ -157,14 +180,30 @@ def satisfies_all(s: Structure, formulas, assignment: Assignment | None = None) 
     return all(eval_formula(s, f, assignment) for f in formulas)
 
 
+def _powers(vocab: Vocabulary, size: int) -> list[tuple[int, int]]:
+    """(base, exponent) per kind of choice: a structure of the size is one
+    of the product of the `base ** exponent`s."""
+    return [*((2, size ** a) for a in vocab.relations.values()),
+            *((size, size ** a) for a in vocab.functions.values()),
+            (size, len(vocab.constants))]
+
+
 def count_structures(vocab: Vocabulary, size: int) -> int:
+    return math.prod(base ** exponent for base, exponent in _powers(vocab, size))
+
+
+def count_exceeds(vocab: Vocabulary, size: int, budget: int) -> bool:
+    """Whether `count_structures(vocab, size)` exceeds the budget, decided
+    without building a count too large to hold: a 36-ary relation has
+    2 ** 2 ** 36 interpretations at size 2."""
     total = 1
-    for arity in vocab.relations.values():
-        total *= 2 ** (size ** arity)
-    for arity in vocab.functions.values():
-        total *= size ** (size ** arity)
-    total *= size ** len(vocab.constants)
-    return total
+    for base, exponent in _powers(vocab, size):
+        if base > 1 and exponent >= budget.bit_length():
+            return True                 # base ** exponent > budget
+        total *= base ** exponent
+        if total > budget:
+            return True
+    return False
 
 
 def enumerate_structures(vocab: Vocabulary, size: int,
@@ -175,10 +214,9 @@ def enumerate_structures(vocab: Vocabulary, size: int,
     varying fastest."""
     if size < 1:
         raise ValueError("size must be >= 1")
-    total = count_structures(vocab, size)
-    if total > budget:
+    if count_exceeds(vocab, size, budget):
         raise BudgetExceededError(
-            f"{total} structures of size {size} exceed the budget of {budget}")
+            f"the structures of size {size} exceed the budget of {budget}")
 
     layout = draw_layout(vocab, size)
     relations, functions = layout.choices()
@@ -255,17 +293,16 @@ class DrawLayout:
     symbol's interpretations in `enumerate_structures`' order.
 
     `compile` turns an axiom into a closure over a draw, and `check`
-    keeps the closures of theory axioms for every later caller. In the
-    `source`, a quantifier run is nested loops over `range(size)` in a def
-    `_q<n>` that returns at the first instance that decides it and takes
-    the outer loop variables as parameters. An innermost run (no
+    keeps the closures of theory axioms, the ones `draws` tests, for
+    every later caller. In the `source`, a quantifier run is nested loops
+    over `range(size)` in a def `_q<n>` that returns at the first instance
+    that decides it and takes the outer loop variables as parameters; a
+    nested run is a plain call of its def. An innermost run (no
     quantifier in its body) of at most `GROUNDED_INSTANCES` instances is
     grounded instead: one `and`/`or` chain of its instances, indices and
-    equalities of elements folded to constants. A helper called in loops
-    whose variables it does not read is evaluated once, at its first use
-    (`_loops`). The source holds only integers, the loop variables v0,
-    v1, ... by depth, the helpers' names `_q<n>` and their kept results
-    `r<n>`; no symbol name from the input reaches it."""
+    equalities of elements folded to constants. The source holds only
+    integers, the loop variables v0, v1, ... by depth and the helpers'
+    names `_q<n>`; no symbol name from the input reaches it."""
 
     def __init__(self, key: tuple, size: int):
         relations, functions, constants = key       # `vocabulary_key`'s
@@ -286,11 +323,12 @@ class DrawLayout:
             offset += self.size ** arity
         return offset
 
-    def draws(self, p: float, rng: random.Random, count: int, checks=()
+    def draws(self, p: float, rng: random.Random, count: int, axioms=()
               ) -> Iterator[tuple[bytes, list[int]]]:
-        """The draws among the stream's next `count` that pass every
-        check, in draw order, each made when asked for and checked on its
-        flat form (`values` as bytes) as it is read.
+        """The draws among the stream's next `count` that satisfy every
+        axiom, in draw order, each made when asked for and tested on its
+        flat form (`values` as bytes) as it is read, by the closures
+        `check` keeps; the stream is advanced by the draws consumed only.
 
         A draw is one `getrandbits` read of the words that one `random()`
         per relation tuple and one `randrange(size)` per function value
@@ -298,6 +336,7 @@ class DrawLayout:
         that `randrange` would reject shifts the later values by one
         word, so while values are missing the draw reads one more word
         per missing value: never a word of the next draw."""
+        checks = [self.check(ax) for ax in axioms]
         table, t = _inclusion_test(p)
         pick = _value_table(self.size)
         getrandbits, wanted = rng.getrandbits, self.values
@@ -379,21 +418,10 @@ class DrawLayout:
         defs[0] = f"def _q0(F, V):\n    return {expr}\n"
         return "".join(defs)
 
-    def model_draws(self, axioms, p: float, rng: random.Random, count: int
-                    ) -> Iterator[tuple[bytes, list[int]]]:
-        """The draws among the stream's next `count` that satisfy every
-        axiom, in draw order: `draws` tests the axioms' compiled closures
-        on each draw as it is read, and the stream is advanced by the
-        draws consumed only."""
-        return self.draws(p, rng, count, [self.check(ax) for ax in axioms])
-
     def _formula(self, g: Formula, scope: dict[str, int | str], depth: int,
-                 defs: list[str], enclosing: tuple[set[str], list[int]] | None = None
-                 ) -> str:
+                 defs: list[str]) -> str:
         """The expression of g; scope maps each bound variable to its
-        loop variable or, in a grounded run, its element. `enclosing` is
-        the loop variables of the def whose loops g sits in, and the
-        helpers whose calls that def evaluates once (see `_loops`)."""
+        loop variable or, in a grounded run, its element."""
         if isinstance(g, Atom):
             return f"F[{self._index(g.rel, g.args, scope)}]"
         if isinstance(g, Eq):
@@ -402,10 +430,10 @@ class DrawLayout:
                 return str(left == right)
             return f"({left} == {right})"
         if isinstance(g, Not):
-            return f"(not {self._formula(g.sub, scope, depth, defs, enclosing)})"
+            return f"(not {self._formula(g.sub, scope, depth, defs)})"
         if isinstance(g, (And, Or, Implies, Iff)):
-            left = self._formula(g.left, scope, depth, defs, enclosing)
-            right = self._formula(g.right, scope, depth, defs, enclosing)
+            left = self._formula(g.left, scope, depth, defs)
+            right = self._formula(g.right, scope, depth, defs)
             if isinstance(g, And):
                 return f"({left} and {right})"
             if isinstance(g, Or):
@@ -420,7 +448,7 @@ class DrawLayout:
                 g = g.body
             if self.size ** len(run) > GROUNDED_INSTANCES or any(
                     isinstance(h, (Forall, Exists)) for _, h in subformulas(g)):
-                return self._loops(whole, run, g, scope, depth, defs, enclosing)
+                return self._loops(whole, run, g, scope, depth, defs)
             # grounded: one instance of the body per tuple of elements
             tuples = itertools.product(range(self.size), repeat=len(run))
             instances = [self._formula(g, {**scope, **dict(zip(run, t))}, depth, defs)
@@ -429,35 +457,23 @@ class DrawLayout:
         raise TypeError(f"not a formula: {g!r}")
 
     def _loops(self, whole: Formula, run: list[str], body: Formula,
-               scope: dict[str, int | str], depth: int, defs: list[str],
-               enclosing: tuple[set[str], list[int]] | None) -> str:
+               scope: dict[str, int | str], depth: int, defs: list[str]) -> str:
         """A call of a new def: loops over the run's variables that return
         at the first instance that decides the run, with the outer loop
-        variables the run reads as parameters.
-
-        A call in the loops of an enclosing def that reads none of their
-        variables is evaluated once per call of that def, at its first
-        use: its result `r<n>` is set to None before those loops."""
+        variables the run reads as parameters."""
         at, forall = len(defs), isinstance(whole, Forall)
         outer = [scope[v] for v in free_variables(whole) if v in scope]
         params = ", ".join(["F", "V", *outer])
         defs.append("")
-        loops = [f"v{depth + k}" for k in range(len(run))]
-        inner = set(loops), []
         lines, scope = [f"def _q{at}({params}):"], dict(scope)
-        for k, (var, loop) in enumerate(zip(run, loops)):
-            scope[var] = loop
+        for k, var in enumerate(run):
+            scope[var] = loop = f"v{depth + k}"
             lines.append(f"{'    ' * (k + 1)}for {loop} in U:")
-        test = self._formula(body, scope, depth + len(run), defs, inner)
-        lines[1:1] = [f"    r{n} = None" for n in inner[1]]
+        test = self._formula(body, scope, depth + len(run), defs)
         lines += [f"{'    ' * (len(run) + 1)}if {'not ' * forall}{test}: return {not forall}",
                   f"    return {forall}\n"]
         defs[at] = "\n".join(lines)
-        call = f"_q{at}({params})"
-        if enclosing is None or enclosing[0].intersection(outer):
-            return call
-        enclosing[1].append(at)
-        return f"(r{at} if r{at} is not None else (r{at} := {call}))"
+        return f"_q{at}({params})"
 
     def _term(self, t: Term, scope: dict[str, int | str]) -> int | str:
         """An element, when the term names a known one, or its expression."""
@@ -496,10 +512,25 @@ def _tuples(size: int, arity: int) -> tuple[tuple[int, ...], ...]:
 # a draw's values are decoded from one byte of each word (`_value_table`)
 MAX_DRAW_SIZE = 255
 
+# The most flags and values (relation tuples, function values and constants)
+# of one draw at a size that is sampled (`drawable`). The corpus's largest
+# draws hold 1,141 (a closed pair at size 10) and 493 (a Padoa query's
+# doubled vocabulary at size 6); an 8-ary relation's holds 1.7 million at
+# size 6.
+MAX_DRAW_ENTRIES = 4096
+
 
 @functools.lru_cache(maxsize=512)
 def _layout(key: tuple, size: int) -> DrawLayout:
     return DrawLayout(key, size)
+
+
+def drawable(vocab: Vocabulary, size: int) -> bool:
+    """Whether one draw at the size holds at most `MAX_DRAW_ENTRIES` flags
+    and values."""
+    return (sum(size ** a for a in vocab.relations.values())
+            + sum(size ** a for a in vocab.functions.values())
+            + len(vocab.constants)) <= MAX_DRAW_ENTRIES
 
 
 def draw_layout(vocab: Vocabulary, size: int) -> DrawLayout:
@@ -535,7 +566,7 @@ def random_models(vocab: Vocabulary, axioms, size: int, p: float,
     The axioms are tested on the flat draw by closures compiled once per
     vocabulary and size; a `Structure` is built for a model only."""
     layout = draw_layout(vocab, size)
-    for flags, values in layout.model_draws(axioms, p, rng, draws):
+    for flags, values in layout.draws(p, rng, draws, axioms):
         yield layout.structure(flags, values)
 
 
@@ -563,19 +594,13 @@ def models_among(layout: DrawLayout, axioms, candidates) -> Iterator[Structure]:
     following = next(candidates, None)
     if following is None:
         return
-    for flags, values in _passing([layout.compile(ax) for ax in axioms],
-                                  itertools.chain((following,), candidates)):
-        yield layout.structure(flags, values)
-
-
-def _passing(checks, draws) -> Iterator[tuple[bytes, list[int]]]:
-    """The draws (flags, values) that pass every check, in order."""
-    for flags, values in draws:
+    checks = [layout.compile(ax) for ax in axioms]
+    for flags, values in itertools.chain((following,), candidates):
         for check in checks:
             if not check(flags, values):
                 break
         else:
-            yield flags, values
+            yield layout.structure(flags, values)
 
 
 # ---------------------------------------------------------------------------

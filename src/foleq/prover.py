@@ -27,9 +27,9 @@ Two backends implement the query contract:
   reads are chosen, skipping the choices below a failure. At each
   sampled size a query walks, once, a per-backend list of the theory's
   models among the draws of the size's streams, one stream per tuple
-  probability, taken in turn and kept as `DrawLayout.model_draws` yields
-  them, so the answers are those of filtering `models.random_models` on
-  each stream in turn. Tables and lists alike are walked through one
+  probability, taken in turn and kept as `DrawLayout.draws` yields them,
+  so the answers are those of filtering `models.random_models` on each
+  stream in turn. Tables and lists alike are walked through one
   lazily grown shared list (_Shared), hold their candidates in the flat
   layout of `models.DrawLayout`, test axioms with its compiled closures,
   and build a `Structure` only for a model returned.
@@ -73,7 +73,7 @@ from .syntax import (
 )
 from .theory import Theory
 from .models import (
-    Structure, close_formulas, count_structures, draw_layout, eval_formula,
+    Structure, close_formulas, count_exceeds, draw_layout, drawable, eval_formula,
     models_among, satisfies_all, vocabulary_key,
 )
 
@@ -536,69 +536,27 @@ class TheoryModels:
         self._relations = len(relations)
         self._choices = [*relations, *functions]
         level = {name: n for n, (name, _) in enumerate([*layout.relations, *layout.functions])}
-        self._levels = [[] for _ in self._choices]
-        self._checks = []
+        levels, checks = [[] for _ in self._choices], []
         for ax in theory.axioms:
             rels, funcs, consts, _ = symbols_of(ax)
             read = [level[name] for name in rels | funcs]
             if read and not consts:
-                self._levels[max(read)].append(layout.check(ax))
+                levels[max(read)].append(layout.check(ax))
             else:
-                self._checks.append(layout.check(ax))
+                checks.append(layout.check(ax))
         self._constants = layout.constants
-        self._tuples = list(itertools.product(range(size), repeat=len(self._constants)))
+        tuples = list(itertools.product(range(size), repeat=len(self._constants)))
         self._index_bits = math.prod(map(len, self._choices)).bit_length()
         # more constant tuples than a 64-bit entry holds: plain ints
-        wide = self._index_bits + len(self._tuples) > 64
-        self._found = _Shared(self._scan(), [] if wide else array("Q"))
-
-    def _draw(self, combo) -> tuple[bytes, tuple[int, ...]]:
-        """The flags and function values of a choice of tables."""
-        return (b"".join(combo[:self._relations]),
-                tuple(itertools.chain.from_iterable(combo[self._relations:])))
-
-    def _scan(self) -> Iterator[int]:
-        """The entries in product order. Tables not chosen yet keep their
-        first choice, which the axioms tested so far do not read; past
-        the deepest level with axioms the rest run as one plain product."""
-        choices, levels, checks, tuples = self._choices, self._levels, self._checks, self._tuples
+        wide = self._index_bits + len(tuples) > 64
+        # the scan holds the table's parts but not the table, so that
+        # reference counting frees the table with its backend
         deep = max((n for n, level in enumerate(levels) if level), default=-1)
-        strides = [math.prod(map(len, choices[n + 1:])) for n in range(len(choices))]
-        combo = [c[0] for c in choices]
-        full = (1 << len(tuples)) - 1
-
-        def descend(depth: int, index: int) -> Iterator[int]:
-            if depth <= deep:
-                level = levels[depth]
-                for digit, choice in enumerate(choices[depth]):
-                    combo[depth] = choice
-                    if level:
-                        flags, head = self._draw(combo)
-                    for check in level:
-                        if not check(flags, head):
-                            break
-                    else:
-                        yield from descend(depth + 1, index + digit * strides[depth])
-                return
-            for offset, rest in enumerate(itertools.product(*choices[depth:])):
-                combo[depth:] = rest
-                if checks:
-                    flags, head = self._draw(combo)
-                    mask = 0
-                    for bit, constants in enumerate(tuples):
-                        values = head + constants
-                        for check in checks:
-                            if not check(flags, values):
-                                break
-                        else:
-                            mask |= 1 << bit
-                else:
-                    # every constant tuple completes the choice
-                    mask = full
-                if mask:
-                    yield mask << self._index_bits | index + offset
-
-        return descend(0, 0)
+        strides = [math.prod(map(len, self._choices[n + 1:])) for n in range(len(self._choices))]
+        fill = (self._choices, levels, checks, tuples, self._relations, self._index_bits,
+                deep, strides)
+        self._found = _Shared(_scan(fill, [c[0] for c in self._choices], 0, 0),
+                              [] if wide else array("Q"))
 
     def models(self, query: SatQuery) -> Iterator[Structure]:
         """The models of the query's axioms, in the order of
@@ -623,17 +581,64 @@ class TheoryModels:
             for choices in reversed(self._choices):
                 index, digit = divmod(index, len(choices))
                 combo.append(choices[digit])
-            flags, head = self._draw(combo[::-1])
+            flags, head = _flat(combo[::-1], self._relations)
             for v, bit in zip(values, bits):
                 if mask >> bit & 1:
                     yield flags, head + v
+
+
+def _flat(combo, relations: int) -> tuple[bytes, tuple[int, ...]]:
+    """The flags and function values of a choice of tables, the first
+    `relations` of them relations'."""
+    return b"".join(combo[:relations]), tuple(itertools.chain.from_iterable(combo[relations:]))
+
+
+def _scan(fill: tuple, combo: list, depth: int, index: int) -> Iterator[int]:
+    """The entries of a `TheoryModels` table that extend the choices
+    `combo[:depth]`, in product order; `index` is the product index of
+    those choices with every later table at its first. Tables not chosen
+    yet keep their first choice, which the axioms tested so far do not
+    read; past the deepest level with axioms the rest run as one plain
+    product."""
+    choices, levels, checks, tuples, relations, bits, deep, strides = fill
+    if depth <= deep:
+        level = levels[depth]
+        for digit, choice in enumerate(choices[depth]):
+            combo[depth] = choice
+            if level:
+                flags, head = _flat(combo, relations)
+            for check in level:
+                if not check(flags, head):
+                    break
+            else:
+                yield from _scan(fill, combo, depth + 1, index + digit * strides[depth])
+        return
+    full = (1 << len(tuples)) - 1
+    for offset, rest in enumerate(itertools.product(*choices[depth:])):
+        combo[depth:] = rest
+        if checks:
+            flags, head = _flat(combo, relations)
+            mask = 0
+            for bit, constants in enumerate(tuples):
+                values = head + constants
+                for check in checks:
+                    if not check(flags, values):
+                        break
+                else:
+                    mask |= 1 << bit
+        else:
+            # every constant tuple completes the choice
+            mask = full
+        if mask:
+            yield mask << bits | index + offset
 
 
 class BoundedSearchBackend:
     """Satisfiability by exhaustive search of small structures.
 
     Sizes whose structure count fits the budget are searched completely;
-    the sample sizes not exhausted are sampled randomly. A found model is
+    the sample sizes not exhausted are sampled randomly, those whose draws
+    fit `models.drawable`. A found model is
     an actual model (sound); "unsat" means no model up to the largest
     contiguously exhausted size, which is recorded in the result's bound.
 
@@ -646,7 +651,7 @@ class BoundedSearchBackend:
     At each sampled size a query walks, once, the backend's list of its
     theory's models among the draws of the streams
     `{seed}:backend:{size}:{p}`, the tuple probabilities p taken in
-    order: one `_Shared` list of the draws `DrawLayout.model_draws` keeps
+    order: one `_Shared` list of the draws `DrawLayout.draws` keeps
     from each stream in turn, as it yields them, per theory and whole
     query vocabulary (each closure constant shifts the streams). The
     streams do not depend on the query, so the draws are made and the
@@ -698,8 +703,8 @@ class BoundedSearchBackend:
         seed = self.seed
         shared = self._shared(self._draws, (*key, size, draws), lambda: _Shared(
             itertools.chain.from_iterable(
-                layout.model_draws(theory.axioms, p,
-                                   random.Random(f"{seed}:backend:{size}:{p}"), draws)
+                layout.draws(p, random.Random(f"{seed}:backend:{size}:{p}"), draws,
+                             theory.axioms)
                 for p in TUPLE_PROBABILITIES),
             []))
         return models_among(layout, query.axioms[len(theory.axioms):], shared)
@@ -713,7 +718,7 @@ class BoundedSearchBackend:
         key = self._query_key(query)
         exhausted = 0
         for size in range(1, MAX_SIZE + 1):
-            if count_structures(query.vocabulary, size) > EXHAUSTIVE_BUDGET:
+            if count_exceeds(query.vocabulary, size, EXHAUSTIVE_BUDGET):
                 break
             model = next(self._models(query, key, size), None)
             if model is not None:
@@ -721,7 +726,7 @@ class BoundedSearchBackend:
             exhausted = size
 
         for size in SAMPLE_SIZES:
-            if size <= exhausted:
+            if size <= exhausted or not drawable(query.vocabulary, size):
                 continue
             total = SAMPLES_PER_SIZE * size if size <= MAX_SIZE else LARGE_SAMPLES
             draws = max(1, total // len(TUPLE_PROBABILITIES))
@@ -811,8 +816,10 @@ class DecisionCache(JsonlCache):
     variable names; lookups add the backend kind (`backend_key`). Only
     decisive verdicts are stored, with their revalidated counter structure
     (`"counter"`, `null` for none; older lines load without one) but no
-    direction, which a key that sorts the pair cannot orient. Thread-safe;
-    optionally persisted as JSON lines.
+    direction, which a key that sorts the pair cannot orient. A line with
+    another status, a method that is not a string or a counter that
+    `Structure.from_json` rejects is skipped. Thread-safe; optionally
+    persisted as JSON lines.
     """
 
     def __init__(self, path: str | None = None):
@@ -820,9 +827,12 @@ class DecisionCache(JsonlCache):
         super().__init__(path)
 
     def _decode(self, record: dict) -> Verdict:
-        counter = record.get("counter")
-        return Verdict(status=record["status"], method=record.get("method"),
-                       counter=counter and Structure.from_json(counter))
+        status, method, counter = record["status"], record.get("method"), record.get("counter")
+        if status not in ("equivalent", "non-equivalent") or not (
+                method is None or isinstance(method, str)):
+            raise ValueError(f"not a decision: {status!r} by {method!r}")
+        return Verdict(status=status, method=method,
+                       counter=None if counter is None else Structure.from_json(counter))
 
     def _encode(self, verdict: Verdict) -> dict:
         return {"status": verdict.status, "method": verdict.method,

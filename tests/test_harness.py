@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -572,6 +573,60 @@ def test_cli_batch_and_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     code = cli_main(["batch", str(bad), "--report", str(report_path), "--lenient"])
     assert code == 0
+
+
+def test_cli_batch_skips_a_malformed_necessity_line(tmp_path):
+    # a necessity line under a real key whose statuses are not an object of
+    # statuses is skipped: the batch reports as with an empty cache
+    data = tmp_path / "d.jsonl"
+    write_dataset(data, [record_obj("a", "forall x P(x)", "exists x P(x)"),
+                         record_obj("b", "forall x (P(x) -> Q(x))", "forall x Q(x)",
+                                    relations={"P": 1, "Q": 1})])
+
+    def batch(cache):
+        report = tmp_path / f"{cache}.json"
+        assert cli_main(["batch", str(data), "--report", str(report),
+                         "--cache", str(tmp_path / cache)]) == 0
+        return {k: v for k, v in json.loads(report.read_text()).items() if k != "timing"}
+
+    clean = batch("clean")
+    keys = [json.loads(line)["key"] for line in
+            (tmp_path / "clean.necessity").read_text().splitlines()]
+    assert keys
+    (tmp_path / "bad.necessity").write_text(
+        "".join(json.dumps({"key": key, "statuses": "abc"}) + "\n" for key in keys))
+    assert batch("bad") == clean
+
+
+HIGH_ARITY_PAIRS = {
+    # the structure count at size 2 has 2 ** 36 bits
+    "36-ary": (36, "exists x R({x})", "forall x R({x})"),
+    # one draw at size 6 holds 6 ** 8, 1.7 million, tuples
+    "8-ary-tautology": (8, "forall x (R({x}) | ~R({x}))", "forall x x = x"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HIGH_ARITY_PAIRS))
+def test_batch_decides_a_relation_of_high_arity_in_bounded_memory(tmp_path, case):
+    arity, psi, phi = HIGH_ARITY_PAIRS[case]
+    x = ", ".join(["x"] * arity)
+    data = tmp_path / "d.jsonl"
+    write_dataset(data, [record_obj(case, psi.format(x=x), phi.format(x=x),
+                                    relations={"R": arity})])
+    script = ("import json, resource, sys, time\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+              "from foleq.harness import Engine, load_dataset, run_batch\n"
+              "records, _ = load_dataset(sys.argv[1])\n"
+              "start = time.perf_counter()\n"
+              "report = run_batch(records, Engine.make())\n"
+              "print(json.dumps([time.perf_counter() - start, report.total, report.errors]))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    run = subprocess.run([sys.executable, "-c", script, str(data)], capture_output=True,
+                         text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    seconds, total, errors = json.loads(run.stdout)
+    assert total["equivalent"] + total["non_equivalent"] == 1 and not errors
+    assert seconds < 10
 
 
 def test_engine_env_configuration(monkeypatch, tmp_path):

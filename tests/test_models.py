@@ -12,7 +12,7 @@ from foleq.corpus import scenario
 from foleq import models
 from foleq.models import (
     BudgetExceededError, EvalError, Structure, brute_force_verdict,
-    close_formulas, count_structures, draw_layout, enumerate_structures,
+    close_formulas, count_exceeds, count_structures, draw_layout, enumerate_structures,
     eval_formula, random_models, random_structure, satisfies_all,
 )
 from foleq.parser import parse
@@ -87,12 +87,52 @@ def test_enumeration_budget():
         list(enumerate_structures(v, 3, budget=100))
 
 
+def test_count_exceeds_agrees_with_the_count():
+    vocabs = [Vocabulary(), Vocabulary(relations={"A": 0, "R": 3}),
+              Vocabulary(functions={"f": 2}, constants={"a", "b"}),
+              Vocabulary(relations={"P": 1}, functions={"f": 1}, constants={"c"})]
+    for v in vocabs:
+        for size in range(1, 5):
+            count = count_structures(v, size)
+            for budget in (0, count - 1, count, count + 1, 300_000):
+                assert count_exceeds(v, size, budget) is (count > budget), (v, size, budget)
+    # 2 ** 2 ** 36 interpretations at size 2: decided without the count
+    wide = Vocabulary(relations={"R": 36})
+    assert count_exceeds(wide, 2, 300_000) and not count_exceeds(wide, 1, 300_000)
+    with pytest.raises(BudgetExceededError):
+        next(enumerate_structures(wide, 2))
+
+
 def test_structure_json_round_trip():
     v = Vocabulary(relations={"P": 1}, functions={"f": 1}, constants={"c"})
-    s = Structure(size=2, relations={"P": frozenset({(1,)})},
-                  functions={"f": {(0,): 1, (1,): 1}}, constants={"c": 1})
+    s = Structure(size=2, relations={"A": frozenset({()}), "P": frozenset({(1,)}),
+                                     "R": frozenset()},
+                  functions={"f": {(0,): 1, (1,): 1},
+                             "g": {(a, b): a for a in range(2) for b in range(2)}},
+                  constants={"c": 1})
     assert Structure.from_json(s.to_json()) == s
     assert s.to_json()["constants"]["c"] == 2  # reports are 1-based
+
+
+MALFORMED_COUNTERS = {
+    "size-zero": {"size": 0},
+    "size-string": {"size": "2"},
+    "element-out-of-range": {"size": 2, "relations": {"P": [[1], [7]]}},
+    "element-zero": {"size": 2, "relations": {"P": [[0]]}},
+    "element-string": {"size": 2, "relations": {"P": [["a"]]}},
+    "lengths-differ": {"size": 2, "relations": {"R": [[1], [1, 2]]}},
+    "function-partial": {"size": 2, "functions": {"f": [[1, 2]]}},
+    "function-twice": {"size": 2, "functions": {"f": [[1, 2], [1, 1]]}},
+    "function-value-out-of-range": {"size": 2, "functions": {"f": [[1, 2], [2, 3]]}},
+    "function-without-arguments": {"size": 2, "functions": {"f": [[1], [2]]}},
+    "constant-out-of-range": {"size": 2, "constants": {"c": 3}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_COUNTERS))
+def test_structure_from_json_rejects_a_malformed_structure(case):
+    with pytest.raises(ValueError):
+        Structure.from_json(MALFORMED_COUNTERS[case])
 
 
 def test_close_formulas_shares_constants():
@@ -291,6 +331,7 @@ COMPILED_FORMULAS = [
     "forall x (P(f(x)) <-> R(x, c)) & (A | T(c, f(c), f(f(c))))",
     "forall x forall y (f(x) = f(y) -> x = y) -> exists z forall x ~(f(x) = z)",
     "forall x exists y (T(x, y, x) & forall x (x = y | ~A))",
+    "forall x exists y (R(x, y) & exists x exists y forall z R(x, z))",
 ]
 
 
@@ -303,12 +344,12 @@ def _deep(n, quantifiers):
 
 def source_names_are_generated(source):
     """Only the compiler's own names occur in a source: keywords, the
-    draw F, V, the universe U, loop variables v<n>, helpers _q<n> and
-    their kept results r<n>; no symbol name from the input."""
+    draw F, V, the universe U, loop variables v<n> and helpers _q<n>; no
+    symbol name from the input."""
     names = set(re.findall(r"[A-Za-z_]\w*", source))
-    keywords = {"F", "V", "U", "def", "return", "if", "else", "for", "in", "is", "and",
-                "or", "not", "True", "False", "None"}
-    return all(n in keywords or re.fullmatch(r"v\d+|_q\d+|r\d+", n) for n in names)
+    keywords = {"F", "V", "U", "def", "return", "if", "for", "in", "and", "or", "not",
+                "True", "False"}
+    return all(n in keywords or re.fullmatch(r"v\d+|_q\d+", n) for n in names)
 
 
 def quantified(f):
@@ -367,39 +408,6 @@ def test_compiled_runs_pass_their_outer_variables():
         assert ("_q3" in source) == bool(inner) and (inner or "") in source
         assert source_names_are_generated(source)
         agrees_on_draws(layout, f)
-
-
-def test_compiled_runs_call_a_loop_invariant_run_once():
-    vocab = Vocabulary(relations={"R": 2})
-    f = parse("forall x exists y (R(x, y) & exists x exists y forall z R(x, z))", vocab)
-    source = draw_layout(vocab, 3).source(f)
-    # the inner run reads neither x nor y of the runs around it: its result
-    # is set before _q2's loop and computed there at its first use only
-    assert ("def _q2(F, V, v0):\n"
-            "    r3 = None\n"
-            "    for v1 in U:\n"
-            "        if (F[v0 * 3 + v1] and (r3 if r3 is not None else (r3 := _q3(F, V)))):"
-            " return True\n") in source
-    assert re.findall(r"(?<!def )_q3\(", source) == ["_q3("]       # one call
-    assert source_names_are_generated(source)
-    for size in range(1, 7):
-        layout = draw_layout(vocab, size)
-        agrees_on_draws(layout, f)
-        # _q3 runs at most once per call of _q2, and not before it is needed
-        namespace = dict(layout._names)
-        exec(layout.source(f), namespace)
-        calls = {"_q2": 0, "_q3": 0}
-        for name in calls:
-            def counted(*args, fn=namespace[name], name=name):
-                calls[name] += 1
-                return fn(*args)
-            namespace[name] = counted
-        for flags, values in layout.draws(0.5, random.Random(size), 40):
-            before = dict(calls)
-            namespace["_q0"](flags, values)
-            assert calls["_q3"] - before["_q3"] <= calls["_q2"] - before["_q2"]
-            if not any(flags):              # R empty: R(x, y) fails first
-                assert calls["_q3"] == before["_q3"]
 
 
 def test_compiled_grounded_runs_fold_elements():

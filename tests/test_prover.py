@@ -36,6 +36,7 @@ from foleq.theory import Theory
 
 from conftest import FormulaSampler
 from test_acceptance import ORACLE_BUDGET, _perfbench_check
+from test_models import MALFORMED_COUNTERS
 
 VP = Vocabulary(relations={"P": 1})
 FAKE = """#!/usr/bin/env python3
@@ -535,8 +536,8 @@ def test_shared_draws_match_a_plain_filter():
 
 
 def test_bounded_backend_is_freed_by_reference_counting():
-    # a list whose source held the backend would keep both alive until the
-    # garbage collector runs: one cycle per engine
+    # a list whose source held the backend, or a table whose fill held the
+    # table, would stay alive until the garbage collector runs
     sc, sol = next((sc, sol) for sc, sol in all_solutions() if sol.id == "E-5-1")
     found = mutate_all(sol.formula, "negation-toggle")[0]      # at size 2, by a draw
     gc.disable()
@@ -547,9 +548,10 @@ def test_bounded_backend_is_freed_by_reference_counting():
         assert result.status == "sat" and result.model.size == 2
         assert backend._tables and backend._draws
         lists = [weakref.ref(shared) for shared in backend._draws.values()]
+        tables = [weakref.ref(table) for table in backend._tables.values()]
         freed = weakref.ref(backend)
         del backend
-        assert freed() is None and all(ref() is None for ref in lists)
+        assert freed() is None and all(ref() is None for ref in lists + tables)
     finally:
         gc.enable()
 
@@ -694,6 +696,40 @@ def test_cache_file_with_lines_that_are_not_records(tmp_path, cls, value):
     assert len(loaded) == 1 and loaded.get("first") == value
     loaded.put("fifth", value)
     assert cls(str(path)).get("fifth") == value
+
+
+MALFORMED_RECORDS = [
+    pytest.param(DecisionCache, {"status": "maybe", "method": 7}, id="decision-status-maybe"),
+    pytest.param(DecisionCache, {"status": "maybe", "method": "bounded"},
+                 id="decision-status-maybe-method-string"),
+    pytest.param(DecisionCache, {"status": "equivalent", "method": 7},
+                 id="decision-method-number"),
+    pytest.param(DecisionCache, {"status": "non-equivalent", "method": "bounded",
+                                 "counter": False}, id="decision-counter-false"),
+    *(pytest.param(DecisionCache, {"status": "non-equivalent", "method": "bounded",
+                                   "counter": counter}, id=f"decision-counter-{case}")
+      for case, counter in MALFORMED_COUNTERS.items()),
+    pytest.param(NecessityCache, {"statuses": "abc"}, id="necessity-statuses-string"),
+    pytest.param(NecessityCache, {"statuses": ["P"]}, id="necessity-statuses-list"),
+    pytest.param(NecessityCache, {"statuses": {"P": "maybe"}},
+                 id="necessity-status-maybe"),
+    pytest.param(NecessityCache, {"statuses": {"P": NECESSARY}, "queries": "abc"},
+                 id="necessity-queries-string"),
+]
+
+
+@pytest.mark.parametrize("cls, record", MALFORMED_RECORDS)
+def test_cache_file_skips_malformed_records(tmp_path, cls, record):
+    # a record of the cache's shape whose values are not a decision or a
+    # report is skipped, never served
+    good = {DecisionCache: Verdict(status="equivalent", method="bounded<=2"),
+            NecessityCache: NecessityReport({"P": NECESSARY}, {"P": "q1"})}[cls]
+    path = tmp_path / "cache.jsonl"
+    cls(str(path)).put("first", good)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"key": "second", **record}) + "\n")
+    loaded = cls(str(path))
+    assert len(loaded) == 1 and loaded.get("first") == good and loaded.get("second") is None
 
 
 def test_cache_serves_no_direction(tmp_path, backend):

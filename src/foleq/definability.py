@@ -47,9 +47,6 @@ class NecessityReport:
     def status(self, symbol: str) -> str:
         return self.statuses.get(symbol, UNKNOWN)
 
-    def necessary_symbols(self) -> set[str]:
-        return {s for s, st in self.statuses.items() if st == NECESSARY}
-
     def to_json(self) -> dict:
         return {"statuses": dict(sorted(self.statuses.items())),
                 "queries": dict(sorted(self.query_ids.items()))}

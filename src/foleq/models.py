@@ -15,10 +15,10 @@ byte decides all but about one tuple in 256. A value is the top
 rejected and the next word read instead, as CPython's `randrange` does
 (checked on 3.10 to 3.13), so a draw with rejected words reads one more
 word per missing value until none is missing. `DrawLayout.draws` tests
-the axioms it is given on the flat draw with closures compiled once per
-vocabulary and size (early-exit loops and ground chains of Python, see
-`DrawLayout`), and `random_models` builds a `Structure` only for a
-model. Enumerated structures share the flat layout
+the axioms it is given on the flat draw with one closure, compiled once
+per vocabulary, size and axiom set (early-exit loops and ground chains
+of Python, see `DrawLayout`), and `random_models` builds a `Structure`
+only for a model. Enumerated structures share the flat layout
 (`DrawLayout.choices`), and `models_among` tests a query's own axioms on
 flat candidates, compiling them only for a long walk.
 `eval_formula` stays the evaluator of one structure and the reference
@@ -292,8 +292,8 @@ class DrawLayout:
     The same layout holds an enumerated structure: `choices` lists each
     symbol's interpretations in `enumerate_structures`' order.
 
-    `compile` turns an axiom into a closure over a draw, and `check`
-    keeps the closures of theory axioms, the ones `draws` tests, for
+    `compile` turns axioms into one closure over a draw, the `and` of
+    them in order, and `check` keeps the closures of theory axiom sets for
     every later caller. In the `source`, a quantifier run is nested loops
     over `range(size)` in a def `_q<n>` that returns at the first instance
     that decides it and takes the outer loop variables as parameters; a
@@ -313,7 +313,7 @@ class DrawLayout:
         self._at: dict[str, tuple[int, int]] = {}     # symbol -> offset, arity
         self.bits = self._place(relations)
         self.values = self._place([*functions, *((c, 0) for c in constants)])
-        self._checks: dict[Formula, object] = {}
+        self._checks: dict[tuple[Formula, ...], object] = {}
         self._names = {"__builtins__": {}, "U": tuple(range(size))}
 
     def _place(self, symbols) -> int:
@@ -327,8 +327,8 @@ class DrawLayout:
               ) -> Iterator[tuple[bytes, list[int]]]:
         """The draws among the stream's next `count` that satisfy every
         axiom, in draw order, each made when asked for and tested on its
-        flat form (`values` as bytes) as it is read, by the closures
-        `check` keeps; the stream is advanced by the draws consumed only.
+        flat form (`values` as bytes) as it is read, by the closure `check`
+        keeps; the stream is advanced by the draws consumed only.
 
         A draw is one `getrandbits` read of the words that one `random()`
         per relation tuple and one `randrange(size)` per function value
@@ -336,7 +336,7 @@ class DrawLayout:
         that `randrange` would reject shifts the later values by one
         word, so while values are missing the draw reads one more word
         per missing value: never a word of the next draw."""
-        checks = [self.check(ax) for ax in axioms]
+        test = self.check(tuple(axioms)) if axioms else None
         table, t = _inclusion_test(p)
         pick = _value_table(self.size)
         getrandbits, wanted = rng.getrandbits, self.values
@@ -359,10 +359,7 @@ class DrawLayout:
                 missing = wanted - len(values)
                 more = getrandbits(32 * missing).to_bytes(4 * missing, "little")
                 values += more[3::4].translate(pick).replace(_REJECTED, b"")
-            for check in checks:
-                if not check(flags, values):
-                    break
-            else:
+            if test is None or test(flags, values):
                 yield flags, list(values)
 
     def choices(self) -> tuple[list[list[bytes]], list[list[tuple[int, ...]]]]:
@@ -389,32 +386,32 @@ class DrawLayout:
         return Structure(self.size, relations, functions,
                          dict(zip(self.constants, values[at:])))
 
-    def check(self, axiom: Formula):
-        """`compile`'s closure for the axiom, kept by the layout: for
+    def check(self, axioms: tuple[Formula, ...]):
+        """`compile`'s closure for the axioms, kept by the layout: for
         theory axioms, which every query over the theory tests again."""
-        fn = self._checks.get(axiom)
+        fn = self._checks.get(axioms)
         if fn is None:
-            fn = self._checks[axiom] = self.compile(axiom)
+            fn = self._checks[axioms] = self.compile(*axioms)
         return fn
 
-    def compile(self, axiom: Formula):
+    def compile(self, *axioms: Formula):
         """A function of a draw's (flags, values): whether the structure
-        they stand for satisfies the closed axiom."""
+        they stand for satisfies every closed axiom."""
         try:
             namespace = dict(self._names)
-            exec(self.source(axiom), namespace)
+            exec(self.source(*axioms), namespace)
             return namespace["_q0"]
         except (SyntaxError, RecursionError):
             # nested past what Python compiles (20 loops in a def): walk the structure
             def fn(flags, values):
-                return eval_formula(self.structure(flags, values), axiom)
+                return satisfies_all(self.structure(flags, values), axioms)
             return fn
 
-    def source(self, axiom: Formula) -> str:
-        """The Python source `compile` executes for the axiom: `_q0(F, V)`
-        and the helper defs `_q1`, `_q2`, ... it calls."""
+    def source(self, *axioms: Formula) -> str:
+        """The Python source `compile` executes: `_q0(F, V)`, the `and` of
+        the axioms' expressions (`True` for none), and the defs it calls."""
         defs = [""]
-        expr = self._formula(axiom, {}, 0, defs)
+        expr = " and ".join(self._formula(ax, {}, 0, defs) for ax in axioms) or "True"
         defs[0] = f"def _q0(F, V):\n    return {expr}\n"
         return "".join(defs)
 
@@ -563,8 +560,8 @@ def random_models(vocab: Vocabulary, axioms, size: int, p: float,
     """The structures among `draws` random ones that satisfy every axiom,
     in draw order; the rng is advanced by the draws consumed only.
 
-    The axioms are tested on the flat draw by closures compiled once per
-    vocabulary and size; a `Structure` is built for a model only."""
+    The axioms are tested on the flat draw by one closure compiled once
+    per vocabulary and size; a `Structure` is built for a model only."""
     layout = draw_layout(vocab, size)
     for flags, values in layout.draws(p, rng, draws, axioms):
         yield layout.structure(flags, values)
@@ -582,9 +579,9 @@ EVALUATED_BEFORE_COMPILING = 24
 def models_among(layout: DrawLayout, axioms, candidates) -> Iterator[Structure]:
     """The candidate draws (flags, values) that satisfy every axiom, in
     order, as `Structure`s. The first `EVALUATED_BEFORE_COMPILING` are
-    tested with `satisfies_all`; past them, the axioms are compiled, for
-    this walk only, and tested on the flat draw, so only models are
-    built. A query's closures are not kept: a dataset has as many
+    tested with `satisfies_all`; past them, the axioms are compiled into
+    one closure, for this walk only, and tested on the flat draw, so only
+    models are built. A query's closure is not kept: a dataset has as many
     distinct queries as pairs."""
     candidates = iter(candidates)
     for flags, values in itertools.islice(candidates, EVALUATED_BEFORE_COMPILING):
@@ -594,12 +591,9 @@ def models_among(layout: DrawLayout, axioms, candidates) -> Iterator[Structure]:
     following = next(candidates, None)
     if following is None:
         return
-    checks = [layout.compile(ax) for ax in axioms]
+    test = layout.compile(*axioms)
     for flags, values in itertools.chain((following,), candidates):
-        for check in checks:
-            if not check(flags, values):
-                break
-        else:
+        if test(flags, values):
             yield layout.structure(flags, values)
 
 

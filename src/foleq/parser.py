@@ -21,6 +21,7 @@ import re
 from .syntax import (
     And, Atom, Const, Eq, Exists, Forall, Formula, FoleqError, Func, Iff,
     Implies, Not, Or, Term, Var, Vocabulary, VocabularyError, check_vocabulary,
+    children,
 )
 
 
@@ -30,6 +31,13 @@ class ParseError(FoleqError):
 
 _TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct><->|->|[()~&|,=]))")
 _KEYWORDS = {"forall", "exists"}
+
+# The deepest nesting `parse` accepts: of its own rules (a '~', '(',
+# quantifier or function application each opens a level) and of the
+# formula tree it returns. Past it, a formula raises `ParseError` instead of
+# a `RecursionError` in the parser or in any later walk over the tree. The
+# corpus's deepest formula is 12 levels.
+MAX_DEPTH = 100
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -57,6 +65,16 @@ class _Parser:
         self.vocab = vocab
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, rule):
+        """rule(), one level deeper; a ParseError past `MAX_DEPTH` levels."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.error(f"formula nested deeper than {MAX_DEPTH} levels")
+        result = rule()
+        self.depth -= 1
+        return result
 
     def error(self, message: str, cls=ParseError):
         at = self.tokens[self.pos][2] if self.pos < len(self.tokens) else len(self.text)
@@ -91,7 +109,7 @@ class _Parser:
         if tok in (("ident", "forall"), ("ident", "exists")):
             _, kw = self.next()
             var = self.variable()
-            body = self.formula()
+            body = self.nested(self.formula)
             return Forall(var, body) if kw == "forall" else Exists(var, body)
         return self.iff()
 
@@ -143,10 +161,10 @@ class _Parser:
             raise ParseError("unexpected end of input")
         if tok == ("punct", "~"):
             self.pos += 1
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         if tok == ("punct", "("):
             self.pos += 1
-            f = self.formula()
+            f = self.nested(self.formula)
             self.expect(")")
             return f
         if tok in (("ident", "forall"), ("ident", "exists")):
@@ -199,7 +217,7 @@ class _Parser:
         name = tok[1]
         if name in self.vocab.functions:
             self.pos += 1
-            args = self.arguments()
+            args = self.nested(self.arguments)
             arity = self.vocab.functions[name]
             if len(args) != arity:
                 self.error(f"function {name} has arity {arity}, "
@@ -222,5 +240,19 @@ def parse(text: str, vocab: Vocabulary) -> Formula:
     f = p.formula()
     if p.peek() is not None:
         p.error("trailing input")
+    if _depth(f) > MAX_DEPTH:
+        raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels")
     check_vocabulary(f, vocab)
     return f
+
+
+def _depth(f: Formula) -> int:
+    """The most formulas on one path from f down to an atom, counted
+    without recursion: a chain like 'P & P & ... & P' nests its tree
+    without nesting the parser."""
+    deepest, stack = 0, [(f, 1)]
+    while stack:
+        g, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((c, depth + 1) for c in children(g))
+    return deepest

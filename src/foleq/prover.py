@@ -525,7 +525,8 @@ class TheoryModels:
     product's order. An axiom that reads tables only is tested at the
     level of the last one it reads (`symbols_of`), and a failure skips
     the choices of every later table; one that reads a constant, or no
-    table, is tested per constant tuple on each full choice.
+    table, is tested per constant tuple on each full choice. The axioms
+    of a level, and those per constant tuple, are one closure each.
     """
 
     def __init__(self, theory: Theory, size: int):
@@ -536,14 +537,12 @@ class TheoryModels:
         self._relations = len(relations)
         self._choices = [*relations, *functions]
         level = {name: n for n, (name, _) in enumerate([*layout.relations, *layout.functions])}
-        levels, checks = [[] for _ in self._choices], []
+        levels, rest = [[] for _ in self._choices], []
         for ax in theory.axioms:
             rels, funcs, consts, _ = symbols_of(ax)
             read = [level[name] for name in rels | funcs]
-            if read and not consts:
-                levels[max(read)].append(layout.check(ax))
-            else:
-                checks.append(layout.check(ax))
+            (levels[max(read)] if read and not consts else rest).append(ax)
+        tests = [layout.check(tuple(axioms)) if axioms else None for axioms in levels]
         self._constants = layout.constants
         tuples = list(itertools.product(range(size), repeat=len(self._constants)))
         self._index_bits = math.prod(map(len, self._choices)).bit_length()
@@ -551,9 +550,10 @@ class TheoryModels:
         wide = self._index_bits + len(tuples) > 64
         # the scan holds the table's parts but not the table, so that
         # reference counting frees the table with its backend
-        deep = max((n for n, level in enumerate(levels) if level), default=-1)
+        deep = max((n for n, test in enumerate(tests) if test is not None), default=-1)
         strides = [math.prod(map(len, self._choices[n + 1:])) for n in range(len(self._choices))]
-        fill = (self._choices, levels, checks, tuples, self._relations, self._index_bits,
+        leaf = layout.check(tuple(rest)) if rest else None
+        fill = (self._choices, tests, leaf, tuples, self._relations, self._index_bits,
                 deep, strides)
         self._found = _Shared(_scan(fill, [c[0] for c in self._choices], 0, 0),
                               [] if wide else array("Q"))
@@ -600,35 +600,23 @@ def _scan(fill: tuple, combo: list, depth: int, index: int) -> Iterator[int]:
     yet keep their first choice, which the axioms tested so far do not
     read; past the deepest level with axioms the rest run as one plain
     product."""
-    choices, levels, checks, tuples, relations, bits, deep, strides = fill
+    choices, tests, leaf, tuples, relations, bits, deep, strides = fill
     if depth <= deep:
-        level = levels[depth]
+        test = tests[depth]
         for digit, choice in enumerate(choices[depth]):
             combo[depth] = choice
-            if level:
-                flags, head = _flat(combo, relations)
-            for check in level:
-                if not check(flags, head):
-                    break
-            else:
+            if test is None or test(*_flat(combo, relations)):
                 yield from _scan(fill, combo, depth + 1, index + digit * strides[depth])
         return
-    full = (1 << len(tuples)) - 1
+    full = (1 << len(tuples)) - 1       # every constant tuple completes a choice
     for offset, rest in enumerate(itertools.product(*choices[depth:])):
         combo[depth:] = rest
-        if checks:
-            flags, head = _flat(combo, relations)
-            mask = 0
-            for bit, constants in enumerate(tuples):
-                values = head + constants
-                for check in checks:
-                    if not check(flags, values):
-                        break
-                else:
-                    mask |= 1 << bit
-        else:
-            # every constant tuple completes the choice
+        if leaf is None:
             mask = full
+        else:
+            flags, head = _flat(combo, relations)
+            mask = sum(1 << bit for bit, constants in enumerate(tuples)
+                       if leaf(flags, head + constants))
         if mask:
             yield mask << bits | index + offset
 

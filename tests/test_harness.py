@@ -14,7 +14,7 @@ from foleq.cli import main as cli_main
 from foleq.corpus import load_scenarios
 from foleq.definability import NOT_SHOWN, UNKNOWN, necessary_symbols
 from foleq.mutate import MUTATIONS, mutate
-from foleq.parser import parse
+from foleq.parser import MAX_DEPTH, parse
 from foleq.prover import SatResult, decide_equivalence
 from foleq.syntax import Vocabulary, VocabularyError, to_str
 from foleq.theory import Theory
@@ -627,6 +627,46 @@ def test_batch_decides_a_relation_of_high_arity_in_bounded_memory(tmp_path, case
     seconds, total, errors = json.loads(run.stdout)
     assert total["equivalent"] + total["non_equivalent"] == 1 and not errors
     assert seconds < 10
+
+
+# formulas nested past the parser's cap: without it, the first two overflow
+# the stack in load_dataset, and the last two in run_batch's walks of the tree
+DEEP_FORMULAS = {
+    "170-parentheses": "(" * 170 + "P(x)" + ")" * 170,
+    "1000-negations": "~" * 1000 + "P(x)",
+    "600-negations": "~" * 600 + "P(x)",
+    "500-conjuncts": " & ".join(["P(x)"] * 500),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_FORMULAS))
+def test_cli_batch_reports_a_formula_nested_past_the_cap(tmp_path, capsys, case):
+    path = tmp_path / "data.jsonl"
+    write_dataset(path, [record_obj("good", "forall x P(x)", "exists x P(x)"),
+                         record_obj("deep", DEEP_FORMULAS[case], "P(x)")])
+    message = f"line 2: formula nested deeper than {MAX_DEPTH} levels"
+    records, errors = load_dataset(str(path))
+    assert [r.id for r in records] == ["good"]
+    assert len(errors) == 1 and errors[0].startswith(message)
+    report = tmp_path / "report.json"
+    assert cli_main(["batch", str(path), "--report", str(report)]) == 2
+    assert f"dataset error: {message}" in capsys.readouterr().err
+    assert cli_main(["batch", str(path), "--report", str(report), "--lenient"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads(report.read_text())["total"]["all"] == 1
+
+
+def test_batch_decides_formulas_at_the_nesting_cap(tmp_path):
+    at_cap = ["(" * MAX_DEPTH + "P(x)" + ")" * MAX_DEPTH,
+              "~" * (MAX_DEPTH - 1) + "P(x)",
+              " & ".join(["P(x)"] * MAX_DEPTH)]
+    path = tmp_path / "data.jsonl"
+    write_dataset(path, [record_obj(f"cap-{i}", psi, "P(x)") for i, psi in enumerate(at_cap)])
+    records, errors = load_dataset(str(path))
+    assert len(records) == 3 and not errors
+    report = run_batch(records, Engine.make(seed=1))
+    assert report.total["equivalent"] == 2 and report.total["non_equivalent"] == 1
+    assert not report.errors
 
 
 def test_engine_env_configuration(monkeypatch, tmp_path):

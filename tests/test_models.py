@@ -17,7 +17,7 @@ from foleq.models import (
 )
 from foleq.parser import parse
 from foleq.syntax import (
-    Atom, Exists, Forall, Var, Vocabulary, alpha_normalize, free_variables, nnf,
+    Atom, Exists, Forall, Not, Var, Vocabulary, alpha_normalize, free_variables, nnf,
     subformulas,
 )
 from foleq.theory import Theory
@@ -359,9 +359,14 @@ def quantified(f):
 def test_compiled_axioms_agree_with_eval_formula():
     rich = COMPILED_VOCABS[-1]
     written = [parse(text, rich) for text in COMPILED_FORMULAS]
-    # nested past what Python compiles: checked on the structure instead
+    # deep quantifier nests, at size 1 only: a larger size takes size ** depth steps
     deep = [_deep(40, (Forall,)), _deep(300, (Forall, Exists))]
-    seen = {True: 0, False: 0, "grounded": 0, "looped": 0}
+    # 300 negations nest past what Python compiles: checked on the structure
+    negated = Atom("P", (Var("x"),))
+    for _ in range(300):
+        negated = Not(negated)
+    negated = Forall("x", negated)
+    seen = {True: 0, False: 0, "grounded": 0, "looped": 0, "sets": 0, "fallback": 0}
 
     @settings(max_examples=300, deadline=None, database=None)
     @seed(12)
@@ -373,18 +378,30 @@ def test_compiled_axioms_agree_with_eval_formula():
         if vocab is rich:
             formulas += written + (deep if size == 1 else [])
         layout = draw_layout(vocab, size)
+        drawn = list(layout.draws(p, random.Random(n), 3))
         for f in formulas:
-            check = layout.check(f)
+            check = layout.check((f,))
             if f not in deep:
                 source = layout.source(f)
                 assert source_names_are_generated(source), source
                 # every run small enough at this size is one chain, the rest loops
                 seen["looped"] += "for v" in source
                 seen["grounded"] += quantified(f) and "for v" not in source
-            for flags, values in layout.draws(p, random.Random(n), 3):
+            for flags, values in drawn:
                 expected = eval_formula(layout.structure(flags, values), f)
                 assert bool(check(flags, values)) is expected, (f, flags, values)
                 seen[expected] += 1
+        # one closure per set: the `and` of its axioms, True for none
+        sets = [(), (formulas[0],), tuple(formulas)]
+        if vocab is rich:
+            sets.append((formulas[0], negated))
+        for axioms in sets:
+            check = layout.check(axioms)
+            seen["fallback"] += check.__name__ != "_q0"
+            for flags, values in drawn:
+                expected = satisfies_all(layout.structure(flags, values), axioms)
+                assert bool(check(flags, values)) is expected, (axioms, flags, values)
+                seen["sets"] += 1
 
     agree()
     assert all(seen.values()), seen

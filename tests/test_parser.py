@@ -1,6 +1,6 @@
 import pytest
 
-from foleq.parser import ParseError, parse, tokenize
+from foleq.parser import MAX_DEPTH, ParseError, parse, tokenize
 from foleq.syntax import (
     And, Atom, Const, Eq, Exists, Forall, Func, Iff, Implies, Not, Or, Var,
     Vocabulary, VocabularyError, to_str,
@@ -124,3 +124,24 @@ def test_shadowing_is_allowed():
 def test_print_parse_round_trip(text):
     f = parse(text, V)
     assert parse(to_str(f), V) == f
+
+
+NESTED = {
+    "parentheses": lambda n: "(" * n + "P(x)" + ")" * n,
+    "negations": lambda n: "~" * (n - 1) + "P(x)",
+    "conjunction chain": lambda n: " & ".join(["P(x)"] * n),
+    "implication chain": lambda n: " -> ".join(["P(x)"] * n),
+    "quantifiers": lambda n: "forall x " * (n - 1) + "P(x)",
+    "function terms": lambda n: "P(" + "f(" * n + "x" + ")" * n + ")",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTED))
+def test_nesting_is_capped(kind):
+    """`MAX_DEPTH` levels of each kind parse; one more is a ParseError,
+    raised before any walk over the tree could overflow the stack."""
+    nested = NESTED[kind]
+    assert parse(nested(MAX_DEPTH), V) is not None
+    for n in (MAX_DEPTH + 1, 1000, 5000):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
+            parse(nested(n), V)

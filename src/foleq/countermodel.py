@@ -5,13 +5,19 @@ draws them: every relation tuple is included independently with a fixed
 probability, and every function output and constant is drawn uniformly
 from the universe. The search walks universe sizes in ascending order and
 returns the first generated theory model on which the two formulas
-disagree. Its theory models come from `DrawLayout.draws`, which reads
-each draw (relation tuples, function values and constants) in one bulk
-read of the words that `random()` per tuple and `randrange` per value
-would read, reading more words only for values whose word `randrange`
-rejects. It tests the theory's axioms on each flat draw as it is read.
-The pair is compiled once per size, when the size's first theory model
-is drawn, and tested on the flat draw too, so only the witness becomes a
+disagree. Each size's draws come from one stream named by the seed and
+the size alone, so the outcome depends on the pair, the theory and the
+seed only: not on a record's id, nor on the searches run before. Its
+theory models come from `DrawLayout.draws`, which reads each draw
+(relation tuples, function values and constants) in one bulk read of the
+words that `random()` per tuple and `randrange` per value would read,
+reading more words only for values whose word `randrange` rejects. It
+tests the theory's axioms on each flat draw as it is read. The theory
+models are kept, packed, in a store (`SearchDraws`; an engine owns one),
+so the searches over one theory and closed vocabulary share their draws:
+each is made, and its axioms tested, once per store. The pair is
+compiled once per size, when the size's first theory model is walked,
+and tested on the flat draw too, so only the witness becomes a
 `Structure`.
 
 A witness satisfying the solution but not the attempt marks the attempt
@@ -22,12 +28,15 @@ disagreement marks it as too permissive.
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
+from typing import Iterator
 
-from .syntax import Formula
+from .syntax import Formula, Vocabulary
 from .theory import Theory
 from .models import (  # random_structure is re-exported
-    Structure, close_formulas, draw_layout, drawable, random_structure,
+    SharedList, Structure, close_formulas, draw_layout, drawable, random_structure,
+    vocabulary_key,
 )
 
 TOO_RESTRICTIVE = "too-restrictive"
@@ -62,29 +71,64 @@ def backend_counterexample(verdict, backend) -> CounterExample | None:
                           source=backend_source(backend))
 
 
+class SearchDraws:
+    """The theory models among the draws of the search's streams, kept for
+    every search given this store: one lazily grown `SharedList` per
+    (seed, theory, closed vocabulary, size), whose source is the draws of
+    the stream `{seed}:search:{size}` that satisfy the theory's axioms.
+    The streams do not depend on the pair, so each is drawn and its axioms
+    tested once per store. A kept draw is packed into one `bytes`: its
+    flags, then its values (every value is below `MAX_DRAW_SIZE` = 255).
+    A lock guards the creation of the lists, as threads share one engine."""
+
+    def __init__(self):
+        self._lists: dict[tuple, dict[int, SharedList]] = {}
+        self._lock = threading.Lock()
+
+    def lists(self, theory: Theory, vocab: Vocabulary, seed: int) -> dict[int, SharedList]:
+        """The list of each size of `SIZES` that `models.drawable` admits
+        for the closed vocabulary, in that order."""
+        key = (seed, theory.axioms, vocabulary_key(vocab))
+        with self._lock:
+            lists = self._lists.get(key)
+            if lists is None:
+                lists = self._lists[key] = {
+                    size: SharedList(_kept(vocab, theory.axioms, size, seed), [])
+                    for size in SIZES if drawable(vocab, size)}
+        return lists
+
+
+def _kept(vocab: Vocabulary, axioms, size: int, seed: int) -> Iterator[bytes]:
+    layout = draw_layout(vocab, size)
+    rng = random.Random(f"{seed}:search:{size}")
+    count = DRAWS_PER_ELEMENT * size
+    for flags, values in layout.draws(TUPLE_PROBABILITY, rng, count, axioms):
+        yield bytes(flags) + bytes(values)
+
+
 def search_countermodel(solution: Formula, attempt: Formula, theory: Theory,
-                        seed: int = 0) -> CounterExample | None:
+                        seed: int = 0, draws: SearchDraws | None = None
+                        ) -> CounterExample | None:
     """First random theory model distinguishing the pair, sizes ascending.
 
     Each size draws from its own stream derived from the seed, so a
     size's draws do not depend on the sizes searched before it. A size
     whose draws would hold more than `MAX_DRAW_ENTRIES` flags and values
-    is skipped (`models.drawable`).
+    is skipped (`models.drawable`). The theory models among the draws
+    come from `draws`, or from a fresh store; either way the result is
+    the same, whatever other searches walked the store before.
     """
     (sol, att), vocab = close_formulas([solution, attempt], theory.vocabulary)
-    for size in SIZES:
-        if not drawable(vocab, size):
-            continue
-        rng = random.Random(f"{seed}:search:{size}")
+    for size, kept in (draws or SearchDraws()).lists(theory, vocab, seed).items():
         layout = draw_layout(vocab, size)
         sol_holds = att_holds = None
-        for flags, values in layout.draws(TUPLE_PROBABILITY, rng, DRAWS_PER_ELEMENT * size,
-                                          theory.axioms):
+        for draw in kept:
             if sol_holds is None:       # a size without theory models compiles nothing
                 sol_holds, att_holds = layout.compile(sol), layout.compile(att)
-            sol_val = sol_holds(flags, values)
-            if sol_val != att_holds(flags, values):
+            values = draw[layout.bits:]     # the flags lead, so F may be the whole draw
+            sol_val = sol_holds(draw, values)
+            if sol_val != att_holds(draw, values):
                 direction = TOO_RESTRICTIVE if sol_val else TOO_PERMISSIVE
-                return CounterExample(structure=layout.structure(flags, values),
+                return CounterExample(structure=layout.structure(draw, values),
                                       direction=direction, source="random")
     return None

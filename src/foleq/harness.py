@@ -8,6 +8,11 @@ A dataset is JSON lines, one record per line::
 Batch runs aggregate a report with total and distinct counts (distinct =
 one representative per canonicalized pair and theory), counter-model
 method attribution, per-strategy explanation counts, and timing data.
+
+The random counter-model search is seeded by the engine seed alone, so
+renamed or repeated records get the same random outcome, and the engine
+keeps the theory models it draws (`countermodel.SearchDraws`) for every
+later record over the same theory and closed vocabulary.
 """
 
 from __future__ import annotations
@@ -17,9 +22,7 @@ import json
 import math
 import os
 import time
-import zlib
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .syntax import Formula, FoleqError, Vocabulary, to_str
@@ -30,7 +33,9 @@ from .prover import (
     decide_equivalence,
 )
 from .definability import NecessityCache
-from .countermodel import backend_counterexample, backend_source, search_countermodel
+from .countermodel import (
+    SearchDraws, backend_counterexample, backend_source, search_countermodel,
+)
 from .explain import ALL_STRATEGIES, explain_nonequivalence
 
 
@@ -126,6 +131,9 @@ class Engine:
     cache: DecisionCache
     necessity_cache: NecessityCache
     seed: int = 0
+    # the random search's theory models, shared by every record: threads
+    # of `run_batch` share the engine
+    search_draws: SearchDraws = field(default_factory=SearchDraws)
 
     @staticmethod
     def make(prover_path: str | None = None, modes: tuple[str, ...] | None = None,
@@ -158,9 +166,6 @@ class Engine:
                       necessity_cache=NecessityCache(necessity_path),
                       seed=seed)
 
-    def random_seed_for(self, record_id: str) -> int:
-        return zlib.crc32(record_id.encode()) ^ (self.seed & 0xFFFFFFFF)
-
 
 # ---------------------------------------------------------------------------
 # Single pair
@@ -180,12 +185,12 @@ def run_pair(record: PairRecord, engine: Engine, both_methods: bool = False,
              first_only: bool = False) -> dict:
     """Full pipeline for one record: decide, counter model, explanations."""
     start = time.perf_counter()
-    random_seed = engine.random_seed_for(record.id)
     bundle = explain_nonequivalence(
         record.solution, record.attempt, record.theory, engine.backend,
         cache=engine.cache, necessity_cache=engine.necessity_cache,
-        prover_config=engine.prover_config, random_seed=random_seed,
-        first_only=first_only, with_countermodel=not both_methods)
+        prover_config=engine.prover_config, random_seed=engine.seed,
+        search_draws=engine.search_draws, first_only=first_only,
+        with_countermodel=not both_methods)
 
     methods: dict[str, bool] = {}
     counterexample = bundle.counterexample
@@ -196,7 +201,7 @@ def run_pair(record: PairRecord, engine: Engine, both_methods: bool = False,
         if counterexample is None and bundle.verdict.method == "cache":
             counterexample = _backend_countermodel(record, engine)
         random_hit = search_countermodel(record.solution, record.attempt,
-                                         record.theory, random_seed)
+                                         record.theory, engine.seed, engine.search_draws)
         methods = {backend_source(engine.backend): counterexample is not None,
                    "random": random_hit is not None}
         counterexample = counterexample or random_hit
@@ -335,8 +340,9 @@ def run_batch(records: list[PairRecord], engine: Engine, both_methods: bool = Tr
     """Process all records and aggregate the evaluation report.
 
     Results are aggregated in input order regardless of worker
-    scheduling; per-record randomness is derived from the engine seed and
-    the record id, so reruns with a warm cache change timings only.
+    scheduling. The random search is seeded by the engine seed alone, so
+    a record's outcome does not depend on its id, its position or the
+    workers, and reruns with a warm cache change timings only.
     """
     def process(record: PairRecord) -> dict:
         try:
@@ -351,6 +357,8 @@ def run_batch(records: list[PairRecord], engine: Engine, both_methods: bool = Tr
     for i, record in enumerate(records):
         groups.setdefault(record.duplicate_key(), []).append(i)
     if workers > 1:
+        # imported here: a serial run does without the module's memory
+        from concurrent.futures import ThreadPoolExecutor
         # one task runs a key's records in order, so that its repeats find
         # the decision cached, as in a serial run
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -31,6 +31,7 @@ import functools
 import itertools
 import math
 import random
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -401,8 +402,9 @@ class DrawLayout:
             namespace = dict(self._names)
             exec(self.source(*axioms), namespace)
             return namespace["_q0"]
-        except (SyntaxError, RecursionError):
-            # nested past what Python compiles (20 loops in a def): walk the structure
+        except (SyntaxError, RecursionError, MemoryError):
+            # nested past what Python compiles (20 loops in a def, or a parser
+            # stack overflow on about 200 nested operators): walk the structure
             def fn(flags, values):
                 return satisfies_all(self.structure(flags, values), axioms)
             return fn
@@ -565,6 +567,30 @@ def random_models(vocab: Vocabulary, axioms, size: int, p: float,
     layout = draw_layout(vocab, size)
     for flags, values in layout.draws(p, rng, draws, axioms):
         yield layout.structure(flags, values)
+
+
+class SharedList:
+    """The entries of `source`, taken lazily and shared by every walk.
+    `entries` grows only as far as the furthest walk has gone; a lock
+    guards the growth, as threads share one backend or engine."""
+
+    def __init__(self, source: Iterator, entries):
+        self._source = source
+        self._entries = entries
+        self._lock = threading.Lock()
+
+    def __iter__(self) -> Iterator:
+        entries, pos = self._entries, 0
+        while True:
+            with self._lock:
+                if pos == len(entries):
+                    entry = next(self._source, None)
+                    if entry is None:
+                        return
+                    entries.append(entry)
+                entry = entries[pos]
+            pos += 1
+            yield entry
 
 
 # Compiling a query's own axioms costs about as much as 12 `eval_formula`

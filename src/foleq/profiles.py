@@ -150,13 +150,20 @@ def atom_occurrences(f: Formula) -> list[AtomOccurrence]:
 
     Atoms below a biconditional occur in the NNF once per polarity, so
     they contribute one occurrence per polarity resolution; exact
-    duplicates are dropped.
+    duplicates are dropped. A walk from a state already walked adds
+    nothing new, so it is skipped: nested biconditionals would otherwise
+    walk a subformula once per path of polarities, exponentially often.
     """
     out: list[AtomOccurrence] = []
     seen = set()
+    walked = set()
 
     def walk(g: Formula, address: Address, positive: bool,
              chain: tuple[BinderInfo, ...], principal: bool):
+        state = (address, positive, chain, principal)
+        if state in walked:
+            return
+        walked.add(state)
         if isinstance(g, (Atom, Eq)):
             occ = _occurrence(address, g, positive, chain, principal)
             key = (occ.address, occ.valence, occ.prefix)

@@ -30,9 +30,9 @@ Two backends implement the query contract:
   probability, taken in turn and kept as `DrawLayout.draws` yields them,
   so the answers are those of filtering `models.random_models` on each
   stream in turn. Tables and lists alike are walked through one
-  lazily grown shared list (_Shared), hold their candidates in the flat
-  layout of `models.DrawLayout`, test axioms with its compiled closures,
-  and build a `Structure` only for a model returned.
+  lazily grown shared list (`models.SharedList`), hold their candidates
+  in the flat layout of `models.DrawLayout`, test axioms with its
+  compiled closures, and build a `Structure` only for a model returned.
 
 Pinned finite-model output format (a subset of Vampire's fmb output)::
 
@@ -73,8 +73,8 @@ from .syntax import (
 )
 from .theory import Theory
 from .models import (
-    Structure, close_formulas, count_exceeds, draw_layout, drawable, eval_formula,
-    models_among, satisfies_all, vocabulary_key,
+    SharedList, Structure, close_formulas, count_exceeds, draw_layout, drawable,
+    eval_formula, models_among, satisfies_all, vocabulary_key,
 )
 
 
@@ -482,30 +482,6 @@ LARGE_SAMPLES = 600               # flat budget for the sizes beyond
 TUPLE_PROBABILITIES = (0.5, 0.2, 0.1, 0.9)
 
 
-class _Shared:
-    """The entries of `source`, taken lazily and shared by every walk.
-    `entries` grows only as far as the furthest walk has gone; a lock
-    guards the growth, as threads share one backend."""
-
-    def __init__(self, source: Iterator, entries):
-        self._source = source
-        self._entries = entries
-        self._lock = threading.Lock()
-
-    def __iter__(self) -> Iterator:
-        entries, pos = self._entries, 0
-        while True:
-            with self._lock:
-                if pos == len(entries):
-                    entry = next(self._source, None)
-                    if entry is None:
-                        return
-                    entries.append(entry)
-                entry = entries[pos]
-            pos += 1
-            yield entry
-
-
 class TheoryModels:
     """The models of one theory at one size, in `enumerate_structures`'s
     order, found lazily and shared by every query on the theory.
@@ -515,7 +491,7 @@ class TheoryModels:
     (`DrawLayout.choices`). An entry is one choice of relation and
     function tables (an index into their product) that has a model,
     packed into one int with the bitmask of the theory-constant tuples
-    that complete it to a model; the entries sit in one `_Shared` list,
+    that complete it to a model; the entries sit in one `SharedList`,
     in an `array` of 64-bit words when they fit. The theory's axioms are
     tested by the layout's compiled closures, so filling builds no
     `Structure`.
@@ -555,7 +531,7 @@ class TheoryModels:
         leaf = layout.check(tuple(rest)) if rest else None
         fill = (self._choices, tests, leaf, tuples, self._relations, self._index_bits,
                 deep, strides)
-        self._found = _Shared(_scan(fill, [c[0] for c in self._choices], 0, 0),
+        self._found = SharedList(_scan(fill, [c[0] for c in self._choices], 0, 0),
                               [] if wide else array("Q"))
 
     def models(self, query: SatQuery) -> Iterator[Structure]:
@@ -639,7 +615,7 @@ class BoundedSearchBackend:
     At each sampled size a query walks, once, the backend's list of its
     theory's models among the draws of the streams
     `{seed}:backend:{size}:{p}`, the tuple probabilities p taken in
-    order: one `_Shared` list of the draws `DrawLayout.draws` keeps
+    order: one `SharedList` of the draws `DrawLayout.draws` keeps
     from each stream in turn, as it yields them, per theory and whole
     query vocabulary (each closure constant shifts the streams). The
     streams do not depend on the query, so the draws are made and the
@@ -653,7 +629,7 @@ class BoundedSearchBackend:
         self.seed = seed
         self.calls = 0
         self._tables: dict[tuple, TheoryModels] = {}
-        self._draws: dict[tuple, _Shared] = {}
+        self._draws: dict[tuple, SharedList] = {}
         self._theories: dict[tuple, int] = {}
         self._tables_lock = threading.Lock()
 
@@ -689,7 +665,7 @@ class BoundedSearchBackend:
         # the list's source must not hold the backend, which holds the list:
         # a cycle would keep every list until the garbage collector runs
         seed = self.seed
-        shared = self._shared(self._draws, (*key, size, draws), lambda: _Shared(
+        shared = self._shared(self._draws, (*key, size, draws), lambda: SharedList(
             itertools.chain.from_iterable(
                 layout.draws(p, random.Random(f"{seed}:backend:{size}:{p}"), draws,
                              theory.axioms)

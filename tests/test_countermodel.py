@@ -1,7 +1,11 @@
 import random
+import sys
+import threading
 
 from foleq import countermodel
-from foleq.countermodel import random_structure, search_countermodel
+from foleq.corpus import load_scenarios
+from foleq.countermodel import SearchDraws, random_structure, search_countermodel
+from foleq.mutate import MUTATIONS, mutate
 from foleq.models import DrawLayout, eval_formula, random_models, satisfies_all
 from foleq.parser import parse
 from foleq.syntax import Vocabulary
@@ -119,6 +123,50 @@ def test_search_reproducible_for_seed():
     a = search_countermodel(psi, phi, th, seed=9)
     b = search_countermodel(psi, phi, th, seed=9)
     assert a == b
+
+
+def test_search_draws_store_matches_fresh_searches(monkeypatch):
+    # fewer draws keep the fresh searches quick; a miss still walks every size
+    monkeypatch.setattr(countermodel, "DRAWS_PER_ELEMENT", 200)
+    pairs = [(sc.theory, sol.formula, mutant)
+             for sc in load_scenarios() if sc.id in ("E-1", "E-3", "E-6")
+             for sol in sc.solutions for family in MUTATIONS
+             if (mutant := mutate(sol.formula, family)) is not None]
+    fresh = [search_countermodel(sol, att, th, seed=4) for th, sol, att in pairs]
+    assert None in fresh and any(fresh)
+
+    forward = SearchDraws()
+    assert [search_countermodel(sol, att, th, 4, forward) for th, sol, att in pairs] == fresh
+    # three theories, one of them over two closed vocabularies
+    assert len(forward._lists) == 4
+    backward = SearchDraws()
+    assert [search_countermodel(sol, att, th, 4, backward)
+            for th, sol, att in reversed(pairs)] == fresh[::-1]
+    # another seed's streams are kept apart in the same store
+    th, sol, att = pairs[0]
+    assert search_countermodel(sol, att, th, 5, forward) == \
+        search_countermodel(sol, att, th, seed=5)
+
+    # more threads than cores fill one store at once, each in its own order
+    shared, got = SearchDraws(), [[] for _ in range(4)]
+    orders = [pairs, pairs[::-1], pairs[1::2] + pairs[::2], pairs[::2] + pairs[1::2]]
+
+    def search(out, order):
+        out.extend(search_countermodel(sol, att, th, 4, shared) for th, sol, att in order)
+
+    threads = [threading.Thread(target=search, args=args) for args in zip(got, orders)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    expected = dict(zip(map(id, pairs), fresh))
+    assert all(out == [expected[id(p)] for p in order] for out, order in zip(got, orders))
 
 
 def test_search_uses_pool_and_validates():

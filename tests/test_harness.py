@@ -11,12 +11,12 @@ from foleq.harness import (
     Engine, PairRecord, RecordError, Report, _section, load_dataset, run_batch, run_pair,
 )
 from foleq.cli import main as cli_main
-from foleq.corpus import load_scenarios
+from foleq.corpus import all_solutions, load_scenarios
 from foleq.definability import NOT_SHOWN, UNKNOWN, necessary_symbols
 from foleq.mutate import MUTATIONS, mutate
 from foleq.parser import MAX_DEPTH, parse
 from foleq.prover import SatResult, decide_equivalence
-from foleq.syntax import Vocabulary, VocabularyError, to_str
+from foleq.syntax import Vocabulary, VocabularyError, alpha_normalize, to_str
 from foleq.theory import Theory
 
 
@@ -352,19 +352,57 @@ def test_csv_when_only_a_duplicate_finds_a_random_model():
     assert "counter_exclusively_brute-force,1,1" in lines
 
 
-def test_cli_batch_csv_when_only_a_duplicate_finds_a_random_model(tmp_path):
+def test_cli_batch_gives_renamed_records_one_random_outcome(tmp_path):
     # the only separating models have one element, where all ten relations
-    # must hold: with seed 0 the search of r5 misses one and that of r0 hits
+    # must hold; the engine seed alone seeds the random search, so r5 and
+    # r0 hit or miss together, whatever their ids
     relations = {f"P{i}": 1 for i in range(10)}
     psi = "forall x (" + " & ".join(f"P{i}(x)" for i in range(10)) + ")"
     phi = f"{psi} & exists x exists y ~(x = y)"
     data = tmp_path / "d.jsonl"
     write_dataset(data, [record_obj(i, psi, phi, relations) for i in ("r5", "r0")])
-    csv_path = tmp_path / "report.csv"
-    code = cli_main(["batch", str(data), "--report", str(tmp_path / "report.json"),
-                     "--csv", str(csv_path), "--seed", "0"])
-    assert code == 0
-    assert "counter_via_random,1,0" in csv_path.read_text().splitlines()
+    outcomes = []
+    for seed in ("0", "1", "2"):
+        report_path = tmp_path / f"report-{seed}.json"
+        code = cli_main(["batch", str(data), "--report", str(report_path), "--seed", seed])
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        outcomes.append([report[section]["counter_by_method"].get("random", 0)
+                         for section in ("total", "distinct")])
+    # seed 0 hits for both records, seeds 1 and 2 miss for both
+    assert outcomes == [[2, 1], [0, 0], [0, 0]]
+
+
+def test_batch_gives_renamed_copies_their_originals_countermodel_methods(monkeypatch):
+    # each first mutant per family, then a copy with its bound variables
+    # renamed, as the batch benchmark submits them; a copy's random search
+    # draws from its original's streams
+    solutions = {sol.id: (sc, sol) for sc, sol in all_solutions()}
+    records = []
+    for solution_id in ("E-1-1", "E-6-5"):
+        sc, sol = solutions[solution_id]
+        for family in MUTATIONS:
+            mutant = mutate(sol.formula, family)
+            if mutant is None:
+                continue
+            label = f"{solution_id}/{family}"
+            assert alpha_normalize(mutant) != mutant
+            records += [PairRecord(label, sc.vocabulary, sc.theory, sol.formula, mutant),
+                        PairRecord(f"{label}/renamed", sc.vocabulary, sc.theory,
+                                   sol.formula, alpha_normalize(mutant))]
+    methods = {}
+
+    def recorded(record, *args, **kwargs):
+        result = run_pair(record, *args, **kwargs)
+        methods[record.id] = result.get("countermodel_methods")
+        return result
+
+    monkeypatch.setattr(harness, "run_pair", recorded)
+    run_batch(records, Engine.make())
+    originals = [r.id for r in records if not r.id.endswith("/renamed")]
+    assert all(methods[label] == methods[f"{label}/renamed"] for label in originals), methods
+    hits = [methods[label]["random"] for label in originals if methods[label]]
+    assert True in hits and False in hits
 
 
 class _UndecidedProver:
@@ -424,7 +462,7 @@ def test_batch_parallel_matches_serial(tmp_path, monkeypatch):
 
     def recorded(record, *args, **kwargs):
         result = run_pair(record, *args, **kwargs)
-        verdicts[record.id] = result["verdict"]
+        verdicts[record.id] = result["verdict"], result.get("countermodel_methods")
         return result
 
     monkeypatch.setattr(harness, "run_pair", recorded)
@@ -435,7 +473,8 @@ def test_batch_parallel_matches_serial(tmp_path, monkeypatch):
         return report["total"], report["distinct"], dict(verdicts)
 
     serial = outcomes(1)
-    assert serial[2]["e1-again"]["method"] == "cache"
+    assert serial[2]["e1-again"][0]["method"] == "cache"
+    assert serial[2]["p1"][1] == {"brute-force": True, "random": True}
     assert outcomes(4) == serial
 
 

@@ -17,8 +17,8 @@ from foleq.models import (
 )
 from foleq.parser import parse
 from foleq.syntax import (
-    Atom, Exists, Forall, Not, Var, Vocabulary, alpha_normalize, free_variables, nnf,
-    subformulas,
+    Atom, Exists, Forall, Implies, Not, Var, Vocabulary, alpha_normalize, free_variables,
+    nnf, subformulas,
 )
 from foleq.theory import Theory
 
@@ -463,6 +463,21 @@ def test_compiled_run_nested_too_deep_walks_the_structure(monkeypatch):
             exec(layout.source(f), {})
         check = layout.compile(f)
         assert check(flags, []) is expected and walked[-1] is f
+
+
+def test_compiled_source_nested_past_the_parser_walks_the_structure():
+    # 199 nested implications overflow CPython's parser stack, which raises
+    # MemoryError, not SyntaxError
+    atom = Atom("P", (Var("x"),))
+    body = atom
+    for _ in range(199):
+        body = Implies(atom, body)
+    f = Forall("x", body)
+    layout = draw_layout(VP, 2)
+    with pytest.raises(MemoryError):
+        exec(layout.source(f), {})
+    assert layout.compile(f).__name__ != "_q0"
+    agrees_on_draws(layout, f)
 
 
 def test_batch_imports_no_numpy():

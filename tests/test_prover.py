@@ -20,7 +20,7 @@ from foleq.definability import (
 )
 from foleq.explain import StrategyContext
 from foleq.models import (
-    brute_force_verdict, close_formulas, count_structures, draw_layout,
+    SharedList, brute_force_verdict, close_formulas, count_structures, draw_layout,
     enumerate_structures, random_models, satisfies_all,
 )
 from foleq.mutate import MUTATIONS, mutate, mutate_all
@@ -452,7 +452,7 @@ def test_shared_list_reads_its_source_as_far_as_the_furthest_walk(entries):
             read.append(n)
             yield n * n
 
-    shared = prover._Shared(source(), entries)
+    shared = SharedList(source(), entries)
     one, two = iter(shared), iter(shared)
     # two interleaved walks see the same sequence
     assert [next(one), next(two), next(one), next(one), next(two)] == [0, 0, 1, 4, 1]

@@ -12,13 +12,12 @@ theory models come from `DrawLayout.draws`, which reads each draw
 (relation tuples, function values and constants) in one bulk read of the
 words that `random()` per tuple and `randrange` per value would read,
 reading more words only for values whose word `randrange` rejects. It
-tests the theory's axioms on each flat draw as it is read. The theory
-models are kept, packed, in a store (`SearchDraws`; an engine owns one),
-so the searches over one theory and closed vocabulary share their draws:
-each is made, and its axioms tested, once per store. The pair is
+tests the theory's axioms on each draw as it is read. The theory models
+are kept, as their draws, in a store (`SearchDraws`; an engine owns
+one), so the searches over one theory and closed vocabulary share their
+draws: each is made, and its axioms tested, once per store. The pair is
 compiled once per size, when the size's first theory model is walked,
-and tested on the flat draw too, so only the witness becomes a
-`Structure`.
+and tested on the draw too, so only the witness becomes a `Structure`.
 
 A witness satisfying the solution but not the attempt marks the attempt
 as too restrictive (it misses an intended model); the opposite
@@ -30,7 +29,6 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass
-from typing import Iterator
 
 from .syntax import Formula, Vocabulary
 from .theory import Theory
@@ -77,9 +75,9 @@ class SearchDraws:
     (seed, theory, closed vocabulary, size), whose source is the draws of
     the stream `{seed}:search:{size}` that satisfy the theory's axioms.
     The streams do not depend on the pair, so each is drawn and its axioms
-    tested once per store. A kept draw is packed into one `bytes`: its
-    flags, then its values (every value is below `MAX_DRAW_SIZE` = 255).
-    A lock guards the creation of the lists, as threads share one engine."""
+    tested once per store. A kept draw is the `bytes` that
+    `DrawLayout.draws` yields. A lock guards the creation of the lists,
+    as threads share one engine."""
 
     def __init__(self):
         self._lists: dict[tuple, dict[int, SharedList]] = {}
@@ -93,17 +91,11 @@ class SearchDraws:
             lists = self._lists.get(key)
             if lists is None:
                 lists = self._lists[key] = {
-                    size: SharedList(_kept(vocab, theory.axioms, size, seed), [])
+                    size: SharedList(draw_layout(vocab, size).draws(
+                        TUPLE_PROBABILITY, random.Random(f"{seed}:search:{size}"),
+                        DRAWS_PER_ELEMENT * size, theory.axioms), [])
                     for size in SIZES if drawable(vocab, size)}
         return lists
-
-
-def _kept(vocab: Vocabulary, axioms, size: int, seed: int) -> Iterator[bytes]:
-    layout = draw_layout(vocab, size)
-    rng = random.Random(f"{seed}:search:{size}")
-    count = DRAWS_PER_ELEMENT * size
-    for flags, values in layout.draws(TUPLE_PROBABILITY, rng, count, axioms):
-        yield bytes(flags) + bytes(values)
 
 
 def search_countermodel(solution: Formula, attempt: Formula, theory: Theory,
@@ -125,10 +117,9 @@ def search_countermodel(solution: Formula, attempt: Formula, theory: Theory,
         for draw in kept:
             if sol_holds is None:       # a size without theory models compiles nothing
                 sol_holds, att_holds = layout.compile(sol), layout.compile(att)
-            values = draw[layout.bits:]     # the flags lead, so F may be the whole draw
-            sol_val = sol_holds(draw, values)
-            if sol_val != att_holds(draw, values):
+            sol_val = sol_holds(draw)
+            if sol_val != att_holds(draw):
                 direction = TOO_RESTRICTIVE if sol_val else TOO_PERMISSIVE
-                return CounterExample(structure=layout.structure(draw, values),
+                return CounterExample(structure=layout.structure(draw),
                                       direction=direction, source="random")
     return None

@@ -14,11 +14,13 @@ byte decides all but about one tuple in 256. A value is the top
 `size.bit_length()` bits of one word; a word that gives `size` or more is
 rejected and the next word read instead, as CPython's `randrange` does
 (checked on 3.10 to 3.13), so a draw with rejected words reads one more
-word per missing value until none is missing. `DrawLayout.draws` tests
-the axioms it is given on the flat draw with one closure, compiled once
-per vocabulary, size and axiom set (early-exit loops and ground chains
-of Python, see `DrawLayout`), and `random_models` builds a `Structure`
-only for a model. Enumerated structures share the flat layout
+word per missing value until none is missing. A draw is one `bytes`,
+its relation flags and then its function values and constants, in the
+format `DrawLayout` alone defines. `DrawLayout.draws` tests the axioms
+it is given on the draw with one closure, compiled once per vocabulary,
+size and axiom set (early-exit loops and ground chains of Python, see
+`DrawLayout`), and `random_models` builds a `Structure` only for a
+model. Enumerated structures share the flat layout
 (`DrawLayout.choices`), and `models_among` tests a query's own axioms on
 flat candidates, compiling them only for a long walk.
 `eval_formula` stays the evaluator of one structure and the reference
@@ -284,11 +286,12 @@ GROUNDED_INSTANCES = 16
 class DrawLayout:
     """Where one vocabulary's symbols sit in a flat random draw at one size.
 
-    A draw is what `random_structure` reads from its stream, in its order:
-    `flags`, one byte per relation tuple (relations sorted by name, tuples
-    in lexicographic order), 1 when the tuple is in; then `values`, one
-    list of the function values (functions sorted by name, the same tuple
-    order) followed by the constants, sorted by name.
+    A draw is what `random_structure` reads from its stream, in its order,
+    as one `bytes`: first `bits` flags, one per relation tuple (relations
+    sorted by name, tuples in lexicographic order), 1 when the tuple is
+    in; then `values` values, those of the functions (sorted by name, the
+    same tuple order) followed by the constants, sorted by name. Every
+    value is below `MAX_DRAW_SIZE`, so each fits in its byte.
 
     The same layout holds an enumerated structure: `choices` lists each
     symbol's interpretations in `enumerate_structures`' order.
@@ -303,7 +306,8 @@ class DrawLayout:
     grounded instead: one `and`/`or` chain of its instances, indices and
     equalities of elements folded to constants. The source holds only
     integers, the loop variables v0, v1, ... by depth and the helpers'
-    names `_q<n>`; no symbol name from the input reaches it."""
+    names `_q<n>`, each of which takes the draw as `F`; no symbol name
+    from the input reaches it."""
 
     def __init__(self, key: tuple, size: int):
         relations, functions, constants = key       # `vocabulary_key`'s
@@ -312,24 +316,24 @@ class DrawLayout:
         self.functions = [(f, _tuples(size, a)) for f, a in functions]
         self.constants = list(constants)
         self._at: dict[str, tuple[int, int]] = {}     # symbol -> offset, arity
-        self.bits = self._place(relations)
-        self.values = self._place([*functions, *((c, 0) for c in constants)])
+        self.bits = self._place(relations, 0)
+        self.values = self._place([*functions, *((c, 0) for c in constants)],
+                                  self.bits) - self.bits
         self._checks: dict[tuple[Formula, ...], object] = {}
         self._names = {"__builtins__": {}, "U": tuple(range(size))}
 
-    def _place(self, symbols) -> int:
-        offset = 0
+    def _place(self, symbols, offset: int) -> int:
         for name, arity in symbols:
             self._at[name] = offset, arity
             offset += self.size ** arity
         return offset
 
     def draws(self, p: float, rng: random.Random, count: int, axioms=()
-              ) -> Iterator[tuple[bytes, list[int]]]:
+              ) -> Iterator[bytes]:
         """The draws among the stream's next `count` that satisfy every
-        axiom, in draw order, each made when asked for and tested on its
-        flat form (`values` as bytes) as it is read, by the closure `check`
-        keeps; the stream is advanced by the draws consumed only.
+        axiom, in draw order, each made when asked for and tested as it is
+        read, by the closure `check` keeps; the stream is advanced by the
+        draws consumed only.
 
         A draw is one `getrandbits` read of the words that one `random()`
         per relation tuple and one `randrange(size)` per function value
@@ -355,37 +359,38 @@ class DrawLayout:
                     b = int.from_bytes(raw[8 * i + 4:8 * i + 8], "little")
                     flags[i] = (a >> 5 << 26 | b >> 6) < t
                     i = flags.find(2, i + 1)
+                flags = bytes(flags)
             values = raw[split + 3::4].translate(pick).replace(_REJECTED, b"")
             while len(values) < wanted:
                 missing = wanted - len(values)
                 more = getrandbits(32 * missing).to_bytes(4 * missing, "little")
                 values += more[3::4].translate(pick).replace(_REJECTED, b"")
-            if test is None or test(flags, values):
-                yield flags, list(values)
+            draw = flags + values
+            if test is None or test(draw):
+                yield draw
 
-    def choices(self) -> tuple[list[list[bytes]], list[list[tuple[int, ...]]]]:
-        """Every interpretation of each relation, as its flags, and of
-        each function, as its values, each list in the order
-        `enumerate_structures` varies it. A structure's flags are its
-        relations' joined, its values its functions' and then the
-        constants."""
+    def choices(self) -> tuple[list[list[bytes]], list[list[bytes]]]:
+        """Every interpretation of each relation, as the `bytes` of its
+        flags, and of each function, as the `bytes` of its values, each
+        list in the order `enumerate_structures` varies it. A structure's
+        draw is its relations' and then its functions' choices joined,
+        followed by the constants' values."""
         relations = [[bytes(mask) for mask in itertools.product((0, 1), repeat=len(tuples))]
                      for _, tuples in self.relations]
-        functions = [list(itertools.product(range(self.size), repeat=len(tuples)))
+        functions = [[bytes(v) for v in itertools.product(range(self.size), repeat=len(tuples))]
                      for _, tuples in self.functions]
         return relations, functions
 
-    def structure(self, flags: bytes, values) -> Structure:
+    def structure(self, draw: bytes) -> Structure:
         relations, functions, at = {}, {}, 0
         for name, tuples in self.relations:
-            relations[name] = frozenset(itertools.compress(tuples, flags[at:at + len(tuples)]))
+            relations[name] = frozenset(itertools.compress(tuples, draw[at:at + len(tuples)]))
             at += len(tuples)
-        at = 0
         for name, tuples in self.functions:
-            functions[name] = dict(zip(tuples, values[at:at + len(tuples)]))
+            functions[name] = dict(zip(tuples, draw[at:at + len(tuples)]))
             at += len(tuples)
         return Structure(self.size, relations, functions,
-                         dict(zip(self.constants, values[at:])))
+                         dict(zip(self.constants, draw[at:])))
 
     def check(self, axioms: tuple[Formula, ...]):
         """`compile`'s closure for the axioms, kept by the layout: for
@@ -396,8 +401,8 @@ class DrawLayout:
         return fn
 
     def compile(self, *axioms: Formula):
-        """A function of a draw's (flags, values): whether the structure
-        they stand for satisfies every closed axiom."""
+        """A function of a draw: whether the structure it stands for
+        satisfies every closed axiom."""
         try:
             namespace = dict(self._names)
             exec(self.source(*axioms), namespace)
@@ -405,16 +410,16 @@ class DrawLayout:
         except (SyntaxError, RecursionError, MemoryError):
             # nested past what Python compiles (20 loops in a def, or a parser
             # stack overflow on about 200 nested operators): walk the structure
-            def fn(flags, values):
-                return satisfies_all(self.structure(flags, values), axioms)
+            def fn(draw):
+                return satisfies_all(self.structure(draw), axioms)
             return fn
 
     def source(self, *axioms: Formula) -> str:
-        """The Python source `compile` executes: `_q0(F, V)`, the `and` of
+        """The Python source `compile` executes: `_q0(F)`, the `and` of
         the axioms' expressions (`True` for none), and the defs it calls."""
         defs = [""]
         expr = " and ".join(self._formula(ax, {}, 0, defs) for ax in axioms) or "True"
-        defs[0] = f"def _q0(F, V):\n    return {expr}\n"
+        defs[0] = f"def _q0(F):\n    return {expr}\n"
         return "".join(defs)
 
     def _formula(self, g: Formula, scope: dict[str, int | str], depth: int,
@@ -462,7 +467,7 @@ class DrawLayout:
         variables the run reads as parameters."""
         at, forall = len(defs), isinstance(whole, Forall)
         outer = [scope[v] for v in free_variables(whole) if v in scope]
-        params = ", ".join(["F", "V", *outer])
+        params = ", ".join(["F", *outer])
         defs.append("")
         lines, scope = [f"def _q{at}({params}):"], dict(scope)
         for k, var in enumerate(run):
@@ -481,7 +486,7 @@ class DrawLayout:
                 raise EvalError(f"unassigned free variable {t.name}")
             return scope[t.name]
         if isinstance(t, (Const, Func)):
-            return f"V[{self._index(t.name, t.args if isinstance(t, Func) else (), scope)}]"
+            return f"F[{self._index(t.name, t.args if isinstance(t, Func) else (), scope)}]"
         raise TypeError(f"not a term: {t!r}")
 
     def _index(self, name: str, args, scope: dict[str, int | str]) -> str:
@@ -554,7 +559,7 @@ def random_structure(vocab: Vocabulary, size: int, p: float,
     word was rejected (`DrawLayout.draws`).
     """
     layout = draw_layout(vocab, size)
-    return layout.structure(*next(layout.draws(p, rng, 1)))
+    return layout.structure(next(layout.draws(p, rng, 1)))
 
 
 def random_models(vocab: Vocabulary, axioms, size: int, p: float,
@@ -565,8 +570,8 @@ def random_models(vocab: Vocabulary, axioms, size: int, p: float,
     The axioms are tested on the flat draw by one closure compiled once
     per vocabulary and size; a `Structure` is built for a model only."""
     layout = draw_layout(vocab, size)
-    for flags, values in layout.draws(p, rng, draws, axioms):
-        yield layout.structure(flags, values)
+    for draw in layout.draws(p, rng, draws, axioms):
+        yield layout.structure(draw)
 
 
 class SharedList:
@@ -603,24 +608,24 @@ EVALUATED_BEFORE_COMPILING = 24
 
 
 def models_among(layout: DrawLayout, axioms, candidates) -> Iterator[Structure]:
-    """The candidate draws (flags, values) that satisfy every axiom, in
-    order, as `Structure`s. The first `EVALUATED_BEFORE_COMPILING` are
+    """The candidate draws that satisfy every axiom, in order, as
+    `Structure`s. The first `EVALUATED_BEFORE_COMPILING` are
     tested with `satisfies_all`; past them, the axioms are compiled into
     one closure, for this walk only, and tested on the flat draw, so only
     models are built. A query's closure is not kept: a dataset has as many
     distinct queries as pairs."""
     candidates = iter(candidates)
-    for flags, values in itertools.islice(candidates, EVALUATED_BEFORE_COMPILING):
-        s = layout.structure(flags, values)
+    for draw in itertools.islice(candidates, EVALUATED_BEFORE_COMPILING):
+        s = layout.structure(draw)
         if satisfies_all(s, axioms):
             yield s
     following = next(candidates, None)
     if following is None:
         return
     test = layout.compile(*axioms)
-    for flags, values in itertools.chain((following,), candidates):
-        if test(flags, values):
-            yield layout.structure(flags, values)
+    for draw in itertools.chain((following,), candidates):
+        if test(draw):
+            yield layout.structure(draw)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ Two backends implement the query contract:
   probability, taken in turn and kept as `DrawLayout.draws` yields them,
   so the answers are those of filtering `models.random_models` on each
   stream in turn. Tables and lists alike are walked through one
-  lazily grown shared list (`models.SharedList`), hold their candidates
-  in the flat layout of `models.DrawLayout`, test axioms with its
+  lazily grown shared list (`models.SharedList`), hold each candidate as
+  one draw of `models.DrawLayout` (one `bytes`), test axioms with its
   compiled closures, and build a `Structure` only for a model returned.
 
 Pinned finite-model output format (a subset of Vampire's fmb output)::
@@ -486,9 +486,9 @@ class TheoryModels:
     """The models of one theory at one size, in `enumerate_structures`'s
     order, found lazily and shared by every query on the theory.
 
-    A candidate is held flat, as a draw of `DrawLayout`: each relation
-    choice is its flags, each function choice its values
-    (`DrawLayout.choices`). An entry is one choice of relation and
+    A candidate is one draw of `DrawLayout`: the `bytes` of a choice of
+    relation and function tables (`DrawLayout.choices`) joined, then the
+    constants' values. An entry is one choice of relation and
     function tables (an index into their product) that has a model,
     packed into one int with the bitmask of the theory-constant tuples
     that complete it to a model; the entries sit in one `SharedList`,
@@ -510,7 +510,6 @@ class TheoryModels:
         self.axioms = theory.axioms
         layout = draw_layout(theory.vocabulary, size)
         relations, functions = layout.choices()
-        self._relations = len(relations)
         self._choices = [*relations, *functions]
         level = {name: n for n, (name, _) in enumerate([*layout.relations, *layout.functions])}
         levels, rest = [[] for _ in self._choices], []
@@ -520,7 +519,7 @@ class TheoryModels:
             (levels[max(read)] if read and not consts else rest).append(ax)
         tests = [layout.check(tuple(axioms)) if axioms else None for axioms in levels]
         self._constants = layout.constants
-        tuples = list(itertools.product(range(size), repeat=len(self._constants)))
+        tuples = [bytes(t) for t in itertools.product(range(size), repeat=len(self._constants))]
         self._index_bits = math.prod(map(len, self._choices)).bit_length()
         # more constant tuples than a 64-bit entry holds: plain ints
         wide = self._index_bits + len(tuples) > 64
@@ -529,8 +528,7 @@ class TheoryModels:
         deep = max((n for n, test in enumerate(tests) if test is not None), default=-1)
         strides = [math.prod(map(len, self._choices[n + 1:])) for n in range(len(self._choices))]
         leaf = layout.check(tuple(rest)) if rest else None
-        fill = (self._choices, tests, leaf, tuples, self._relations, self._index_bits,
-                deep, strides)
+        fill = (self._choices, tests, leaf, tuples, self._index_bits, deep, strides)
         self._found = SharedList(_scan(fill, [c[0] for c in self._choices], 0, 0),
                               [] if wide else array("Q"))
 
@@ -543,13 +541,13 @@ class TheoryModels:
         size = self.size
         layout = draw_layout(query.vocabulary, size)
         places = [layout.constants.index(c) for c in self._constants]
-        values = list(itertools.product(range(size), repeat=len(layout.constants)))
+        values = [bytes(v) for v in itertools.product(range(size), repeat=len(layout.constants))]
         bits = [sum(v[p] * size ** (len(places) - 1 - k) for k, p in enumerate(places))
                 for v in values]
         return models_among(layout, query.axioms[len(self.axioms):],
                             self._candidates(values, bits))
 
-    def _candidates(self, values, bits) -> Iterator[tuple[bytes, tuple[int, ...]]]:
+    def _candidates(self, values, bits) -> Iterator[bytes]:
         low = (1 << self._index_bits) - 1
         for entry in self._found:
             index, mask = entry & low, entry >> self._index_bits
@@ -557,16 +555,10 @@ class TheoryModels:
             for choices in reversed(self._choices):
                 index, digit = divmod(index, len(choices))
                 combo.append(choices[digit])
-            flags, head = _flat(combo[::-1], self._relations)
+            head = b"".join(reversed(combo))
             for v, bit in zip(values, bits):
                 if mask >> bit & 1:
-                    yield flags, head + v
-
-
-def _flat(combo, relations: int) -> tuple[bytes, tuple[int, ...]]:
-    """The flags and function values of a choice of tables, the first
-    `relations` of them relations'."""
-    return b"".join(combo[:relations]), tuple(itertools.chain.from_iterable(combo[relations:]))
+                    yield head + v
 
 
 def _scan(fill: tuple, combo: list, depth: int, index: int) -> Iterator[int]:
@@ -576,12 +568,12 @@ def _scan(fill: tuple, combo: list, depth: int, index: int) -> Iterator[int]:
     yet keep their first choice, which the axioms tested so far do not
     read; past the deepest level with axioms the rest run as one plain
     product."""
-    choices, tests, leaf, tuples, relations, bits, deep, strides = fill
+    choices, tests, leaf, tuples, bits, deep, strides = fill
     if depth <= deep:
         test = tests[depth]
         for digit, choice in enumerate(choices[depth]):
             combo[depth] = choice
-            if test is None or test(*_flat(combo, relations)):
+            if test is None or test(b"".join(combo)):
                 yield from _scan(fill, combo, depth + 1, index + digit * strides[depth])
         return
     full = (1 << len(tuples)) - 1       # every constant tuple completes a choice
@@ -590,9 +582,9 @@ def _scan(fill: tuple, combo: list, depth: int, index: int) -> Iterator[int]:
         if leaf is None:
             mask = full
         else:
-            flags, head = _flat(combo, relations)
+            head = b"".join(combo)
             mask = sum(1 << bit for bit, constants in enumerate(tuples)
-                       if leaf(flags, head + constants))
+                       if leaf(head + constants))
         if mask:
             yield mask << bits | index + offset
 
@@ -712,7 +704,8 @@ class JsonlCache:
     is read when the cache is opened, and every put appends one line
     under the lock. A line that does not parse, as a process killed during
     a put leaves, is skipped, and the next put starts on a fresh line; so
-    is a line that parses but is not a record of this cache. Subclasses
+    is a line that is not UTF-8, and one that parses but is not a record
+    of this cache. Subclasses
     turn values into records and back."""
 
     def __init__(self, path: str | None = None):
@@ -721,15 +714,17 @@ class JsonlCache:
         self._path = path
         self._torn = False          # the file's last line lacks its newline
         if path and os.path.exists(path):
-            line = ""
-            with open(path, encoding="utf-8") as fh:
+            line = b""
+            # read as bytes: a line that is not UTF-8 raises in the `try`
+            # (UnicodeDecodeError is a ValueError), not before it
+            with open(path, "rb") as fh:
                 for line in fh:
                     try:
-                        obj = json.loads(line)
+                        obj = json.loads(line.decode("utf-8"))
                         self._data[obj["key"]] = self._decode(obj)
                     except (ValueError, LookupError, TypeError, AttributeError):
                         continue
-            self._torn = bool(line) and not line.endswith("\n")
+            self._torn = bool(line) and not line.endswith(b"\n")
 
     def _decode(self, record: dict):
         raise NotImplementedError
@@ -786,10 +781,6 @@ class DecisionCache(JsonlCache):
     persisted as JSON lines.
     """
 
-    def __init__(self, path: str | None = None):
-        self.hits = 0
-        super().__init__(path)
-
     def _decode(self, record: dict) -> Verdict:
         status, method, counter = record["status"], record.get("method"), record.get("counter")
         if status not in ("equivalent", "non-equivalent") or not (
@@ -807,12 +798,8 @@ class DecisionCache(JsonlCache):
     def key(solution: Formula, attempt: Formula, theory: Theory) -> str:
         return _pair_key(alpha_normalize(solution), alpha_normalize(attempt), theory)
 
-    def get(self, key: str) -> Verdict | None:
-        with self._lock:
-            v = self._data.get(key)
-            if v is not None:
-                self.hits += 1
-            return v
+    # named in the class itself: perfbench's tracer wraps DecisionCache.__dict__["get"]
+    get = JsonlCache.get
 
     def put(self, key: str, verdict: Verdict) -> None:
         if verdict.status == "unknown":

@@ -344,10 +344,10 @@ def _deep(n, quantifiers):
 
 def source_names_are_generated(source):
     """Only the compiler's own names occur in a source: keywords, the
-    draw F, V, the universe U, loop variables v<n> and helpers _q<n>; no
+    draw F, the universe U, loop variables v<n> and helpers _q<n>; no
     symbol name from the input."""
     names = set(re.findall(r"[A-Za-z_]\w*", source))
-    keywords = {"F", "V", "U", "def", "return", "if", "for", "in", "and", "or", "not",
+    keywords = {"F", "U", "def", "return", "if", "for", "in", "and", "or", "not",
                 "True", "False"}
     return all(n in keywords or re.fullmatch(r"v\d+|_q\d+", n) for n in names)
 
@@ -387,9 +387,9 @@ def test_compiled_axioms_agree_with_eval_formula():
                 # every run small enough at this size is one chain, the rest loops
                 seen["looped"] += "for v" in source
                 seen["grounded"] += quantified(f) and "for v" not in source
-            for flags, values in drawn:
-                expected = eval_formula(layout.structure(flags, values), f)
-                assert bool(check(flags, values)) is expected, (f, flags, values)
+            for draw in drawn:
+                expected = eval_formula(layout.structure(draw), f)
+                assert bool(check(draw)) is expected, (f, draw)
                 seen[expected] += 1
         # one closure per set: the `and` of its axioms, True for none
         sets = [(), (formulas[0],), tuple(formulas)]
@@ -398,9 +398,9 @@ def test_compiled_axioms_agree_with_eval_formula():
         for axioms in sets:
             check = layout.check(axioms)
             seen["fallback"] += check.__name__ != "_q0"
-            for flags, values in drawn:
-                expected = satisfies_all(layout.structure(flags, values), axioms)
-                assert bool(check(flags, values)) is expected, (axioms, flags, values)
+            for draw in drawn:
+                expected = satisfies_all(layout.structure(draw), axioms)
+                assert bool(check(draw)) is expected, (axioms, draw)
                 seen["sets"] += 1
 
     agree()
@@ -409,19 +409,19 @@ def test_compiled_axioms_agree_with_eval_formula():
 
 def agrees_on_draws(layout, f, draws=40):
     check = layout.compile(f)
-    for flags, values in layout.draws(0.5, random.Random(5), draws):
-        assert bool(check(flags, values)) is eval_formula(layout.structure(flags, values), f)
+    for draw in layout.draws(0.5, random.Random(5), draws):
+        assert bool(check(draw)) is eval_formula(layout.structure(draw), f)
 
 
 def test_compiled_runs_pass_their_outer_variables():
     vocab = Vocabulary(relations={"P": 1, "R": 2}, functions={"f": 1})
     f = parse("forall x exists y forall z forall w (R(x, z) -> R(y, f(w)) | x = z)", vocab)
-    for size, inner in ((3, None), (5, "def _q3(F, V, v0, v1):")):
+    for size, inner in ((3, None), (5, "def _q3(F, v0, v1):")):
         layout = draw_layout(vocab, size)
         source = layout.source(f)
         # each looped run is a def that takes the variables bound outside it;
         # the innermost run is grounded at 3 ** 2 instances, looped at 5 ** 2
-        assert "def _q1(F, V):" in source and "def _q2(F, V, v0):" in source
+        assert "def _q1(F):" in source and "def _q2(F, v0):" in source
         assert ("_q3" in source) == bool(inner) and (inner or "") in source
         assert source_names_are_generated(source)
         agrees_on_draws(layout, f)
@@ -433,7 +433,7 @@ def test_compiled_grounded_runs_fold_elements():
     layout = draw_layout(vocab, 2)
     source = layout.source(f)
     # four instances with their indices and equalities folded: R(0, 1) is F[1]
-    assert source == ("def _q0(F, V):\n"
+    assert source == ("def _q0(F):\n"
                       "    return ((True or F[0]) and (False or F[1]) and "
                       "(False or F[2]) and (True or F[3]))\n")
     agrees_on_draws(layout, f)
@@ -452,8 +452,8 @@ def test_compiled_run_nested_too_deep_walks_the_structure(monkeypatch):
         return eval_formula(s, f, assignment)
 
     monkeypatch.setattr(models, "eval_formula", counting)
-    for quantifier, flags, expected in ((Forall, b"\x00\x01", False),
-                                        (Exists, b"\x01\x00", True)):
+    for quantifier, draw, expected in ((Forall, b"\x00\x01", False),
+                                       (Exists, b"\x01\x00", True)):
         f = Atom("P", (Var("x0"),))
         for i in reversed(range(25)):
             f = quantifier(f"x{i}", f)
@@ -462,7 +462,7 @@ def test_compiled_run_nested_too_deep_walks_the_structure(monkeypatch):
         with pytest.raises(SyntaxError):
             exec(layout.source(f), {})
         check = layout.compile(f)
-        assert check(flags, []) is expected and walked[-1] is f
+        assert check(draw) is expected and walked[-1] is f
 
 
 def test_compiled_source_nested_past_the_parser_walks_the_structure():

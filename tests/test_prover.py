@@ -13,7 +13,7 @@ from array import array
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from foleq import models, prover
+from foleq import countermodel, models, prover
 from foleq.corpus import all_solutions, load_scenarios, scenario
 from foleq.definability import (
     NECESSARY, NecessityCache, NecessityReport, encode_padoa, star_transform,
@@ -379,7 +379,7 @@ def test_theory_table_fill_skips_failing_subtrees(monkeypatch):
 
     def counted(layout, axioms):
         fn = check(layout, axioms)
-        return lambda flags, values: calls.append(1) or fn(flags, values)
+        return lambda draw: calls.append(1) or fn(draw)
 
     monkeypatch.setattr(models.DrawLayout, "check", counted)
     table = TheoryModels(scenario("E-14").theory, 2)
@@ -538,6 +538,47 @@ def test_shared_draws_match_a_plain_filter():
     assert seen["models"] and seen["constants"] and seen["relation-free"]
 
 
+def test_one_flat_draw_in_tables_lists_and_store(monkeypatch):
+    """A candidate structure is one `bytes`, the relation flags and then
+    the function values and constants, wherever it is held: in draws, in
+    theory tables, in the backend's random-phase lists and in the random
+    search's store."""
+    vocab = Vocabulary(relations={"P": 1, "R": 2}, functions={"f": 1}, constants={"a", "b"})
+    theory = Theory(vocab, (parse("forall x (P(x) -> R(x, f(x)))", vocab),))
+    # the free x closes into a third constant, which the tables interleave;
+    # the pair is equivalent, so the walk passes every size
+    query = encode_equivalence(parse("R(x, f(a))", vocab),
+                               parse("R(x, f(a)) & (P(b) | ~P(b))", vocab), theory)
+    layout = draw_layout(query.vocabulary, 3)
+    assert (layout.bits, layout.values) == (3 + 9, 3 + 3)
+    drawn = list(layout.draws(0.5, random.Random(1), 20))
+    assert all(type(d) is bytes and len(d) == layout.bits + layout.values for d in drawn)
+
+    walked = []
+    among = prover.models_among
+
+    def flat(layout, axioms, candidates):
+        candidates = list(candidates)
+        walked.append((layout.size, len(candidates)))
+        assert all(type(c) is bytes and len(c) == layout.bits + layout.values
+                   for c in candidates)
+        return among(layout, axioms, candidates)
+
+    monkeypatch.setattr(prover, "models_among", flat)
+    assert BoundedSearchBackend(seed=3).check_sat(query).status == "unsat"
+    # theory tables at sizes 1 and 2, random-phase lists at 3 to 6
+    assert [size for size, _ in walked] == [1, 2, 3, 4, 5, 6] and all(n for _, n in walked)
+
+    monkeypatch.setattr(countermodel, "DRAWS_PER_ELEMENT", 20)
+    lists = countermodel.SearchDraws().lists(theory, query.vocabulary, 5)
+    assert list(lists) == list(countermodel.SIZES)
+    for size, kept in lists.items():
+        fresh = draw_layout(query.vocabulary, size).draws(
+            countermodel.TUPLE_PROBABILITY, random.Random(f"5:search:{size}"), 20 * size,
+            theory.axioms)
+        assert list(kept) == list(fresh) != []
+
+
 def test_bounded_backend_is_freed_by_reference_counting():
     # a list whose source held the backend, or a table whose fill held the
     # table, would stay alive until the garbage collector runs
@@ -689,12 +730,12 @@ def test_cache_file_with_a_torn_last_line(tmp_path, cls, value):
 def test_cache_file_with_lines_that_are_not_records(tmp_path, cls, value):
     path = tmp_path / "cache.jsonl"
     cls(str(path)).put("first", value)
-    strays = ['{"status": "equivalent", "method": "bounded<=2"}', "[1, 2]", '"text"',
-              "3", "null", '{"key": "second"}', '{"key": "third", "counter": 7}',
-              '{"key": "fourth", "status": "non-equivalent", "counter": {"size": 2, '
-              '"relations": {"P": 5}}}']
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("\n".join(strays) + "\n")
+    strays = [b'{"status": "equivalent", "method": "bounded<=2"}', b"[1, 2]", b'"text"',
+              b"3", b"null", b'{"key": "second"}', b'{"key": "third", "counter": 7}',
+              b'{"key": "fourth", "status": "non-equivalent", "counter": {"size": 2, '
+              b'"relations": {"P": 5}}}', b"\xff\xfe"]
+    with open(path, "ab") as fh:
+        fh.write(b"\n".join(strays) + b"\n")
     loaded = cls(str(path))
     assert len(loaded) == 1 and loaded.get("first") == value
     loaded.put("fifth", value)

@@ -13,11 +13,12 @@ theory models come from `DrawLayout.draws`, which reads each draw
 words that `random()` per tuple and `randrange` per value would read,
 reading more words only for values whose word `randrange` rejects. It
 tests the theory's axioms on each draw as it is read. The theory models
-are kept, as their draws, in a store (`SearchDraws`; an engine owns
-one), so the searches over one theory and closed vocabulary share their
-draws: each is made, and its axioms tested, once per store. The pair is
-compiled once per size, when the size's first theory model is walked,
-and tested on the draw too, so only the witness becomes a `Structure`.
+are kept, as their draws, in a store (`models.SharedLists`; an engine
+owns one), one list per seed, theory, closed vocabulary and size, so the
+searches over one theory and closed vocabulary share their draws: each
+is made, and its axioms tested, once per list. The pair is compiled once
+per size, when the size's first theory model is walked, and tested on
+the draw too, so only the witness becomes a `Structure`.
 
 A witness satisfying the solution but not the attempt marks the attempt
 as too restrictive (it misses an intended model); the opposite
@@ -26,15 +27,13 @@ disagreement marks it as too permissive.
 
 from __future__ import annotations
 
-import random
-import threading
 from dataclasses import dataclass
 
-from .syntax import Formula, Vocabulary
+from .syntax import Formula
 from .theory import Theory
 from .models import (  # random_structure is re-exported
-    SharedList, Structure, close_formulas, draw_layout, drawable, random_structure,
-    vocabulary_key,
+    SharedLists, Structure, close_formulas, draw_layout, drawable, random_structure,
+    theory_draws, vocabulary_key,
 )
 
 TOO_RESTRICTIVE = "too-restrictive"
@@ -69,37 +68,8 @@ def backend_counterexample(verdict, backend) -> CounterExample | None:
                           source=backend_source(backend))
 
 
-class SearchDraws:
-    """The theory models among the draws of the search's streams, kept for
-    every search given this store: one lazily grown `SharedList` per
-    (seed, theory, closed vocabulary, size), whose source is the draws of
-    the stream `{seed}:search:{size}` that satisfy the theory's axioms.
-    The streams do not depend on the pair, so each is drawn and its axioms
-    tested once per store. A kept draw is the `bytes` that
-    `DrawLayout.draws` yields. A lock guards the creation of the lists,
-    as threads share one engine."""
-
-    def __init__(self):
-        self._lists: dict[tuple, dict[int, SharedList]] = {}
-        self._lock = threading.Lock()
-
-    def lists(self, theory: Theory, vocab: Vocabulary, seed: int) -> dict[int, SharedList]:
-        """The list of each size of `SIZES` that `models.drawable` admits
-        for the closed vocabulary, in that order."""
-        key = (seed, theory.axioms, vocabulary_key(vocab))
-        with self._lock:
-            lists = self._lists.get(key)
-            if lists is None:
-                lists = self._lists[key] = {
-                    size: SharedList(draw_layout(vocab, size).draws(
-                        TUPLE_PROBABILITY, random.Random(f"{seed}:search:{size}"),
-                        DRAWS_PER_ELEMENT * size, theory.axioms), [])
-                    for size in SIZES if drawable(vocab, size)}
-        return lists
-
-
 def search_countermodel(solution: Formula, attempt: Formula, theory: Theory,
-                        seed: int = 0, draws: SearchDraws | None = None
+                        seed: int = 0, draws: SharedLists | None = None
                         ) -> CounterExample | None:
     """First random theory model distinguishing the pair, sizes ascending.
 
@@ -107,11 +77,19 @@ def search_countermodel(solution: Formula, attempt: Formula, theory: Theory,
     size's draws do not depend on the sizes searched before it. A size
     whose draws would hold more than `MAX_DRAW_ENTRIES` flags and values
     is skipped (`models.drawable`). The theory models among the draws
-    come from `draws`, or from a fresh store; either way the result is
+    come from the store `draws`, keyed by (seed, theory, closed
+    vocabulary, size), or from a fresh store; either way the result is
     the same, whatever other searches walked the store before.
     """
     (sol, att), vocab = close_formulas([solution, attempt], theory.vocabulary)
-    for size, kept in (draws or SearchDraws()).lists(theory, vocab, seed).items():
+    store = draws or SharedLists()
+    key = (seed, store.number(theory), vocabulary_key(vocab))
+    for size in SIZES:
+        if not drawable(vocab, size):
+            continue
+        kept = store.get((*key, size), lambda: theory_draws(
+            theory, vocab, size,
+            [(TUPLE_PROBABILITY, f"{seed}:search:{size}", DRAWS_PER_ELEMENT * size)]))
         layout = draw_layout(vocab, size)
         sol_holds = att_holds = None
         for draw in kept:

@@ -44,9 +44,8 @@ from .profiles import (
     binder_chain, extract_guards, flip_guard_operator, permute_arguments,
     remove_guard, swap_implication, toggle_negation,
 )
-from .countermodel import (
-    CounterExample, SearchDraws, backend_counterexample, search_countermodel,
-)
+from .models import SharedLists
+from .countermodel import CounterExample, backend_counterexample, search_countermodel
 from .prover import DecisionCache, ProverConfig, Verdict, decide_equivalence
 from .definability import (
     NECESSARY, UNKNOWN, EQUALITY, NecessityCache, necessary_symbols,
@@ -608,7 +607,7 @@ def explain_nonequivalence(solution: Formula, attempt: Formula, theory: Theory,
                            necessity_cache: NecessityCache | None = None,
                            prover_config: ProverConfig | None = None,
                            random_seed: int = 0,
-                           search_draws: SearchDraws | None = None,
+                           search_draws: SharedLists | None = None,
                            first_only: bool = False,
                            with_countermodel: bool = True) -> ExplanationBundle:
     """Decide the pair and, when non-equivalent, run every strategy family.

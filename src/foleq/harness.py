@@ -11,8 +11,8 @@ method attribution, per-strategy explanation counts, and timing data.
 
 The random counter-model search is seeded by the engine seed alone, so
 renamed or repeated records get the same random outcome, and the engine
-keeps the theory models it draws (`countermodel.SearchDraws`) for every
-later record over the same theory and closed vocabulary.
+keeps the theory models it draws, in a store (`models.SharedLists`), for
+every later record over the same theory and closed vocabulary.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from .prover import (
     decide_equivalence,
 )
 from .definability import NecessityCache
-from .countermodel import (
-    SearchDraws, backend_counterexample, backend_source, search_countermodel,
-)
+from .models import SharedLists
+from .countermodel import backend_counterexample, backend_source, search_countermodel
 from .explain import ALL_STRATEGIES, explain_nonequivalence
 
 
@@ -133,7 +132,7 @@ class Engine:
     seed: int = 0
     # the random search's theory models, shared by every record: threads
     # of `run_batch` share the engine
-    search_draws: SearchDraws = field(default_factory=SearchDraws)
+    search_draws: SharedLists = field(default_factory=SharedLists)
 
     @staticmethod
     def make(prover_path: str | None = None, modes: tuple[str, ...] | None = None,

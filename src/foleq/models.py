@@ -597,6 +597,58 @@ class SharedList:
             pos += 1
             yield entry
 
+    def __len__(self) -> int:
+        """The entries taken so far."""
+        return len(self._entries)
+
+
+# The most entries a `SharedLists` store keeps: making a list first drops the
+# oldest whole lists past it, and a dropped list is made again as it was. A
+# batch of the corpus's 280 mutants keeps 40,519 entries in its backend's store
+# and 9,983 in its search store; an axiom-free vocabulary's search, 55,000 draws.
+MAX_STORED_ENTRIES = 100_000
+
+
+class SharedLists:
+    """Lazily grown lists (`SharedList`s, or values that hold one), each
+    made once per key and kept for every later caller, under one lock, as
+    threads share one backend or engine. `number` numbers a theory, for
+    keys: a theory holds dicts, so it is keyed by value, and hashing its
+    axioms costs as much as testing a few candidates."""
+
+    def __init__(self):
+        self._values: dict = {}
+        self._theories: dict[tuple, int] = {}
+        self._lock = threading.Lock()
+
+    def number(self, theory: Theory) -> int:
+        key = (theory.axioms, vocabulary_key(theory.vocabulary))
+        with self._lock:
+            return self._theories.setdefault(key, len(self._theories))
+
+    def get(self, key: tuple, make):
+        """The value of the key, made by `make()` when the store has none;
+        before making it, the oldest values are dropped while the store
+        keeps more than `MAX_STORED_ENTRIES` entries."""
+        with self._lock:
+            value = self._values.get(key)
+            if value is None:
+                kept = sum(map(len, self._values.values()))
+                while kept > MAX_STORED_ENTRIES:
+                    kept -= len(self._values.pop(next(iter(self._values))))
+                value = self._values[key] = make()
+        return value
+
+
+def theory_draws(theory: Theory, vocab: Vocabulary, size: int, streams) -> SharedList:
+    """The theory's models among the draws of the `(p, stream name,
+    count)` streams, taken in turn, each kept as `DrawLayout.draws` yields
+    it. The list holds no caller, only its streams."""
+    layout = draw_layout(vocab, size)
+    return SharedList(itertools.chain.from_iterable(
+        layout.draws(p, random.Random(name), count, theory.axioms)
+        for p, name, count in streams), [])
+
 
 # Compiling a query's own axioms costs about as much as 12 `eval_formula`
 # calls (0.3-0.4 ms for a pair's negated biconditional at sizes 2-4), and

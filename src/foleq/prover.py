@@ -19,20 +19,19 @@ Two backends implement the query contract:
   for satisfiability and sound "up to size k" for unsatisfiability. It
   keeps the package fully functional without any external prover; its
   equivalence verdicts carry the bound they were established under.
-  Every exhaustive query walks a per-backend table of its theory's
-  models (TheoryModels), filled lazily and in enumeration order, so a
-  theory's axioms are tested once per backend and the answers are those
-  of filtering `models.enumerate_structures`. The fill chooses the
-  tables one symbol at a time and tests each axiom once the tables it
-  reads are chosen, skipping the choices below a failure. At each
-  sampled size a query walks, once, a per-backend list of the theory's
-  models among the draws of the size's streams, one stream per tuple
-  probability, taken in turn and kept as `DrawLayout.draws` yields them,
-  so the answers are those of filtering `models.random_models` on each
-  stream in turn. Tables and lists alike are walked through one
-  lazily grown shared list (`models.SharedList`), hold each candidate as
-  one draw of `models.DrawLayout` (one `bytes`), test axioms with its
-  compiled closures, and build a `Structure` only for a model returned.
+  A query walks lazily grown lists kept in the backend's store
+  (`models.SharedLists`) per theory and size. At an exhaustive size it
+  walks a table of the theory's models (TheoryModels), filled in
+  enumeration order one symbol's tables at a time, each axiom tested
+  once the tables it reads are chosen and a failure skipping the
+  choices below it; the answers are those of filtering
+  `models.enumerate_structures`. At a sampled size it walks, per closed
+  query vocabulary too, the theory's models among the draws of one
+  stream per tuple probability, taken in turn (`models.theory_draws`);
+  the answers are those of filtering `models.random_models` on each
+  stream in turn. Both hold each candidate as one draw of
+  `models.DrawLayout` (one `bytes`), test axioms with its compiled
+  closures, and build a `Structure` only for a model returned.
 
 Pinned finite-model output format (a subset of Vampire's fmb output)::
 
@@ -56,7 +55,6 @@ import itertools
 import json
 import math
 import os
-import random
 import re
 import subprocess
 import tempfile
@@ -73,8 +71,8 @@ from .syntax import (
 )
 from .theory import Theory
 from .models import (
-    SharedList, Structure, close_formulas, count_exceeds, draw_layout, drawable,
-    eval_formula, models_among, satisfies_all, vocabulary_key,
+    SharedList, SharedLists, Structure, close_formulas, count_exceeds, draw_layout,
+    drawable, eval_formula, models_among, satisfies_all, theory_draws, vocabulary_key,
 )
 
 
@@ -532,6 +530,9 @@ class TheoryModels:
         self._found = SharedList(_scan(fill, [c[0] for c in self._choices], 0, 0),
                               [] if wide else array("Q"))
 
+    def __len__(self) -> int:
+        return len(self._found)
+
     def models(self, query: SatQuery) -> Iterator[Structure]:
         """The models of the query's axioms, in the order of
         `enumerate_structures(query.vocabulary, size)`: its extra
@@ -598,21 +599,20 @@ class BoundedSearchBackend:
     an actual model (sound); "unsat" means no model up to the largest
     contiguously exhausted size, which is recorded in the result's bound.
 
-    At each exhausted size a query walks the backend's table of its
-    theory's models (`TheoryModels`), so a theory's axioms are tested
-    once per backend, not once per query. The tables hold the same
-    models in the same order as `enumerate_structures`, so the answers
-    and bounds are those of filtering it.
+    Its store (`models.SharedLists`) keeps, per theory and size, the
+    table of the theory's models (`TheoryModels`) that every exhaustive
+    query walks, so a theory's axioms are tested once per table, not
+    once per query. The tables hold the models in the order of
+    `enumerate_structures`, so the answers and bounds are those of
+    filtering it.
 
-    At each sampled size a query walks, once, the backend's list of its
+    At each sampled size a query walks, once, the store's list of its
     theory's models among the draws of the streams
-    `{seed}:backend:{size}:{p}`, the tuple probabilities p taken in
-    order: one `SharedList` of the draws `DrawLayout.draws` keeps
-    from each stream in turn, as it yields them, per theory and whole
-    query vocabulary (each closure constant shifts the streams). The
-    streams do not depend on the query, so the draws are made and the
-    theory's axioms tested once per backend; the first model found is the
-    one fresh streams, tried one p after another, would give.
+    `{seed}:backend:{size}:{p}`, p in `TUPLE_PROBABILITIES` order
+    (`models.theory_draws`), per theory and whole query vocabulary (each
+    closure constant shifts the streams): the first model of the query's
+    own axioms (`models_among`) is the one `random_models` gives on
+    fresh streams, tried one p after another.
     """
 
     name = "bounded"
@@ -620,50 +620,7 @@ class BoundedSearchBackend:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self.calls = 0
-        self._tables: dict[tuple, TheoryModels] = {}
-        self._draws: dict[tuple, SharedList] = {}
-        self._theories: dict[tuple, int] = {}
-        self._tables_lock = threading.Lock()
-
-    def _shared(self, lists: dict, key: tuple, make):
-        with self._tables_lock:
-            found = lists.get(key)
-            if found is None:
-                found = lists[key] = make()
-        return found
-
-    def _query_key(self, query: SatQuery) -> tuple[int, tuple]:
-        """The query's theory as a number, and its vocabulary's key.
-        Theory holds dicts, so it is keyed by value, and a query looks it
-        up once: hashing the axioms costs as much as a few candidates."""
-        theory = query.theory
-        key = (theory.axioms, vocabulary_key(theory.vocabulary))
-        with self._tables_lock:
-            number = self._theories.setdefault(key, len(self._theories))
-        return number, vocabulary_key(query.vocabulary)
-
-    def _models(self, query: SatQuery, key: tuple, size: int) -> Iterator[Structure]:
-        return self._shared(self._tables, (key[0], size),
-                            lambda: TheoryModels(query.theory, size)).models(query)
-
-    def _drawn(self, query: SatQuery, key: tuple, size: int, draws: int
-               ) -> Iterator[Structure]:
-        """The models of the query's axioms among the draws, in draw
-        order: those `random_models(query.vocabulary, query.axioms, ...)`
-        yields on a fresh stream for each p of `TUPLE_PROBABILITIES`, in
-        turn. Only the axioms after the theory's are tested
-        (`models_among`)."""
-        theory, layout = query.theory, draw_layout(query.vocabulary, size)
-        # the list's source must not hold the backend, which holds the list:
-        # a cycle would keep every list until the garbage collector runs
-        seed = self.seed
-        shared = self._shared(self._draws, (*key, size, draws), lambda: SharedList(
-            itertools.chain.from_iterable(
-                layout.draws(p, random.Random(f"{seed}:backend:{size}:{p}"), draws,
-                             theory.axioms)
-                for p in TUPLE_PROBABILITIES),
-            []))
-        return models_among(layout, query.axioms[len(theory.axioms):], shared)
+        self.store = SharedLists()
 
     def check_sat(self, query: SatQuery, timeout_ms: int | None = None,
                   want_model: bool = True) -> SatResult:
@@ -671,22 +628,28 @@ class BoundedSearchBackend:
         # cost is bounded by the budget instead
         del timeout_ms, want_model
         self.calls += 1
-        key = self._query_key(query)
+        theory, vocab, store = query.theory, query.vocabulary, self.store
+        number, own = store.number(theory), query.axioms[len(theory.axioms):]
         exhausted = 0
         for size in range(1, MAX_SIZE + 1):
-            if count_exceeds(query.vocabulary, size, EXHAUSTIVE_BUDGET):
+            if count_exceeds(vocab, size, EXHAUSTIVE_BUDGET):
                 break
-            model = next(self._models(query, key, size), None)
+            table = store.get((number, size), lambda: TheoryModels(theory, size))
+            model = next(table.models(query), None)
             if model is not None:
                 return SatResult("sat", model=model)
             exhausted = size
 
+        key = (number, vocabulary_key(vocab))
         for size in SAMPLE_SIZES:
-            if size <= exhausted or not drawable(query.vocabulary, size):
+            if size <= exhausted or not drawable(vocab, size):
                 continue
             total = SAMPLES_PER_SIZE * size if size <= MAX_SIZE else LARGE_SAMPLES
             draws = max(1, total // len(TUPLE_PROBABILITIES))
-            model = next(self._drawn(query, key, size, draws), None)
+            drawn = store.get((*key, size), lambda: theory_draws(
+                theory, vocab, size, [(p, f"{self.seed}:backend:{size}:{p}", draws)
+                                      for p in TUPLE_PROBABILITIES]))
+            model = next(models_among(draw_layout(vocab, size), own, drawn), None)
             if model is not None:
                 return SatResult("sat", model=model)
 
@@ -864,9 +827,12 @@ def revalidate_counter(model: Structure | None, solution: Formula, attempt: Form
     if model is None:
         return None, None
     (sol, att), vocab = close_formulas([solution, attempt], theory.vocabulary)
-    # a cache key ignores the vocabulary: a cached model may be another's
+    # a cache key ignores the vocabulary: a cached model may be another's,
+    # with other symbols or other arities
+    arity, tables = {**vocab.relations, **vocab.functions}, {**model.relations, **model.functions}
     if (model.relations.keys(), model.functions.keys(), model.constants.keys()) != (
-            vocab.relations.keys(), vocab.functions.keys(), vocab.constants):
+            vocab.relations.keys(), vocab.functions.keys(), vocab.constants) or any(
+            len(t) != arity[name] for name, table in tables.items() for t in table):
         return None, None
     try:
         if not satisfies_all(model, theory.axioms):

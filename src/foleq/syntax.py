@@ -337,27 +337,27 @@ def free_variables(f: Formula) -> list[str]:
 
 
 def symbols_of(f: Formula) -> tuple[set[str], set[str], set[str], bool]:
-    """(relations, functions, constants, uses_equality) occurring in f."""
+    """(relations, functions, constants, uses_equality) occurring in f;
+    a walk of explicit stacks, as `alpha_normalize` calls it on each input."""
     rels: set[str] = set()
     funcs: set[str] = set()
     consts: set[str] = set()
     uses_eq = False
-
-    def walk_term(t: Term):
+    nodes, terms = [f], []
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, Atom):
+            rels.add(node.rel)
+        uses_eq = uses_eq or isinstance(node, Eq)
+        terms.extend(formula_terms(node))
+        nodes.extend(children(node))
+    while terms:
+        t = terms.pop()
         if isinstance(t, Const):
             consts.add(t.name)
         elif isinstance(t, Func):
             funcs.add(t.name)
-            for a in t.args:
-                walk_term(a)
-
-    for _, node in subformulas(f):
-        if isinstance(node, Atom):
-            rels.add(node.rel)
-        elif isinstance(node, Eq):
-            uses_eq = True
-        for t in formula_terms(node):
-            walk_term(t)
+            terms.extend(t.args)
     return rels, funcs, consts, uses_eq
 
 
@@ -529,17 +529,18 @@ def alpha_normalize(f: Formula) -> Formula:
     """Rename bound variables to v0, v1, ... in binder-encounter order.
 
     Free variables are untouched; canonical names that would collide with
-    a free variable are skipped, so alpha-equivalent inputs still map to
-    identical outputs (alpha-equivalent formulas share their free names).
+    a free variable or a constant are skipped, so alpha-equivalent inputs
+    still map to identical outputs (they share their free names and
+    constants), and the printed output tells a bound variable from a constant.
     """
-    free = set(free_variables(f))
+    taken = {*free_variables(f), *symbols_of(f)[2]}
     counter = [0]
 
     def next_name() -> str:
         while True:
             name = f"v{counter[0]}"
             counter[0] += 1
-            if name not in free:
+            if name not in taken:
                 return name
 
     def walk(g: Formula, env: dict[str, Var]) -> Formula:
@@ -548,7 +549,9 @@ def alpha_normalize(f: Formula) -> Formula:
         if isinstance(g, QUANTIFIERS):
             name = next_name()
             return type(g)(name, walk(g.body, {**env, g.var: Var(name)}))
-        return with_children(g, tuple(walk(c, env) for c in children(g)))
+        if isinstance(g, Not):
+            return Not(walk(g.sub, env))
+        return type(g)(walk(g.left, env), walk(g.right, env))
 
     return walk(f, {})
 

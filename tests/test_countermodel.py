@@ -2,11 +2,13 @@ import random
 import sys
 import threading
 
-from foleq import countermodel
+from foleq import countermodel, models
 from foleq.corpus import load_scenarios
-from foleq.countermodel import SearchDraws, random_structure, search_countermodel
+from foleq.countermodel import random_structure, search_countermodel
 from foleq.mutate import MUTATIONS, mutate
-from foleq.models import DrawLayout, eval_formula, random_models, satisfies_all
+from foleq.models import (
+    DrawLayout, SharedLists, eval_formula, random_models, satisfies_all,
+)
 from foleq.parser import parse
 from foleq.syntax import Vocabulary
 from foleq.theory import Theory
@@ -135,11 +137,11 @@ def test_search_draws_store_matches_fresh_searches(monkeypatch):
     fresh = [search_countermodel(sol, att, th, seed=4) for th, sol, att in pairs]
     assert None in fresh and any(fresh)
 
-    forward = SearchDraws()
+    forward = SharedLists()
     assert [search_countermodel(sol, att, th, 4, forward) for th, sol, att in pairs] == fresh
     # three theories, one of them over two closed vocabularies
-    assert len(forward._lists) == 4
-    backward = SearchDraws()
+    assert len({key[:3] for key in forward._values}) == 4
+    backward = SharedLists()
     assert [search_countermodel(sol, att, th, 4, backward)
             for th, sol, att in reversed(pairs)] == fresh[::-1]
     # another seed's streams are kept apart in the same store
@@ -147,8 +149,12 @@ def test_search_draws_store_matches_fresh_searches(monkeypatch):
     assert search_countermodel(sol, att, th, 5, forward) == \
         search_countermodel(sol, att, th, seed=5)
 
+    searched_from_threads(pairs, fresh)
+
+
+def searched_from_threads(pairs, fresh):
     # more threads than cores fill one store at once, each in its own order
-    shared, got = SearchDraws(), [[] for _ in range(4)]
+    shared, got = SharedLists(), [[] for _ in range(4)]
     orders = [pairs, pairs[::-1], pairs[1::2] + pairs[::2], pairs[::2] + pairs[1::2]]
 
     def search(out, order):
@@ -167,6 +173,35 @@ def test_search_draws_store_matches_fresh_searches(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     expected = dict(zip(map(id, pairs), fresh))
     assert all(out == [expected[id(p)] for p in order] for out, order in zip(got, orders))
+
+
+def test_search_draws_store_past_its_cap_matches_fresh_searches(monkeypatch):
+    # a store that keeps few entries drops lists often; a dropped list is
+    # made again from its stream, so every search gives a fresh search's answer
+    monkeypatch.setattr(countermodel, "DRAWS_PER_ELEMENT", 200)
+    pairs = [(sc.theory, sol.formula, mutant)
+             for sc in load_scenarios() if sc.id in ("E-1", "E-6")
+             for sol in sc.solutions for family in MUTATIONS
+             if (mutant := mutate(sol.formula, family)) is not None]
+    fresh = [search_countermodel(sol, att, th, seed=4) for th, sol, att in pairs]
+    cap, store, kept = 1000, SharedLists(), []
+    monkeypatch.setattr(models, "MAX_STORED_ENTRIES", cap)
+    make = countermodel.theory_draws
+
+    def counted(*args):
+        kept.append(sum(map(len, store._values.values())))
+        return make(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(countermodel, "theory_draws", counted)
+        assert [search_countermodel(sol, att, th, 4, store)
+                for th, sol, att in pairs * 2] == fresh * 2
+    # whenever it makes a list the store keeps at most the cap, and lists
+    # it dropped were made again
+    assert max(kept) <= cap
+    assert len(kept) > len(store._values) + len(kept) // 2
+    # threads whose lists are dropped while others walk them
+    searched_from_threads(pairs, fresh)
 
 
 def test_search_uses_pool_and_validates():

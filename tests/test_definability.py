@@ -271,9 +271,9 @@ def test_padoa_queries_of_one_symbol_share_a_table(monkeypatch):
     first, second = (encode_padoa(sol.formula, sc.theory, {"B"}) for sol in sc.solutions[1:3])
     assert first.theory == second.theory
     backend.check_sat(first)
-    tables = dict(backend._tables)
+    tables = dict(backend.store._values)
     backend.check_sat(second)
-    assert backend._tables == tables
+    assert backend.store._values == tables
     assert sorted(key[-1] for key in tables) == [1, 2]
 
 

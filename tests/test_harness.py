@@ -245,6 +245,22 @@ def test_prover_model_missing_from_a_hit_is_asked_again(tmp_path):
     assert again["countermodel_methods"] == first["countermodel_methods"]
 
 
+def test_run_pair_tells_a_constant_from_a_bound_variable_of_its_name():
+    # with a constant v0, the second pair's cache key and duplicate key were
+    # the first's, so it was served the first's syntactic "equivalent"
+    objs = [record_obj("same", "forall x P(x)", "forall y P(y)"),
+            record_obj("other", "forall x P(x)", "forall x P(v0)")]
+    for obj in objs:
+        obj["vocabulary"]["constants"] = ["v0"]
+    same, other = map(PairRecord.from_json, objs)
+    assert same.duplicate_key() != other.duplicate_key()
+    engine = Engine.make(seed=5)
+    assert run_pair(same, engine)["verdict"] == {"status": "equivalent", "method": "syntactic"}
+    served, fresh = run_pair(other, engine), run_pair(other, Engine.make(seed=5))
+    assert served.pop("timing_ms") >= 0 and fresh.pop("timing_ms") >= 0
+    assert served == fresh and served["verdict"]["status"] == "non-equivalent"
+
+
 def test_batch_self_pairs_all_equivalent(tmp_path, engine):
     objs = [record_obj(f"s{i}", "forall x P(x)", "forall x P(x)") for i in range(4)]
     path = tmp_path / "d.jsonl"
@@ -503,7 +519,7 @@ def test_batch_parallel_matches_serial_on_a_theory(monkeypatch):
         report = run_batch(records, engine, workers=workers)
         # each table holds the same entries in the same order as a serial run's
         tables = {key: list(table._found._entries)
-                  for key, table in engine.backend._tables.items()}
+                  for key, table in engine.backend.store._values.items()}
         return report.to_json()["total"], dict(results), tables
 
     serial = outcomes(1)
@@ -635,6 +651,51 @@ def test_cli_batch_skips_a_malformed_necessity_line(tmp_path):
     (tmp_path / "bad.necessity").write_text(
         "".join(json.dumps({"key": key, "statuses": "abc"}) + "\n" for key in keys))
     assert batch("bad") == clean
+
+
+# cached counter models that `Structure.from_json` accepts but whose arities
+# are not the vocabulary's: a binary table for the unary f made `foleq batch
+# --cache` exit 1 with a KeyError, and pairs for the unary P were reported
+# as the pair's counter model
+WRONG_ARITY_COUNTERS = {
+    "binary-table-for-unary-f": (
+        "forall x P(f(x))", "exists x P(f(x))",
+        {"size": 2, "relations": {"P": [[1]]},
+         "functions": {"f": [[1, 1, 1], [1, 2, 1], [2, 1, 2], [2, 2, 2]]}}),
+    "pairs-for-unary-P": (
+        "forall x P(x)", "~(exists x P(x))",
+        {"size": 1, "relations": {"P": [[1, 1]]}, "functions": {"f": [[1, 1]]}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_ARITY_COUNTERS))
+def test_cli_drops_a_cached_counter_of_other_arities(tmp_path, capsys, case):
+    # the verdict stands without the model: the output is that of a cache
+    # line that holds none
+    psi, phi, counter = WRONG_ARITY_COUNTERS[case]
+    pair = record_obj(case, psi, phi)
+    pair["vocabulary"]["functions"] = {"f": 1}
+    data, pair_file = tmp_path / "d.jsonl", tmp_path / "pair.json"
+    write_dataset(data, [pair])
+    pair_file.write_text(json.dumps(pair))
+    key = prover.backend_key(prover.BoundedSearchBackend(),
+                             PairRecord.from_json(pair).duplicate_key())
+
+    def outputs(name, counter):
+        cache = tmp_path / name
+        cache.write_text(json.dumps({"key": key, "status": "non-equivalent",
+                                     "method": "bounded", "counter": counter}) + "\n")
+        report = tmp_path / f"{name}.json"
+        assert cli_main(["batch", str(data), "--report", str(report),
+                         "--cache", str(cache)]) == 0
+        capsys.readouterr()
+        assert cli_main(["feedback", str(pair_file), "--cache", str(cache)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out.pop("timing_ms") >= 0 and out["verdict"]["method"] == "cache"
+        return ({k: v for k, v in json.loads(report.read_text()).items() if k != "timing"},
+                out)
+
+    assert outputs("bad", counter) == outputs("clean", None)
 
 
 HIGH_ARITY_PAIRS = {

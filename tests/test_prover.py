@@ -20,8 +20,9 @@ from foleq.definability import (
 )
 from foleq.explain import StrategyContext
 from foleq.models import (
-    SharedList, brute_force_verdict, close_formulas, count_structures, draw_layout,
-    enumerate_structures, random_models, satisfies_all,
+    SharedList, SharedLists, brute_force_verdict, close_formulas, count_structures,
+    draw_layout, enumerate_structures, models_among, random_models, satisfies_all,
+    vocabulary_key,
 )
 from foleq.mutate import MUTATIONS, mutate, mutate_all
 from foleq.parser import parse
@@ -421,7 +422,8 @@ def test_theory_table_resumes_after_an_early_stop(monkeypatch):
     unsat = encode_equivalence(sol, Not(Not(sol)), sc.theory)
     shared = BoundedSearchBackend()
     first = shared.check_sat(sat)
-    table = shared._tables[next(key for key in shared._tables if key[-1] == 2)]
+    tables = shared.store._values
+    table = tables[next(key for key in tables if key[-1] == 2)]
     models_after_sat = len(table._found._entries)
     second = shared.check_sat(unsat)
     assert first.status == "sat" and second.status == "unsat"
@@ -467,6 +469,29 @@ def test_shared_list_reads_its_source_as_far_as_the_furthest_walk(entries):
     assert read == [0, 1, 2, 3, 4] and list(entries) == [0, 1, 4, 9, 16]
 
 
+def test_shared_lists_drop_their_oldest_lists_past_the_cap(monkeypatch):
+    monkeypatch.setattr(models, "MAX_STORED_ENTRIES", 5)
+    store, made = SharedLists(), []
+
+    def make(name, n):
+        made.append(name)
+        return SharedList(iter(range(n)), [])
+
+    def walked(name, n):
+        shared = store.get((name,), lambda: make(name, n))
+        return list(shared)
+
+    assert walked("a", 3) == walked("a", 3) == [0, 1, 2] and made == ["a"]
+    assert walked("b", 4) == [0, 1, 2, 3]       # 3 kept: nothing dropped
+    assert walked("c", 2) == [0, 1]             # 7 kept: "a" dropped first
+    assert list(store._values) == [("b",), ("c",)]
+    assert walked("a", 3) == [0, 1, 2]          # 6 kept: "b" dropped, "a" made again
+    assert list(store._values) == [("c",), ("a",)] and made == ["a", "b", "c", "a"]
+    # theories are numbered by value, in the order first asked for
+    assert [store.number(th) for th in (Theory(VP), Theory(VP.extend(constants=["c"])),
+                                        Theory(VP))] == [0, 1, 0]
+
+
 def _sampled_query(theory, n, k):
     """A query whose last axiom is a sampled formula over the theory, with
     up to k free variables closed by constants and the others quantified."""
@@ -477,7 +502,11 @@ def _sampled_query(theory, n, k):
     return SatQuery(axioms=theory.axioms + (closed,), vocabulary=vocab, theory=theory)
 
 
-def test_shared_draws_match_a_plain_filter():
+def no_new_list():
+    raise AssertionError("the store made a list that the backend should have made")
+
+
+def test_shared_draws_match_a_plain_filter(monkeypatch):
     theories = [sc.theory for sc in load_scenarios()] + _doubled_theories()
     assert any(not th.axioms for th in theories)
     assert any(not th.vocabulary.relations for th in theories)     # E-9
@@ -504,23 +533,39 @@ def test_shared_draws_match_a_plain_filter():
         seen["constants"] += len(one.vocabulary.constants) > len(theory.vocabulary.constants)
         seen["relation-free"] += not theory.vocabulary.relations and bool(expected[0])
 
+        def walk(backend, q):
+            # the list the backend made for the query: no other is made
+            store = backend.store
+            key = (store.number(q.theory), vocabulary_key(q.vocabulary), size)
+            return models_among(draw_layout(q.vocabulary, size), q.axioms[len(theory.axioms):],
+                                store.get(key, no_new_list))
+
+        def filled():
+            # the backend samples the size alone, `draws` draws per stream
+            backend = BoundedSearchBackend(seed=5)
+            with monkeypatch.context() as patched:
+                patched.setattr(prover, "MAX_SIZE", 0)
+                patched.setattr(prover, "SAMPLE_SIZES", (size,))
+                patched.setattr(prover, "LARGE_SAMPLES", draws * len(prover.TUPLE_PROBABILITIES))
+                result = backend.check_sat(one)
+            assert result.model == (expected[0] or [None])[0]
+            return backend
+
         # the two queries walk one list, step by step in turn
-        backend = BoundedSearchBackend(seed=5)
-        walks = [backend._drawn(q, backend._query_key(q), size, draws) for q in (one, two)]
+        backend = filled()
+        walks = [walk(backend, q) for q in (one, two)]
         got = [[], []]
         for pair in itertools.zip_longest(*walks):
             for models, s in zip(got, pair):
                 if s is not None:
                     models.append(s)
-        assert got == expected and len(backend._draws) == 1
-        assert list(backend._drawn(one, backend._query_key(one), size, draws)) == expected[0]
+        assert got == expected and len(backend.store._values) == 1
+        assert list(walk(backend, one)) == expected[0]
 
         # and from more threads than cores at once, each query twice
-        backend = BoundedSearchBackend(seed=5)
+        backend = filled()
         got = [[], [], [], []]
-        threads = [threading.Thread(
-                       target=models.extend,
-                       args=(backend._drawn(q, backend._query_key(q), size, draws),))
+        threads = [threading.Thread(target=models.extend, args=(walk(backend, q),))
                    for models, q in zip(got, (one, two, one, two))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -570,9 +615,12 @@ def test_one_flat_draw_in_tables_lists_and_store(monkeypatch):
     assert [size for size, _ in walked] == [1, 2, 3, 4, 5, 6] and all(n for _, n in walked)
 
     monkeypatch.setattr(countermodel, "DRAWS_PER_ELEMENT", 20)
-    lists = countermodel.SearchDraws().lists(theory, query.vocabulary, 5)
-    assert list(lists) == list(countermodel.SIZES)
-    for size, kept in lists.items():
+    store = SharedLists()
+    assert countermodel.search_countermodel(parse("R(x, f(a))", vocab),
+                                            parse("R(x, f(a)) & (P(b) | ~P(b))", vocab),
+                                            theory, 5, store) is None
+    assert [key[-1] for key in store._values] == list(countermodel.SIZES)
+    for (_, _, _, size), kept in store._values.items():
         fresh = draw_layout(query.vocabulary, size).draws(
             countermodel.TUPLE_PROBABILITY, random.Random(f"5:search:{size}"), 20 * size,
             theory.axioms)
@@ -590,12 +638,12 @@ def test_bounded_backend_is_freed_by_reference_counting():
         # the walk stops inside the size-2 list, whose source stays open
         result = backend.check_sat(encode_equivalence(sol.formula, found, sc.theory))
         assert result.status == "sat" and result.model.size == 2
-        assert backend._tables and backend._draws
-        lists = [weakref.ref(shared) for shared in backend._draws.values()]
-        tables = [weakref.ref(table) for table in backend._tables.values()]
-        freed = weakref.ref(backend)
-        del backend
-        assert freed() is None and all(ref() is None for ref in lists + tables)
+        kept = backend.store._values.values()
+        assert {type(value) for value in kept} == {TheoryModels, SharedList}
+        values = [weakref.ref(value) for value in kept]
+        freed, store = weakref.ref(backend), weakref.ref(backend.store)
+        del backend, kept
+        assert freed() is None and store() is None and all(ref() is None for ref in values)
     finally:
         gc.enable()
 

@@ -131,6 +131,16 @@ def test_alpha_avoids_free_canonical_names():
     assert g != f or to_str(g) != "forall v0 R(v0, v0)"
 
 
+def test_alpha_avoids_constant_names():
+    # with a constant v0, renaming the binder of "forall x P(v0)" to v0
+    # printed it as "forall v0 P(v0)", the text of "forall x P(x)"
+    v = Vocabulary(relations={"P": 1}, constants={"v0"})
+    bound, constant = (alpha_normalize(parse(text, v))
+                       for text in ("forall x P(x)", "forall x P(v0)"))
+    assert (to_str(bound), to_str(constant)) == ("forall v0 P(v0)", "forall v1 P(v0)")
+    assert alpha_normalize(constant) == constant
+
+
 @settings(max_examples=60, deadline=None)
 @given(sampled_formulas())
 def test_alpha_idempotent_and_semantics_preserving(f):

@@ -12,7 +12,11 @@ method attribution, per-strategy explanation counts, and timing data.
 The random counter-model search is seeded by the engine seed alone, so
 renamed or repeated records get the same random outcome, and the engine
 keeps the theory models it draws, in a store (`models.SharedLists`), for
-every later record over the same theory and closed vocabulary.
+every later record over the same theory and closed vocabulary. A batch
+runs the search once per distinct oriented pair: a record takes the
+outcome of an earlier record of its duplicate group with the same
+solution up to bound-variable names and the same vocabulary, and the
+outcomes of a group are dropped once its last record has run.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .syntax import Formula, FoleqError, Vocabulary, to_str
+from .syntax import (
+    Formula, FoleqError, Vocabulary, alpha_normalize, drop_vacuous, to_str,
+)
 from .parser import parse
 from .theory import Theory
 from .prover import (
@@ -33,7 +39,7 @@ from .prover import (
     decide_equivalence,
 )
 from .definability import NecessityCache
-from .models import SharedLists
+from .models import SharedLists, vocabulary_key
 from .countermodel import backend_counterexample, backend_source, search_countermodel
 from .explain import ALL_STRATEGIES, explain_nonequivalence
 
@@ -75,7 +81,7 @@ class PairRecord:
         return PairRecord(
             id=str(obj.get("id", default_id)),
             vocabulary=vocab,
-            theory=Theory(vocab, tuple(parse(ax, vocab) for ax in gamma)),
+            theory=Theory(vocab, tuple(drop_vacuous(parse(ax, vocab))[0] for ax in gamma)),
             solution=parse(psi, vocab),
             attempt=parse(phi, vocab),
         )
@@ -181,8 +187,13 @@ def _backend_countermodel(record, engine):
 
 
 def run_pair(record: PairRecord, engine: Engine, both_methods: bool = False,
-             first_only: bool = False) -> dict:
-    """Full pipeline for one record: decide, counter model, explanations."""
+             first_only: bool = False, searches: dict | None = None) -> dict:
+    """Full pipeline for one record: decide, counter model, explanations.
+
+    `searches` holds the random search's outcomes of the record's
+    duplicate group (`run_batch` keeps one per group), by solution up to
+    bound-variable names and vocabulary: the group sorts the pair, so the
+    solution orients it. A record finds its outcome there or adds it."""
     start = time.perf_counter()
     bundle = explain_nonequivalence(
         record.solution, record.attempt, record.theory, engine.backend,
@@ -199,8 +210,12 @@ def run_pair(record: PairRecord, engine: Engine, both_methods: bool = False,
         # entry that holds no model sends the pair to the backend again
         if counterexample is None and bundle.verdict.method == "cache":
             counterexample = _backend_countermodel(record, engine)
-        random_hit = search_countermodel(record.solution, record.attempt,
-                                         record.theory, engine.seed, engine.search_draws)
+        searches = {} if searches is None else searches
+        key = (alpha_normalize(record.solution), vocabulary_key(record.theory.vocabulary))
+        if key not in searches:
+            searches[key] = search_countermodel(record.solution, record.attempt,
+                                                record.theory, engine.seed, engine.search_draws)
+        random_hit = searches[key]
         methods = {backend_source(engine.backend): counterexample is not None,
                    "random": random_hit is not None}
         counterexample = counterexample or random_hit
@@ -341,31 +356,45 @@ def run_batch(records: list[PairRecord], engine: Engine, both_methods: bool = Tr
     Results are aggregated in input order regardless of worker
     scheduling. The random search is seeded by the engine seed alone, so
     a record's outcome does not depend on its id, its position or the
-    workers, and reruns with a warm cache change timings only.
+    workers, and reruns with a warm cache change timings only. It runs
+    once per distinct oriented pair and vocabulary of a duplicate group,
+    in the `run_pair` call of the group's first record that needs it; the
+    group's outcomes are dropped after its last record.
     """
-    def process(record: PairRecord) -> dict:
+    def process(record: PairRecord, searches: dict) -> dict:
         try:
             return run_pair(record, engine, both_methods=both_methods,
-                            first_only=first_only)
+                            first_only=first_only, searches=searches)
         except FoleqError as exc:
             return {"id": record.id, "verdict": {"status": "unknown"},
                     "explanations": [], "strategies": [], "timing_ms": 0.0,
                     "error": str(exc)}
 
+    keys = [record.duplicate_key() for record in records]
     groups: dict[str, list[int]] = {}
-    for i, record in enumerate(records):
-        groups.setdefault(record.duplicate_key(), []).append(i)
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
     if workers > 1:
         # imported here: a serial run does without the module's memory
         from concurrent.futures import ThreadPoolExecutor
+
+        def run_group(group: list[int]) -> list[dict]:
+            searches: dict = {}
+            return [process(records[i], searches) for i in group]
+
         # one task runs a key's records in order, so that its repeats find
-        # the decision cached, as in a serial run
+        # the decision cached and the search's outcome, as in a serial run
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(lambda g: [process(records[i]) for i in g], groups.values()))
+            runs = list(pool.map(run_group, groups.values()))
         done = {i: r for group, rs in zip(groups.values(), runs) for i, r in zip(group, rs)}
         results = [done[i] for i in range(len(records))]
     else:
-        results = [process(r) for r in records]
+        searches: dict[str, dict] = {}      # per open group
+        results = []
+        for i, (record, key) in enumerate(zip(records, keys)):
+            results.append(process(record, searches.setdefault(key, {})))
+            if groups[key][-1] == i:
+                del searches[key]
 
     report = Report(total=_section(results),
                     distinct=_section([results[group[0]] for group in groups.values()]),

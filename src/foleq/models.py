@@ -39,7 +39,7 @@ from typing import Iterator, Mapping
 
 from .syntax import (
     And, Atom, Const, Eq, Exists, Forall, Formula, FoleqError, Func, Iff,
-    Implies, Not, Or, Term, Var, Vocabulary, fresh_name, free_variables,
+    Implies, Not, Or, Term, Var, Vocabulary, drop_vacuous, fresh_name, free_variables,
     subformulas, substitute_variables,
 )
 from .theory import Theory
@@ -577,11 +577,13 @@ def random_models(vocab: Vocabulary, axioms, size: int, p: float,
 class SharedList:
     """The entries of `source`, taken lazily and shared by every walk.
     `entries` grows only as far as the furthest walk has gone; a lock
-    guards the growth, as threads share one backend or engine."""
+    guards the growth, as threads share one backend or engine. Each entry
+    weighs `entry_bytes` in a store: a table entry 8, a draw its length."""
 
-    def __init__(self, source: Iterator, entries):
+    def __init__(self, source: Iterator, entries, entry_bytes: int = 8):
         self._source = source
         self._entries = entries
+        self._entry_bytes = entry_bytes
         self._lock = threading.Lock()
 
     def __iter__(self) -> Iterator:
@@ -597,24 +599,28 @@ class SharedList:
             pos += 1
             yield entry
 
-    def __len__(self) -> int:
-        """The entries taken so far."""
-        return len(self._entries)
+    @property
+    def nbytes(self) -> int:
+        """The bytes the entries taken so far hold."""
+        return len(self._entries) * self._entry_bytes
 
 
-# The most entries a `SharedLists` store keeps: making a list first drops the
-# oldest whole lists past it, and a dropped list is made again as it was. A
-# batch of the corpus's 280 mutants keeps 40,519 entries in its backend's store
-# and 9,983 in its search store; an axiom-free vocabulary's search, 55,000 draws.
-MAX_STORED_ENTRIES = 100_000
+# The most bytes of entries (`SharedList.nbytes`) a `SharedLists` store keeps:
+# making a list first drops the oldest whole lists past it, and a dropped list
+# is made again as it was. A batch of the corpus's 280 mutants keeps 0.72 MB in
+# its backend's store and 0.06 MB in its search store, a benchmark round at
+# most 0.1 MB; a full miss over an axiom-free corpus theory (E-6, E-9, E-11)
+# keeps 3.0-5.1 MB, and a 4-ary relation's, 61.8 MB.
+MAX_STORED_BYTES = 16 << 20
 
 
 class SharedLists:
-    """Lazily grown lists (`SharedList`s, or values that hold one), each
-    made once per key and kept for every later caller, under one lock, as
-    threads share one backend or engine. `number` numbers a theory, for
-    keys: a theory holds dicts, so it is keyed by value, and hashing its
-    axioms costs as much as testing a few candidates."""
+    """Lazily grown lists (`SharedList`s, or values that hold one and
+    give its `nbytes`), each made once per key and kept for every later
+    caller, under one lock, as threads share one backend or engine.
+    `number` numbers a theory, for keys: a theory holds dicts, so it is
+    keyed by value, and hashing its axioms costs as much as testing a few
+    candidates."""
 
     def __init__(self):
         self._values: dict = {}
@@ -629,13 +635,13 @@ class SharedLists:
     def get(self, key: tuple, make):
         """The value of the key, made by `make()` when the store has none;
         before making it, the oldest values are dropped while the store
-        keeps more than `MAX_STORED_ENTRIES` entries."""
+        keeps more than `MAX_STORED_BYTES` bytes of entries."""
         with self._lock:
             value = self._values.get(key)
             if value is None:
-                kept = sum(map(len, self._values.values()))
-                while kept > MAX_STORED_ENTRIES:
-                    kept -= len(self._values.pop(next(iter(self._values))))
+                kept = sum(v.nbytes for v in self._values.values())
+                while kept > MAX_STORED_BYTES:
+                    kept -= self._values.pop(next(iter(self._values))).nbytes
                 value = self._values[key] = make()
         return value
 
@@ -647,7 +653,7 @@ def theory_draws(theory: Theory, vocab: Vocabulary, size: int, streams) -> Share
     layout = draw_layout(vocab, size)
     return SharedList(itertools.chain.from_iterable(
         layout.draws(p, random.Random(name), count, theory.axioms)
-        for p, name, count in streams), [])
+        for p, name, count in streams), [], layout.bits + layout.values)
 
 
 # Compiling a query's own axioms costs about as much as 12 `eval_formula`
@@ -685,15 +691,18 @@ def models_among(layout: DrawLayout, axioms, candidates) -> Iterator[Structure]:
 
 def close_formulas(formulas: list[Formula], vocab: Vocabulary
                    ) -> tuple[list[Formula], Vocabulary]:
-    """Replace free variables by fresh constants, shared across the list.
+    """Replace free variables by fresh constants, shared across the list,
+    and drop vacuous quantifiers (`drop_vacuous`).
 
     Two open formulas agree on all models and assignments exactly when
     their closures agree on all models of the extended vocabulary, so
     equivalence and counter-model work runs on the closed pair.
     """
+    walked = [drop_vacuous(f) for f in formulas]
+    formulas = [f for f, _ in walked]
     order: list[str] = []
-    for f in formulas:
-        for v in free_variables(f):
+    for _, free in walked:
+        for v in free:
             if v not in order:
                 order.append(v)
     if not order:

@@ -530,8 +530,9 @@ class TheoryModels:
         self._found = SharedList(_scan(fill, [c[0] for c in self._choices], 0, 0),
                               [] if wide else array("Q"))
 
-    def __len__(self) -> int:
-        return len(self._found)
+    @property
+    def nbytes(self) -> int:
+        return self._found.nbytes
 
     def models(self, query: SatQuery) -> Iterator[Structure]:
         """The models of the query's axioms, in the order of

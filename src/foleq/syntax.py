@@ -556,6 +556,41 @@ def alpha_normalize(f: Formula) -> Formula:
     return walk(f, {})
 
 
+def drop_vacuous(f: Formula) -> tuple[Formula, list[str]]:
+    """f without the quantifiers whose variable is not free in their body,
+    and its free variables as `free_variables` orders them, from one walk;
+    unchanged subtrees are kept as they are. Domains are non-empty, so
+    such a quantifier changes no truth value, while a run of them
+    multiplies the instances an evaluation walks."""
+
+    def walk(g: Formula) -> tuple[Formula, list[str]]:
+        if isinstance(g, QUANTIFIERS):
+            body, free = walk(g.body)
+            if g.var not in free:
+                return body, free
+            return ((g if body is g.body else type(g)(g.var, body)),
+                    [v for v in free if v != g.var])
+        if isinstance(g, Not):
+            sub, free = walk(g.sub)
+            return (g if sub is g.sub else Not(sub)), free
+        if isinstance(g, BINARY):
+            left, free = walk(g.left)
+            right, more = walk(g.right)
+            if more:
+                free = free + [v for v in more if v not in free]
+            if left is g.left and right is g.right:
+                return g, free
+            return type(g)(left, right), free
+        free = []
+        for t in formula_terms(g):
+            for v in term_variables(t):
+                if v not in free:
+                    free.append(v)
+        return g, free
+
+    return walk(f)
+
+
 def rename_symbols(f: Formula, mapping: Mapping[str, str]) -> Formula:
     """f with relation, function, and constant names replaced wholesale."""
 

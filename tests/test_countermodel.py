@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import tracemalloc
 
 from foleq import countermodel, models
 from foleq.corpus import load_scenarios
@@ -176,7 +177,7 @@ def searched_from_threads(pairs, fresh):
 
 
 def test_search_draws_store_past_its_cap_matches_fresh_searches(monkeypatch):
-    # a store that keeps few entries drops lists often; a dropped list is
+    # a store that keeps few bytes drops lists often; a dropped list is
     # made again from its stream, so every search gives a fresh search's answer
     monkeypatch.setattr(countermodel, "DRAWS_PER_ELEMENT", 200)
     pairs = [(sc.theory, sol.formula, mutant)
@@ -184,12 +185,12 @@ def test_search_draws_store_past_its_cap_matches_fresh_searches(monkeypatch):
              for sol in sc.solutions for family in MUTATIONS
              if (mutant := mutate(sol.formula, family)) is not None]
     fresh = [search_countermodel(sol, att, th, seed=4) for th, sol, att in pairs]
-    cap, store, kept = 1000, SharedLists(), []
-    monkeypatch.setattr(models, "MAX_STORED_ENTRIES", cap)
+    cap, store, kept = 20_000, SharedLists(), []
+    monkeypatch.setattr(models, "MAX_STORED_BYTES", cap)
     make = countermodel.theory_draws
 
     def counted(*args):
-        kept.append(sum(map(len, store._values.values())))
+        kept.append(sum(value.nbytes for value in store._values.values()))
         return make(*args)
 
     with monkeypatch.context() as patched:
@@ -202,6 +203,28 @@ def test_search_draws_store_past_its_cap_matches_fresh_searches(monkeypatch):
     assert len(kept) > len(store._values) + len(kept) // 2
     # threads whose lists are dropped while others walk them
     searched_from_threads(pairs, fresh)
+
+
+def test_search_draws_store_keeps_its_byte_cap_on_wide_draws():
+    # a 4-ary relation's draw holds up to 8 ** 4 = 4,096 flags, and the
+    # tautology pair's full miss keeps all 36,000 draws of sizes 1 to 8,
+    # 61.8 MB of entries; over three vocabularies a store that capped its
+    # entries at 100,000 kept all three misses, 182 MB traced
+    store, largest = SharedLists(), 8 * 1000 * 8 ** 4     # size 8's list
+    tracemalloc.start()
+    try:
+        for r in ("R", "S", "T"):
+            v = Vocabulary(relations={r: 4})
+            tautology = parse(f"forall x ({r}(x, x, x, x) | ~{r}(x, x, x, x))", v)
+            assert search_countermodel(tautology, parse("forall x x = x", v),
+                                       Theory(v), 0, store) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the store keeps at most its cap besides the list a search walks
+    assert sum(value.nbytes for value in store._values.values()) <= \
+        models.MAX_STORED_BYTES + largest
+    assert peak < 1.1 * (models.MAX_STORED_BYTES + largest)
 
 
 def test_search_uses_pool_and_validates():

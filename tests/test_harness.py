@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -13,9 +15,10 @@ from foleq.harness import (
 from foleq.cli import main as cli_main
 from foleq.corpus import all_solutions, load_scenarios
 from foleq.definability import NOT_SHOWN, UNKNOWN, necessary_symbols
+from foleq.models import vocabulary_key
 from foleq.mutate import MUTATIONS, mutate
 from foleq.parser import MAX_DEPTH, parse
-from foleq.prover import SatResult, decide_equivalence
+from foleq.prover import DecisionCache, SatResult, decide_equivalence
 from foleq.syntax import Vocabulary, VocabularyError, alpha_normalize, to_str
 from foleq.theory import Theory
 
@@ -419,6 +422,156 @@ def test_batch_gives_renamed_copies_their_originals_countermodel_methods(monkeyp
     assert all(methods[label] == methods[f"{label}/renamed"] for label in originals), methods
     hits = [methods[label]["random"] for label in originals if methods[label]]
     assert True in hits and False in hits
+
+
+def reuse_records() -> list[PairRecord]:
+    """Two pairs, one whose random search hits (E-3-1) and one whose
+    search misses (E-12-1), each submitted five times: as itself, with the
+    attempt's bound variables renamed, verbatim again, with psi and phi
+    swapped, and over a vocabulary with one more, unused, relation. The
+    five share a duplicate key; they orient the pair two ways and use two
+    vocabularies."""
+    solutions = {sol.id: (sc, sol) for sc, sol in all_solutions()}
+    records = []
+    for solution_id in ("E-3-1", "E-12-1"):
+        sc, sol = solutions[solution_id]
+        mutant = mutate(sol.formula, "negation-toggle")
+        assert alpha_normalize(mutant) != mutant
+        wider = sc.vocabulary.extend(relations={"Unused": 1})
+        label = f"{solution_id}/negation-toggle"
+        records += [
+            PairRecord(label, sc.vocabulary, sc.theory, sol.formula, mutant),
+            PairRecord(f"{label}/renamed", sc.vocabulary, sc.theory, sol.formula,
+                       alpha_normalize(mutant)),
+            PairRecord(f"{label}/again", sc.vocabulary, sc.theory, sol.formula, mutant),
+            PairRecord(f"{label}/swapped", sc.vocabulary, sc.theory, mutant, sol.formula),
+            PairRecord(f"{label}/wider", wider, Theory(wider, sc.theory.axioms),
+                       sol.formula, mutant),
+        ]
+    assert len({r.duplicate_key() for r in records}) == 2
+    return records
+
+
+def without_timing(result: dict) -> dict:
+    """A run_pair result without its timing, its verdict's method the one
+    a cache hit repeats."""
+    verdict = dict(result["verdict"])
+    if verdict.get("method") == "cache":
+        verdict["method"] = verdict.pop("cached_method")
+    return {**{k: v for k, v in result.items() if k != "timing_ms"}, "verdict": verdict}
+
+
+def recorded_batch(monkeypatch, records, **kwargs) -> dict:
+    """Each record's run_pair result in a run_batch of the records, by id."""
+    results = {}
+
+    def recorded(record, *args, **kw):
+        result = run_pair(record, *args, **kw)
+        results[record.id] = without_timing(result)
+        return result
+
+    with monkeypatch.context() as patched:
+        patched.setattr(harness, "run_pair", recorded)
+        report = run_batch(records, Engine.make(), **kwargs).to_json()
+    del report["timing"]
+    return {"results": results, "report": report}
+
+
+@pytest.mark.parametrize("backend_models", [True, False])
+def test_batch_reuses_search_outcomes_as_fresh_runs_give_them(monkeypatch, backend_models):
+    if not backend_models:
+        # verdicts without the backend's model show the random search's
+        # model and direction as the record's counter model
+        monkeypatch.setattr(prover, "revalidate_counter", lambda *args: (None, None))
+    records = reuse_records()
+    batch = recorded_batch(monkeypatch, records)["results"]
+    fresh = {r.id: without_timing(run_pair(r, Engine.make(), both_methods=True))
+             for r in records}
+    assert batch == fresh
+    hits = [batch[r.id]["countermodel_methods"]["random"] for r in records]
+    assert True in hits and False in hits
+    shown = {r.id: batch[r.id].get("counterexample", {}) for r in records}
+    assert all(c.get("source") != "random" for c in shown.values()) == backend_models
+    assert "Unused" in shown["E-3-1/negation-toggle/wider"]["structure"]["relations"]
+
+
+def test_batch_searches_once_per_group_orientation_and_vocabulary(monkeypatch):
+    records = reuse_records()
+    searched = []
+    search = harness.search_countermodel
+
+    def counted(solution, attempt, theory, *args):
+        searched.append((DecisionCache.key(solution, attempt, theory),
+                         alpha_normalize(solution), vocabulary_key(theory.vocabulary)))
+        return search(solution, attempt, theory, *args)
+
+    monkeypatch.setattr(harness, "search_countermodel", counted)
+    for workers in (1, 2):
+        searched.clear()
+        run_batch(records, Engine.make(), workers=workers)
+        # per pair: one search for the first three records, one for the
+        # swapped and one for the wider vocabulary
+        assert len(searched) == len(set(searched)) == 6
+
+
+def test_batch_parallel_reuse_matches_serial(monkeypatch):
+    records = reuse_records()
+    # the groups interleave, so that a serial run holds both open at once
+    records = [r for pair in zip(records[:5], records[5:]) for r in pair]
+    assert recorded_batch(monkeypatch, records, workers=2) == \
+        recorded_batch(monkeypatch, records)
+
+
+def test_batch_drops_a_groups_search_outcomes_after_its_last_record(monkeypatch):
+    records = reuse_records()
+    outcomes = []     # weak references to the hits the searches returned
+    search = harness.search_countermodel
+
+    def kept(*args):
+        hit = search(*args)
+        if hit is not None:
+            outcomes.append(weakref.ref(hit))
+        return hit
+
+    def alive() -> int:
+        gc.collect()
+        return sum(ref() is not None for ref in outcomes)
+
+    seen = []
+
+    def recorded(record, *args, **kwargs):
+        # the first group (E-3-1, whose searches hit) has ended when the
+        # second one starts
+        if record.id.startswith("E-12-1"):
+            seen.append(alive())
+        return run_pair(record, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "search_countermodel", kept)
+    monkeypatch.setattr(harness, "run_pair", recorded)
+    engine = Engine.make()
+    fields = set(vars(engine))
+    run_batch(records, engine)
+    assert len(outcomes) == 3 and seen == [0] * 5
+    assert alive() == 0 and set(vars(engine)) == fields
+
+
+def test_batch_drops_vacuous_quantifiers_in_time(tmp_path):
+    # each vacuous forall multiplied the instances an evaluation walks:
+    # 10 of them did not finish in 60 s, 3 took 0.26 s
+    data = tmp_path / "d.jsonl"
+    write_dataset(data, [record_obj("pair", "forall y " * 10 + "P(x)", "P(x)"),
+                         record_obj("axiom", "forall x P(x)", "exists x P(x)",
+                                    gamma=["forall y " * 10 + "exists z P(z)"])])
+    script = ("import json, sys\n"
+              "from foleq.harness import Engine, load_dataset, run_batch\n"
+              "records, _ = load_dataset(sys.argv[1])\n"
+              "print(json.dumps(run_batch(records, Engine.make()).to_json()['total']))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    run = subprocess.run([sys.executable, "-c", script, str(data)], capture_output=True,
+                         text=True, timeout=30, env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    total = json.loads(run.stdout)
+    assert (total["equivalent"], total["non_equivalent"]) == (1, 1)
 
 
 class _UndecidedProver:

@@ -470,23 +470,33 @@ def test_shared_list_reads_its_source_as_far_as_the_furthest_walk(entries):
 
 
 def test_shared_lists_drop_their_oldest_lists_past_the_cap(monkeypatch):
-    monkeypatch.setattr(models, "MAX_STORED_ENTRIES", 5)
+    # the cap counts bytes: a table entry weighs 8, a draw its length
+    monkeypatch.setattr(models, "MAX_STORED_BYTES", 40)
     store, made = SharedLists(), []
 
-    def make(name, n):
+    def make(name, n, entry_bytes):
         made.append(name)
-        return SharedList(iter(range(n)), [])
+        return SharedList(iter(range(n)), [], entry_bytes)
 
-    def walked(name, n):
-        shared = store.get((name,), lambda: make(name, n))
+    def walked(name, n, entry_bytes=8):
+        shared = store.get((name,), lambda: make(name, n, entry_bytes))
         return list(shared)
 
     assert walked("a", 3) == walked("a", 3) == [0, 1, 2] and made == ["a"]
-    assert walked("b", 4) == [0, 1, 2, 3]       # 3 kept: nothing dropped
-    assert walked("c", 2) == [0, 1]             # 7 kept: "a" dropped first
+    assert walked("b", 4) == [0, 1, 2, 3]       # 24 bytes kept: nothing dropped
+    assert walked("c", 2) == [0, 1]             # 56 kept: "a" dropped first
     assert list(store._values) == [("b",), ("c",)]
-    assert walked("a", 3) == [0, 1, 2]          # 6 kept: "b" dropped, "a" made again
+    assert walked("a", 3) == [0, 1, 2]          # 48 kept: "b" dropped, "a" made again
     assert list(store._values) == [("c",), ("a",)] and made == ["a", "b", "c", "a"]
+    # two entries of 20 bytes weigh as much as five table entries
+    assert walked("d", 2, entry_bytes=20) == [0, 1]     # 40 kept: nothing dropped
+    assert [v.nbytes for v in store._values.values()] == [16, 24, 40]
+    assert walked("e", 1) == [0]                # 80 kept: "c" and "a" dropped
+    assert list(store._values) == [("d",), ("e",)]
+    # a list that alone weighs more than the cap is dropped before the next
+    assert walked("f", 3, entry_bytes=50) == [0, 1, 2]  # 48 kept: "d" dropped
+    assert walked("g", 1) == [0]                # 158 kept: "e" and "f" dropped
+    assert list(store._values) == [("g",)]
     # theories are numbered by value, in the order first asked for
     assert [store.number(th) for th in (Theory(VP), Theory(VP.extend(constants=["c"])),
                                         Theory(VP))] == [0, 1, 0]

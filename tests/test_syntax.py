@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 from foleq.models import enumerate_structures, eval_formula
 from foleq.parser import parse
 from foleq.syntax import (
-    AddressError, Atom, Eq, Exists, Implies, Not, Var, Vocabulary,
-    alpha_normalize, free_variables, nnf, prenex_decompose, prenex_recompose,
-    rewrite_at, subformula_at, substitute_variables, to_str,
+    QUANTIFIERS, AddressError, Atom, Eq, Exists, Forall, Implies, Not, Var, Vocabulary,
+    alpha_normalize, drop_vacuous, free_variables, nnf, prenex_decompose,
+    prenex_recompose, rewrite_at, subformula_at, subformulas, substitute_variables,
+    to_str,
 )
 
 from conftest import FormulaSampler
@@ -104,6 +105,36 @@ def test_nnf_only_atomic_negations_and_no_arrows():
 @given(sampled_formulas())
 def test_nnf_preserves_evaluation(f):
     assert agree_on_small_structures(f, nnf(f))
+
+
+# vacuous quantifiers
+
+def test_drop_vacuous_drops_only_quantifiers_that_bind_nothing():
+    # the outer forall y binds nothing: the inner one rebinds y
+    f = parse("exists x forall y ((forall y P(y)) & exists z R(z, x))", V)
+    assert drop_vacuous(f) == (parse("exists x ((forall y P(y)) & exists z R(z, x))", V), [])
+    g = parse("forall x R(x, y) | exists y P(y) & R(z, y)", V)
+    assert drop_vacuous(g)[0] is g and drop_vacuous(g)[1] == ["y", "z"]
+    run = parse("forall y " * 10 + "P(x)", V)
+    assert drop_vacuous(run) == (parse("P(x)", V), ["x"])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(0, 10_000), st.lists(st.integers(0, 60), max_size=3),
+       st.booleans())
+def test_drop_vacuous_preserves_truth(n, places, universal):
+    # sampled formulas have vacuous quantifiers of their own (x, y and z are
+    # drawn at random); w, which nothing uses, adds more at sampled places
+    f = FormulaSampler(seed=n).formula(depth=3, quant_budget=3)
+    for place in places:
+        nodes = list(subformulas(f))
+        address, node = nodes[place % len(nodes)]
+        f = rewrite_at(f, address, (Forall if universal else Exists)("w", node))
+    g, free = drop_vacuous(f)
+    assert agree_on_small_structures(f, g)
+    assert free_variables(g) == free_variables(f) == free
+    assert all(node.var in free_variables(node.body)
+               for _, node in subformulas(g) if isinstance(node, QUANTIFIERS))
 
 
 # alpha normalization

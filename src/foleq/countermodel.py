@@ -16,9 +16,12 @@ tests the theory's axioms on each draw as it is read. The theory models
 are kept, as their draws, in a store (`models.SharedLists`; an engine
 owns one), one list per seed, theory, closed vocabulary and size, so the
 searches over one theory and closed vocabulary share their draws: each
-is made, and its axioms tested, once per list. The pair is compiled once
-per size, when the size's first theory model is walked, and tested on
-the draw too, so only the witness becomes a `Structure`.
+is made, and its axioms tested, once per list. A size's kept draws are
+walked as the bounded backend walks its candidates
+(`models.models_among`), for the models of `~(solution <-> attempt)`:
+the first few are evaluated on their `Structure`s, and past them the
+pair is compiled once and tested on the flat draw. A size without theory
+models compiles nothing.
 
 A witness satisfying the solution but not the attempt marks the attempt
 as too restrictive (it misses an intended model); the opposite
@@ -29,11 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import Formula
+from .syntax import Formula, Iff, Not
 from .theory import Theory
 from .models import (  # random_structure is re-exported
-    SharedLists, Structure, close_formulas, draw_layout, drawable, random_structure,
-    theory_draws, vocabulary_key,
+    SharedLists, Structure, close_formulas, draw_layout, drawable, eval_formula,
+    models_among, random_structure, theory_draws, vocabulary_key,
 )
 
 TOO_RESTRICTIVE = "too-restrictive"
@@ -84,20 +87,15 @@ def search_countermodel(solution: Formula, attempt: Formula, theory: Theory,
     (sol, att), vocab = close_formulas([solution, attempt], theory.vocabulary)
     store = draws or SharedLists()
     key = (seed, store.number(theory), vocabulary_key(vocab))
+    differ = (Not(Iff(sol, att)),)
     for size in SIZES:
         if not drawable(vocab, size):
             continue
         kept = store.get((*key, size), lambda: theory_draws(
             theory, vocab, size,
             [(TUPLE_PROBABILITY, f"{seed}:search:{size}", DRAWS_PER_ELEMENT * size)]))
-        layout = draw_layout(vocab, size)
-        sol_holds = att_holds = None
-        for draw in kept:
-            if sol_holds is None:       # a size without theory models compiles nothing
-                sol_holds, att_holds = layout.compile(sol), layout.compile(att)
-            sol_val = sol_holds(draw)
-            if sol_val != att_holds(draw):
-                direction = TOO_RESTRICTIVE if sol_val else TOO_PERMISSIVE
-                return CounterExample(structure=layout.structure(draw),
-                                      direction=direction, source="random")
+        witness = next(models_among(draw_layout(vocab, size), differ, kept), None)
+        if witness is not None:
+            direction = TOO_RESTRICTIVE if eval_formula(witness, sol) else TOO_PERMISSIVE
+            return CounterExample(structure=witness, direction=direction, source="random")
     return None

@@ -16,7 +16,14 @@ and only the attempt is ever edited. They come in two flavours:
 Each bugfix strategy is a generator of `(candidate, message, evidence)`
 triples; `first_confirmed` confirms them in order, skipping the attempt
 itself and repeated candidates, and gives up after a fixed number of
-distinct candidates (PER_STRATEGY, or COMBINED for Q-1+G-1).
+distinct candidates (PER_STRATEGY, or COMBINED for Q-1+G-1). A
+confirmation reads the verdict's status alone.
+
+The strategies read the same facts of both formulas (`formula_facts`):
+atom occurrences, extended profiles, guards and prenex form. Those of
+the solution are the same for every attempt, so the engine's decision
+cache keeps them (`DecisionCache.facts`), and each solution's are
+computed once per engine.
 
 Strategy identifiers: S-1 missing symbols, S-2 permuted arguments,
 S-3 wrong relation symbol, S-4 differing terms, Q-1 wrong quantifier
@@ -89,22 +96,31 @@ class StrategyContext:
     timeout_ms: int = 30_000
 
     def __post_init__(self):
-        self.sol_occurrences = atom_occurrences(self.solution)
-        self.att_occurrences = atom_occurrences(self.attempt)
-        self.sol_extended = {occ.profile for occ in self.sol_occurrences}
-        self.att_extended = {occ.profile for occ in self.att_occurrences}
-        self.sol_guards, _ = extract_guards(self.solution)
-        self.att_guards, self.att_wrong = extract_guards(self.attempt)
-        self.sol_prenex = prenex_decompose(self.solution)
-        self.att_prenex = prenex_decompose(self.attempt)
+        sol = (formula_facts(self.solution) if self.cache is None else
+               self.cache.facts(("strategy", self.solution),
+                                lambda: formula_facts(self.solution)))
+        self.sol_occurrences, self.sol_extended, self.sol_guards, _, self.sol_prenex = sol
+        (self.att_occurrences, self.att_extended, self.att_guards, self.att_wrong,
+         self.att_prenex) = formula_facts(self.attempt)
 
     def confirm(self, candidate: Formula) -> bool:
-        """A candidate counts only when proven equivalent to the solution."""
+        """A candidate counts only when proven equivalent to the solution;
+        only the status is read, so a cache hit revalidates no model."""
         verdict = decide_equivalence(self.solution, candidate, self.theory,
                                      self.backend, self.cache,
                                      timeout_ms=self.timeout_ms,
                                      origin="strategy-candidate")
         return verdict.status == "equivalent"
+
+
+def formula_facts(f: Formula) -> tuple:
+    """What the strategies read of a formula, all immutable: its atom
+    occurrences, their extended profiles, its guard records (guarded,
+    wrongly guarded) and its prenex decomposition."""
+    occurrences = tuple(atom_occurrences(f))
+    guards, wrong = extract_guards(f)
+    return (occurrences, frozenset(occ.profile for occ in occurrences), guards, wrong,
+            prenex_decompose(f))
 
 
 Candidate = tuple[Formula, str, dict]     # (candidate, message, evidence)

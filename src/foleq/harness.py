@@ -17,6 +17,11 @@ runs the search once per distinct oriented pair: a record takes the
 outcome of an earlier record of its duplicate group with the same
 solution up to bound-variable names and the same vocabulary, and the
 outcomes of a group are dropped once its last record has run.
+
+The records of one exercise share its solution, so what depends on the
+solution alone, its normal form and the strategies' facts of it, is
+computed once per engine and kept by the engine's decision cache
+(`DecisionCache.facts`), for separately parsed copies too.
 """
 
 from __future__ import annotations
@@ -29,9 +34,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .syntax import (
-    Formula, FoleqError, Vocabulary, alpha_normalize, drop_vacuous, to_str,
-)
+from .syntax import Formula, FoleqError, Vocabulary, drop_vacuous, to_str
 from .parser import parse
 from .theory import Theory
 from .prover import (
@@ -211,7 +214,8 @@ def run_pair(record: PairRecord, engine: Engine, both_methods: bool = False,
         if counterexample is None and bundle.verdict.method == "cache":
             counterexample = _backend_countermodel(record, engine)
         searches = {} if searches is None else searches
-        key = (alpha_normalize(record.solution), vocabulary_key(record.theory.vocabulary))
+        key = (engine.cache.normal_form(record.solution)[0],
+               vocabulary_key(record.theory.vocabulary))
         if key not in searches:
             searches[key] = search_countermodel(record.solution, record.attempt,
                                                 record.theory, engine.seed, engine.search_draws)

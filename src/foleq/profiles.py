@@ -153,6 +153,8 @@ def atom_occurrences(f: Formula) -> list[AtomOccurrence]:
     duplicates are dropped. A walk from a state already walked adds
     nothing new, so it is skipped: nested biconditionals would otherwise
     walk a subformula once per path of polarities, exponentially often.
+    A state's binder chain holds the innermost binder of each variable
+    only, as no prefix holds a shadowed one, so a node has few states.
     """
     out: list[AtomOccurrence] = []
     seen = set()
@@ -186,8 +188,9 @@ def atom_occurrences(f: Formula) -> list[AtomOccurrence]:
         if isinstance(g, QUANTIFIERS):
             base = FORALL if isinstance(g, Forall) else EXISTS
             kind = base if positive else (EXISTS if base == FORALL else FORALL)
-            binder = BinderInfo(kind, g.var, address)
-            walk(g.body, address + (0,), positive, chain + (binder,), principal)
+            inner = tuple(b for b in chain if b.var != g.var) + (
+                BinderInfo(kind, g.var, address),)
+            walk(g.body, address + (0,), positive, inner, principal)
             return
         for i, c in enumerate(children(g)):
             walk(c, address + (i,), positive, chain, principal)

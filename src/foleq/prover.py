@@ -720,16 +720,28 @@ def axiom_text(axiom: Formula) -> str:
     return to_str(alpha_normalize(axiom))
 
 
-def _pair_key(solution: Formula, attempt: Formula, theory: Theory) -> str:
-    """`DecisionCache.key` of a pair already alpha-normalized."""
-    return json.dumps({"pair": sorted([to_str(solution), to_str(attempt)]),
+def _pair_key(solution_text: str, attempt_text: str, theory: Theory) -> str:
+    """`DecisionCache.key` of a pair given as the texts of its
+    alpha-normal forms."""
+    return json.dumps({"pair": sorted([solution_text, attempt_text]),
                        "axioms": sorted(map(axiom_text, theory.axioms))}, sort_keys=True)
+
+
+def _normal_text(f: Formula) -> tuple[Formula, str]:
+    normal = alpha_normalize(f)
+    return normal, to_str(normal)
 
 
 def backend_key(backend, key: str) -> str:
     """A cache key among the entries of the backend's kind, so that a
     bounded "equivalent" or "not shown necessary" never serves a prover."""
     return f"{backend.name}:{key}"
+
+
+# The most values a `DecisionCache` keeps of what it derives from formulas
+# (`DecisionCache.facts`): two per solution, so a dataset of up to 256
+# exercises computes each solution's once per engine.
+MAX_FACTS = 512
 
 
 class DecisionCache(JsonlCache):
@@ -743,7 +755,17 @@ class DecisionCache(JsonlCache):
     another status, a method that is not a string or a counter that
     `Structure.from_json` rejects is skipped. Thread-safe; optionally
     persisted as JSON lines.
+
+    Every submission of an exercise is decided, and explained, against
+    the same solution, so the cache, which an engine owns, also keeps in
+    memory what is derived from a solution alone (`facts`): its
+    alpha-normal form and key text (`normal_form`), and the strategies'
+    facts of it (`explain.formula_facts`).
     """
+
+    def __init__(self, path: str | None = None):
+        super().__init__(path)
+        self._facts: dict[tuple, object] = {}
 
     def _decode(self, record: dict) -> Verdict:
         status, method, counter = record["status"], record.get("method"), record.get("counter")
@@ -760,10 +782,29 @@ class DecisionCache(JsonlCache):
 
     @staticmethod
     def key(solution: Formula, attempt: Formula, theory: Theory) -> str:
-        return _pair_key(alpha_normalize(solution), alpha_normalize(attempt), theory)
+        return _pair_key(_normal_text(solution)[1], _normal_text(attempt)[1], theory)
 
     # named in the class itself: perfbench's tracer wraps DecisionCache.__dict__["get"]
     get = JsonlCache.get
+
+    def facts(self, key: tuple, make):
+        """make()'s value, made once for the key and kept: the key holds
+        formulas, which compare by value, so the separately parsed copies
+        of one solution share it. The values are immutable; the oldest is
+        dropped past `MAX_FACTS`."""
+        with self._lock:
+            value = self._facts.get(key)
+        if value is None:
+            value = make()
+            with self._lock:
+                if len(self._facts) >= MAX_FACTS:
+                    del self._facts[next(iter(self._facts))]
+                value = self._facts.setdefault(key, value)
+        return value
+
+    def normal_form(self, solution: Formula) -> tuple[Formula, str]:
+        """The solution's alpha-normal form and its text, as keys hold it."""
+        return self.facts(("normal", solution), lambda: _normal_text(solution))
 
     def put(self, key: str, verdict: Verdict) -> None:
         if verdict.status == "unknown":
@@ -785,20 +826,27 @@ def decide_equivalence(solution: Formula, attempt: Formula, theory: Theory,
     A counter structure, from the backend or a cache entry, is revalidated
     against the theory and the pair as asked, which gives its direction;
     an invalid one is dropped (the verdict stands, the structure does not).
-    Only a top-level decision (origin "equivalence") asks for a model.
+    Only a top-level decision (origin "equivalence") asks for a model, and
+    only its cache hits show one: a hit of any other origin gives the
+    status and method alone. The solution's normal form comes from the
+    cache (`DecisionCache.normal_form`).
     """
-    normal = alpha_normalize(solution), alpha_normalize(attempt)
-    key = None
-    if cache is not None:
-        key = backend_key(backend, _pair_key(*normal, theory))
+    attempt_normal, key = alpha_normalize(attempt), None
+    if cache is None:
+        solution_normal = alpha_normalize(solution)
+    else:
+        solution_normal, solution_text = cache.normal_form(solution)
+        key = backend_key(backend, _pair_key(solution_text, to_str(attempt_normal), theory))
         hit = cache.get(key)
         if hit is not None:
-            counter, direction = revalidate_counter(hit.counter, solution, attempt, theory)
+            counter = direction = None
+            if origin == "equivalence":
+                counter, direction = revalidate_counter(hit.counter, solution, attempt, theory)
             return Verdict(status=hit.status, counter=counter, direction=direction,
                            method="cache", cached_method=hit.method)
 
     # formulas identical up to bound-variable names need no backend at all
-    if normal[0] == normal[1]:
+    if solution_normal == attempt_normal:
         verdict = Verdict(status="equivalent", method="syntactic")
         if cache is not None:
             cache.put(key, verdict)

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from foleq.parser import parse
+from foleq.parser import ParseError, parse
 from foleq.prover import BoundedSearchBackend, DecisionCache
 from foleq.definability import NecessityCache
 from foleq.syntax import (
     And, Atom, Const, Eq, Exists, Forall, Formula, Func, Iff, Implies, Not, Or,
-    Term, Var, Vocabulary,
+    Term, Var, Vocabulary, to_str,
 )
 from foleq.theory import Theory
 
@@ -94,6 +94,29 @@ class FormulaSampler:
         var = self.rng.choice(self.variables)
         cls = Forall if kind == "forall" else Exists
         return cls(var, self.formula(depth - 1, quant_budget - 1))
+
+    def near_cap(self) -> Formula:
+        """A formula nested about as deep as `parse` accepts its text
+        (`to_str`): small sampled formulas joined by `<->` on either side,
+        under negations and runs of vacuous quantifiers (of `w`, which no
+        sampled formula uses), grown a level at a time until the parser
+        rejects the next level."""
+        f = self.formula(2)
+        while True:
+            step = self.rng.choice(["iff", "iff", "not", "vacuous"])
+            for _ in range(self.rng.randint(1, 8) if step == "vacuous" else 1):
+                if step == "iff":
+                    link = self.formula(1)
+                    grown = Iff(link, f) if self.rng.random() < 0.5 else Iff(f, link)
+                elif step == "not":
+                    grown = Not(f)
+                else:
+                    grown = self.rng.choice([Forall, Exists])("w", f)
+                try:
+                    parse(to_str(grown), self.vocab)
+                except ParseError:
+                    return f
+                f = grown
 
     def closed_formula(self, depth: int = 3) -> Formula:
         f = self.formula(depth)

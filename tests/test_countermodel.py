@@ -1,17 +1,20 @@
+import hashlib
+import json
 import random
 import sys
 import threading
 import tracemalloc
 
 from foleq import countermodel, models
-from foleq.corpus import load_scenarios
+from foleq.corpus import all_solutions, load_scenarios
 from foleq.countermodel import random_structure, search_countermodel
 from foleq.mutate import MUTATIONS, mutate
 from foleq.models import (
-    DrawLayout, SharedLists, eval_formula, random_models, satisfies_all,
+    EVALUATED_BEFORE_COMPILING, DrawLayout, SharedLists, eval_formula, random_models,
+    satisfies_all,
 )
 from foleq.parser import parse
-from foleq.syntax import Vocabulary
+from foleq.syntax import Iff, Not, Vocabulary
 from foleq.theory import Theory
 
 VP = Vocabulary(relations={"P": 1})
@@ -102,11 +105,35 @@ def test_search_compiles_the_pair_only_at_sizes_with_theory_models(monkeypatch):
     psi, phi = parse("forall x P(x)", VP), parse("exists x P(x)", VP)
     compiled = []
     compile_ = DrawLayout.compile
-    monkeypatch.setattr(DrawLayout, "compile", lambda layout, f: compiled.append(
-        (layout.size, f)) or compile_(layout, f))
+    monkeypatch.setattr(DrawLayout, "compile", lambda layout, *axioms: compiled.append(
+        (layout.size, axioms)) or compile_(layout, *axioms))
+    # more kept draws at size 1 than a walk evaluates before it compiles
     monkeypatch.setattr(countermodel, "DRAWS_PER_ELEMENT", 50)
+    assert 50 > EVALUATED_BEFORE_COMPILING
     assert search_countermodel(psi, phi, th) is None
-    assert [c for c in compiled if c[1] in (psi, phi)] == [(1, psi), (1, phi)]
+    # the pair is compiled as one formula, the models of its negated biconditional
+    assert [c for c in compiled if c[1] != th.axioms] == [(1, (Not(Iff(psi, phi)),))]
+
+
+# sha256 over the random search's outcome on each of criterion 05's 280 pairs
+# (the first mutant of every corpus solution per mutation family), one JSON
+# line each (the counter example, or null), at seed 23 with one store for all,
+# as an engine searches: the pair count, the hits and the digest. A change
+# that means to change the search's answers updates it; any other keeps it.
+SEARCH_OUTCOMES = (280, 171, "cd82894cad3c6c03594b3d482ff28568188c695fc8ad20a1c6d7641e819c06ac")
+
+
+def test_search_outcomes_are_pinned():
+    store, digest, pairs, hits = SharedLists(), hashlib.sha256(), 0, 0
+    for sc, sol in all_solutions():
+        for family in MUTATIONS:
+            mutant = mutate(sol.formula, family)
+            if mutant is None:
+                continue
+            hit = search_countermodel(sol.formula, mutant, sc.theory, 23, store)
+            digest.update(json.dumps(hit and hit.to_json(), sort_keys=True).encode() + b"\n")
+            pairs, hits = pairs + 1, hits + (hit is not None)
+    assert (pairs, hits, digest.hexdigest()) == SEARCH_OUTCOMES
 
 
 def test_search_restrictive_direction():

@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from foleq import harness, prover
+from foleq import explain, harness, prover
 from foleq.harness import (
     Engine, PairRecord, RecordError, Report, _section, load_dataset, run_batch, run_pair,
 )
@@ -16,11 +16,13 @@ from foleq.cli import main as cli_main
 from foleq.corpus import all_solutions, load_scenarios
 from foleq.definability import NOT_SHOWN, UNKNOWN, necessary_symbols
 from foleq.models import vocabulary_key
-from foleq.mutate import MUTATIONS, mutate
-from foleq.parser import MAX_DEPTH, parse
+from foleq.mutate import MUTATIONS, mutate, mutate_all
+from foleq.parser import MAX_DEPTH, ParseError, parse
 from foleq.prover import DecisionCache, SatResult, decide_equivalence
 from foleq.syntax import Vocabulary, VocabularyError, alpha_normalize, to_str
 from foleq.theory import Theory
+
+from conftest import FormulaSampler
 
 
 def record_obj(pair_id, psi, phi, relations=None, gamma=()):
@@ -522,6 +524,51 @@ def test_batch_parallel_reuse_matches_serial(monkeypatch):
         recorded_batch(monkeypatch, records)
 
 
+def one_solution_records() -> list[PairRecord]:
+    """Every mutant of E-1-2, one record each, parsed from its own line
+    as a class's dataset holds them: the records' solutions are equal by
+    value, each a separate copy."""
+    sc, sol = next((sc, sol) for sc, sol in all_solutions() if sol.id == "E-1-2")
+    objs = [{"id": f"E-1-2/{family}/{i}", "vocabulary": sc.vocabulary.to_json(),
+             "gamma": [to_str(ax) for ax in sc.theory.axioms],
+             "psi": sol.text, "phi": to_str(mutant)}
+            for family in MUTATIONS for i, mutant in enumerate(mutate_all(sol.formula, family))]
+    records = [PairRecord.from_json(obj) for obj in objs]
+    assert len(records) > 10 and records[0].solution is not records[1].solution
+    return records
+
+
+def test_solution_facts_are_computed_once_per_engine(monkeypatch):
+    records = one_solution_records()
+    solution = records[0].solution
+    made = []
+    # alpha_normalize itself also sees the candidates that equal the solution
+    normal, facts = prover._normal_text, explain.formula_facts
+    monkeypatch.setattr(prover, "_normal_text",
+                        lambda f: made.append(("normal form", f)) or normal(f))
+    monkeypatch.setattr(explain, "formula_facts",
+                        lambda f: made.append(("strategy facts", f)) or facts(f))
+    runs = []
+    for _ in range(2):      # the second engine computes them again
+        made.clear()
+        engine = Engine.make(seed=3)
+        runs.append([without_timing(run_pair(r, engine, both_methods=True))
+                     for r in records])
+        assert sorted(kind for kind, f in made if f == solution) == [
+            "normal form", "strategy facts"]
+    statuses = {r["verdict"]["status"] for r in runs[0]}
+    assert statuses == {"equivalent", "non-equivalent"}
+    fresh = [without_timing(run_pair(r, Engine.make(seed=3), both_methods=True))
+             for r in records]
+    assert runs[0] == runs[1] == fresh
+
+
+def test_batch_with_shared_solution_facts_parallel_matches_serial(monkeypatch):
+    records = one_solution_records()
+    assert recorded_batch(monkeypatch, records, workers=2) == \
+        recorded_batch(monkeypatch, records)
+
+
 def test_batch_drops_a_groups_search_outcomes_after_its_last_record(monkeypatch):
     records = reuse_records()
     outcomes = []     # weak references to the hits the searches returned
@@ -859,6 +906,24 @@ HIGH_ARITY_PAIRS = {
 }
 
 
+def batch_in_subprocess(data, timeout: float) -> tuple[float, dict, list]:
+    """run_batch on the dataset in a fresh interpreter under a 2 GB address
+    space and the timeout: its seconds, total section and errors."""
+    script = ("import json, resource, sys, time\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+              "from foleq.harness import Engine, load_dataset, run_batch\n"
+              "records, errors = load_dataset(sys.argv[1])\n"
+              "start = time.perf_counter()\n"
+              "report = run_batch(records, Engine.make())\n"
+              "print(json.dumps([time.perf_counter() - start, report.total,"
+              " errors + report.errors]))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    run = subprocess.run([sys.executable, "-c", script, str(data)], capture_output=True,
+                         text=True, timeout=timeout, env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    return tuple(json.loads(run.stdout))
+
+
 @pytest.mark.parametrize("case", sorted(HIGH_ARITY_PAIRS))
 def test_batch_decides_a_relation_of_high_arity_in_bounded_memory(tmp_path, case):
     arity, psi, phi = HIGH_ARITY_PAIRS[case]
@@ -866,20 +931,38 @@ def test_batch_decides_a_relation_of_high_arity_in_bounded_memory(tmp_path, case
     data = tmp_path / "d.jsonl"
     write_dataset(data, [record_obj(case, psi.format(x=x), phi.format(x=x),
                                     relations={"R": arity})])
-    script = ("import json, resource, sys, time\n"
-              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-              "from foleq.harness import Engine, load_dataset, run_batch\n"
-              "records, _ = load_dataset(sys.argv[1])\n"
-              "start = time.perf_counter()\n"
-              "report = run_batch(records, Engine.make())\n"
-              "print(json.dumps([time.perf_counter() - start, report.total, report.errors]))\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    run = subprocess.run([sys.executable, "-c", script, str(data)], capture_output=True,
-                         text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
-    assert run.returncode == 0, run.stderr
-    seconds, total, errors = json.loads(run.stdout)
+    seconds, total, errors = batch_in_subprocess(data, timeout=60)
     assert total["equivalent"] + total["non_equivalent"] == 1 and not errors
     assert seconds < 10
+
+
+def test_batch_answers_formulas_near_the_nesting_cap_in_bounded_time(tmp_path):
+    # each drawn formula against a small one, against the next drawn one and
+    # against its mutants that parse; before profiles.atom_occurrences
+    # dropped shadowed binders, one pair of drawn formulas took 100 s
+    sampler = FormulaSampler(seed=13)
+    vocab = sampler.vocab
+
+    def accepted(f) -> bool:
+        try:
+            return parse(to_str(f), vocab) is not None
+        except ParseError:
+            return False
+
+    deep = [sampler.near_cap() for _ in range(4)]
+    pairs = []
+    for i, psi in enumerate(deep):
+        pairs += [(psi, sampler.formula(2)), (psi, deep[(i + 1) % len(deep)])]
+        pairs += [(psi, mutant) for family in MUTATIONS
+                  if (mutant := mutate(psi, family)) is not None and accepted(mutant)]
+    data = tmp_path / "d.jsonl"
+    write_dataset(data, [record_obj(f"near-cap-{i}", to_str(psi), to_str(phi),
+                                    relations=dict(vocab.relations))
+                         for i, (psi, phi) in enumerate(pairs)])
+    seconds, total, errors = batch_in_subprocess(data, timeout=120)
+    assert not errors and total["all"] == len(pairs) > 12
+    assert total["equivalent"] + total["non_equivalent"] == len(pairs)
+    assert seconds < 60
 
 
 # formulas nested past the parser's cap: without it, the first two overflow

@@ -20,7 +20,7 @@ from foleq.definability import (
 )
 from foleq.explain import StrategyContext
 from foleq.models import (
-    SharedList, SharedLists, brute_force_verdict, close_formulas, count_structures,
+    SharedList, SharedLists, Structure, brute_force_verdict, close_formulas, count_structures,
     draw_layout, enumerate_structures, models_among, random_models, satisfies_all,
     vocabulary_key,
 )
@@ -733,6 +733,95 @@ def test_cache_symmetric_and_alpha_invariant(cache, backend):
     v2 = decide_equivalence(parse("forall z P(z)", VP), phi, th, backend, cache)
     assert backend.calls == calls
     assert v1.method == v2.method == "cache"
+
+
+def test_only_a_top_level_cache_hit_revalidates_its_model(monkeypatch, cache, backend):
+    th = Theory(VP)
+    forall, exists = parse("forall x P(x)", VP), parse("exists x P(x)", VP)
+    first = decide_equivalence(forall, exists, th, backend, cache)
+    assert first.counter is not None and backend.calls == 1
+    revalidated = []
+    revalidate = prover.revalidate_counter
+    monkeypatch.setattr(prover, "revalidate_counter",
+                        lambda *args: revalidated.append(args) or revalidate(*args))
+    # a confirmation reads the status only, so its hit revalidates nothing
+    ctx = StrategyContext(solution=forall, attempt=parse("P(x)", VP), theory=th,
+                          backend=backend, cache=cache)
+    assert not ctx.confirm(parse("exists y P(y)", VP))
+    candidate = decide_equivalence(forall, exists, th, backend, cache,
+                                   origin="strategy-candidate")
+    assert (candidate.status, candidate.method, candidate.counter) == (
+        "non-equivalent", "cache", None)
+    assert revalidated == [] and backend.calls == 1
+    # a top-level hit revalidates the stored model against the pair as asked
+    swapped = decide_equivalence(exists, forall, th, backend, cache)
+    assert len(revalidated) == 1 and swapped.method == "cache"
+    assert swapped.counter == first.counter and swapped.direction == "too-restrictive"
+    # and drops a model on which the pair agrees
+    agreeing = Structure(1, {"P": frozenset({(0,)})}, {}, {})
+    cache.put(prover.backend_key(backend, DecisionCache.key(forall, exists, th)),
+              Verdict(status="non-equivalent", counter=agreeing, method="bounded"))
+    dropped = decide_equivalence(forall, exists, th, backend, cache)
+    assert len(revalidated) == 2 and backend.calls == 1
+    assert (dropped.status, dropped.counter, dropped.direction) == (
+        "non-equivalent", None, None)
+
+
+def test_decision_cache_keeps_solution_facts_by_value_up_to_its_bound(monkeypatch):
+    cache = DecisionCache()
+    normalized = []
+    normalize = prover.alpha_normalize
+    monkeypatch.setattr(prover, "alpha_normalize",
+                        lambda f: normalized.append(f) or normalize(f))
+
+    def computed(text: str) -> bool:
+        # each call parses its own copy of the solution, equal by value only
+        before = len(normalized)
+        normal, key_text = cache.normal_form(parse(text, VP))
+        assert key_text == to_str(normal) == to_str(normalize(parse(text, VP)))
+        return len(normalized) > before
+
+    assert computed("forall x P(x)")
+    assert not computed("forall x P(x)")
+    assert computed("forall y P(y)")        # other names: another solution
+    monkeypatch.setattr(prover, "MAX_FACTS", 2)
+    assert computed("exists x P(x)")        # drops the oldest, forall x P(x)
+    assert not computed("forall y P(y)")
+    assert computed("forall x P(x)")
+    assert len(cache._facts) == 2 and len(cache) == 0
+
+
+def test_decision_cache_solution_facts_under_threads(monkeypatch):
+    # more threads than cores, switching often: every caller gets the right
+    # value, and the cache never keeps more than its bound
+    monkeypatch.setattr(prover, "MAX_FACTS", 6)
+    texts = [f"forall x (P(x) -> {'~' * i}P(x))" for i in range(8)]
+    cache, got, errors = DecisionCache(), [], []
+
+    def work():
+        try:
+            for _ in range(20):
+                for text in texts:
+                    got.append((text, cache.normal_form(parse(text, VP))))
+                    assert len(cache._facts) <= 6
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert len(got) == 8 * 20 * len(texts)
+    for text, (normal, key_text) in got:
+        assert normal == prover.alpha_normalize(parse(text, VP)) and key_text == to_str(normal)
+    assert 0 < len(cache._facts) <= 6
 
 
 def test_cache_never_stores_unknown(tmp_path):

@@ -11,7 +11,7 @@ import json
 
 from foleq import Vocabulary, parse, to_str
 from foleq.profiles import (
-    atom_quantifier_prefix, extract_guards, formula_profile, profiles_to_json,
+    atom_occurrences, extract_guards, formula_profile, profiles_to_json,
 )
 from foleq.syntax import Atom, atoms_of
 
@@ -25,7 +25,8 @@ for profile in sorted(formula_profile(f), key=str):
 
 t_address = next(addr for addr, node in atoms_of(f)
                  if isinstance(node, Atom) and node.rel == "T")
-print("prefix of the T atom:", atom_quantifier_prefix(f, t_address))
+t_atom = next(occ for occ in atom_occurrences(f) if occ.address == t_address)
+print("prefix of the T atom:", tuple((binder.kind, binder.var) for binder in t_atom.prefix))
 
 print("\n== guards ==")
 g = parse("forall y exists x (S(x) & exists z R(x,y,z))", vocab)

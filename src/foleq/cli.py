@@ -19,18 +19,19 @@ import json
 import sys
 
 from .harness import (
-    RECORD_ERRORS, Engine, PairRecord, load_dataset, parse_positive, run_batch,
-    run_pair,
+    RECORD_ERRORS, Engine, PairRecord, load_dataset, parse_modes, parse_positive,
+    run_batch, run_pair,
 )
 from .definability import necessary_symbols
 from .profiles import profiles_to_json
 
 
-def _positive(name: str, unit: str = ""):
-    """An argparse type: the positive whole number `parse_positive` reads."""
-    def convert(text: str) -> int:
+def _checked(parse, *args):
+    """An argparse type: the value `parse(text, *args)` reads, its
+    ValueError a usage error."""
+    def convert(text: str):
         try:
-            return parse_positive(text, name, unit)
+            return parse(text, *args)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return convert
@@ -38,8 +39,9 @@ def _positive(name: str, unit: str = ""):
 
 def _add_engine_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prover", help="path to an external prover executable")
-    p.add_argument("--modes", help="comma-separated prover modes")
-    timeout_ms = _positive("a timeout", "milliseconds")
+    p.add_argument("--modes", type=_checked(parse_modes, "--modes"),
+                   help="comma-separated prover modes")
+    timeout_ms = _checked(parse_positive, "a timeout", "milliseconds")
     p.add_argument("--timeout-ms", type=timeout_ms, help="per-call prover timeout")
     p.add_argument("--strategy-timeout-ms", type=timeout_ms,
                    help="per-call timeout for strategy confirmations")
@@ -50,9 +52,8 @@ def _add_engine_options(p: argparse.ArgumentParser) -> None:
 
 
 def _make_engine(args, parser: argparse.ArgumentParser) -> Engine:
-    modes = tuple(m.strip() for m in args.modes.split(",")) if args.modes else None
     try:
-        return Engine.make(prover_path=args.prover, modes=modes,
+        return Engine.make(prover_path=args.prover, modes=args.modes,
                            timeout_ms=args.timeout_ms,
                            strategy_timeout_ms=args.strategy_timeout_ms,
                            seed=args.seed, cache_path=args.cache)
@@ -84,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
                     help="only the cheap counter-model cascade")
     bt.add_argument("--lenient", action="store_true",
                     help="skip malformed dataset lines instead of failing")
-    bt.add_argument("--workers", type=_positive("--workers"), default=1,
+    bt.add_argument("--workers", type=_checked(parse_positive, "--workers"), default=1,
                     help="records processed in parallel threads; this speeds up "
                          "only the external prover, not the CPU-bound bounded search")
     _add_engine_options(bt)

@@ -6,8 +6,9 @@ A dataset is JSON lines, one record per line::
      "psi": "solution formula", "phi": "attempt formula"}
 
 Batch runs aggregate a report with total and distinct counts (distinct =
-one representative per canonicalized pair and theory), counter-model
-method attribution, per-strategy explanation counts, and timing data.
+one representative per duplicate group: the records of one decision
+cache key, `DecisionCache.key`), counter-model method attribution,
+per-strategy explanation counts, and timing data.
 
 The random counter-model search is seeded by the engine seed alone, so
 renamed or repeated records get the same random outcome, and the engine
@@ -21,7 +22,9 @@ outcomes of a group are dropped once its last record has run.
 The records of one exercise share its solution, so what depends on the
 solution alone, its normal form and the strategies' facts of it, is
 computed once per engine and kept by the engine's decision cache
-(`DecisionCache.facts`), for separately parsed copies too.
+(`DecisionCache.facts`), for separately parsed copies too. The duplicate
+groups, the decisions and the search outcomes all read the solution's
+normal form from there.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .syntax import Formula, FoleqError, Vocabulary, drop_vacuous, to_str
+from .syntax import Formula, FoleqError, Vocabulary, alpha_normalize, drop_vacuous, to_str
 from .parser import parse
 from .theory import Theory
 from .prover import (
@@ -89,9 +92,6 @@ class PairRecord:
             attempt=parse(phi, vocab),
         )
 
-    def duplicate_key(self) -> str:
-        return DecisionCache.key(self.solution, self.attempt, self.theory)
-
 
 # what reading one record can raise: malformed JSON, a missing field, a
 # field of the wrong type, a formula that does not parse
@@ -132,6 +132,15 @@ def parse_positive(text: str, name: str, unit: str = "") -> int:
     return value
 
 
+def parse_modes(text: str, name: str) -> tuple[str, ...]:
+    """The prover modes that the comma-separated `text` names, blank
+    entries dropped; a ValueError naming `name` when none is left."""
+    modes = tuple(filter(None, (mode.strip() for mode in text.split(","))))
+    if not modes:
+        raise ValueError(f"{name} must name at least one prover mode, not {text!r}")
+    return modes
+
+
 @dataclass
 class Engine:
     backend: object
@@ -153,7 +162,7 @@ class Engine:
         prover_path = prover_path or os.environ.get(ENV_PROVER) or None
         env_modes = os.environ.get(ENV_MODES)
         if modes is None and env_modes:
-            modes = tuple(m.strip() for m in env_modes.split(",") if m.strip())
+            modes = parse_modes(env_modes, ENV_MODES)
         env_timeout = os.environ.get(ENV_TIMEOUT_MS)
         if timeout_ms is None and env_timeout:
             timeout_ms = parse_positive(env_timeout, ENV_TIMEOUT_MS, "milliseconds")
@@ -214,7 +223,7 @@ def run_pair(record: PairRecord, engine: Engine, both_methods: bool = False,
         if counterexample is None and bundle.verdict.method == "cache":
             counterexample = _backend_countermodel(record, engine)
         searches = {} if searches is None else searches
-        key = (engine.cache.normal_form(record.solution)[0],
+        key = (engine.cache.normal_form(record.solution)[1],
                vocabulary_key(record.theory.vocabulary))
         if key not in searches:
             searches[key] = search_countermodel(record.solution, record.attempt,
@@ -374,7 +383,8 @@ def run_batch(records: list[PairRecord], engine: Engine, both_methods: bool = Tr
                     "explanations": [], "strategies": [], "timing_ms": 0.0,
                     "error": str(exc)}
 
-    keys = [record.duplicate_key() for record in records]
+    keys = [engine.cache.key(record.solution, alpha_normalize(record.attempt), record.theory)
+            for record in records]
     groups: dict[str, list[int]] = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)

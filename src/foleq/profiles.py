@@ -51,7 +51,6 @@ class PrefixEntry:
 
 
 PrefixType = tuple[PrefixEntry, ...]
-QuantPrefix = tuple[tuple[str, str], ...]  # (kind, variable)
 
 
 @dataclass(frozen=True)
@@ -199,27 +198,9 @@ def atom_occurrences(f: Formula) -> list[AtomOccurrence]:
     return out
 
 
-def atom_quantifier_prefix(f: Formula, atom_address: Address) -> QuantPrefix:
-    """Closest-binder sequence of the atom's bound variables.
-
-    For atoms below a biconditional the positive-side resolution is
-    returned.
-    """
-    node = subformula_at(f, atom_address)
-    if not isinstance(node, (Atom, Eq)):
-        raise TypeError(f"address {atom_address} points at {type(node).__name__}, not an atom")
-    occ = next(o for o in atom_occurrences(f) if o.address == atom_address and o.principal)
-    return tuple((b.kind, b.var) for b in occ.prefix)
-
-
 def formula_profile(f: Formula) -> frozenset[AtomProfile]:
     """The set of atom profiles of f (one per occurrence, set semantics)."""
     return frozenset(occ.profile for occ in atom_occurrences(f))
-
-
-def core_profile(f: Formula) -> frozenset[tuple]:
-    """Profiles reduced to (symbol, valence, prefix type) triples."""
-    return frozenset(p.core for p in formula_profile(f))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,13 @@ Two backends implement the query contract:
   `models.DrawLayout` (one `bytes`), test axioms with its compiled
   closures, and build a `Structure` only for a model returned.
 
+`decide_equivalence` reads and feeds a `DecisionCache`, whose one key
+(`DecisionCache.key`) names a pair up to bound-variable names, pair order
+and axiom order. The key reads the solution's normal form from the
+cache's memo of what derives from a solution alone, so that the
+decisions of an exercise's submissions, and a batch's duplicate groups,
+normalize the solution once per engine.
+
 Pinned finite-model output format (a subset of Vampire's fmb output)::
 
     % SZS output start FiniteModel ...
@@ -720,18 +727,6 @@ def axiom_text(axiom: Formula) -> str:
     return to_str(alpha_normalize(axiom))
 
 
-def _pair_key(solution_text: str, attempt_text: str, theory: Theory) -> str:
-    """`DecisionCache.key` of a pair given as the texts of its
-    alpha-normal forms."""
-    return json.dumps({"pair": sorted([solution_text, attempt_text]),
-                       "axioms": sorted(map(axiom_text, theory.axioms))}, sort_keys=True)
-
-
-def _normal_text(f: Formula) -> tuple[Formula, str]:
-    normal = alpha_normalize(f)
-    return normal, to_str(normal)
-
-
 def backend_key(backend, key: str) -> str:
     """A cache key among the entries of the backend's kind, so that a
     bounded "equivalent" or "not shown necessary" never serves a prover."""
@@ -747,8 +742,8 @@ MAX_FACTS = 512
 class DecisionCache(JsonlCache):
     """Equivalence decisions keyed by the canonicalized pair and theory.
 
-    Keys ignore axiom order, formula order within the pair, and bound
-    variable names; lookups add the backend kind (`backend_key`). Only
+    Keys (`key`) ignore axiom order, formula order within the pair, and
+    bound variable names; lookups add the backend kind (`backend_key`). Only
     decisive verdicts are stored, with their revalidated counter structure
     (`"counter"`, `null` for none; older lines load without one) but no
     direction, which a key that sorts the pair cannot orient. A line with
@@ -780,9 +775,13 @@ class DecisionCache(JsonlCache):
                 "counter": verdict.counter and verdict.counter.to_json(),
                 "timestamp": time.time()}
 
-    @staticmethod
-    def key(solution: Formula, attempt: Formula, theory: Theory) -> str:
-        return _pair_key(_normal_text(solution)[1], _normal_text(attempt)[1], theory)
+    def key(self, solution: Formula, attempt_normal: Formula, theory: Theory) -> str:
+        """The pair's key: the texts of the solution's normal form
+        (`normal_form`) and of `attempt_normal`, the attempt's, which the
+        caller makes with `alpha_normalize` (a decision needs it anyway),
+        and the theory's axiom texts."""
+        return json.dumps({"pair": sorted([self.normal_form(solution)[1], to_str(attempt_normal)]),
+                           "axioms": sorted(map(axiom_text, theory.axioms))}, sort_keys=True)
 
     # named in the class itself: perfbench's tracer wraps DecisionCache.__dict__["get"]
     get = JsonlCache.get
@@ -804,7 +803,10 @@ class DecisionCache(JsonlCache):
 
     def normal_form(self, solution: Formula) -> tuple[Formula, str]:
         """The solution's alpha-normal form and its text, as keys hold it."""
-        return self.facts(("normal", solution), lambda: _normal_text(solution))
+        def make():
+            normal = alpha_normalize(solution)
+            return normal, to_str(normal)
+        return self.facts(("normal", solution), make)
 
     def put(self, key: str, verdict: Verdict) -> None:
         if verdict.status == "unknown":
@@ -831,12 +833,9 @@ def decide_equivalence(solution: Formula, attempt: Formula, theory: Theory,
     status and method alone. The solution's normal form comes from the
     cache (`DecisionCache.normal_form`).
     """
-    attempt_normal, key = alpha_normalize(attempt), None
-    if cache is None:
-        solution_normal = alpha_normalize(solution)
-    else:
-        solution_normal, solution_text = cache.normal_form(solution)
-        key = backend_key(backend, _pair_key(solution_text, to_str(attempt_normal), theory))
+    attempt_normal = alpha_normalize(attempt)
+    if cache is not None:
+        key = backend_key(backend, cache.key(solution, attempt_normal, theory))
         hit = cache.get(key)
         if hit is not None:
             counter = direction = None
@@ -846,6 +845,8 @@ def decide_equivalence(solution: Formula, attempt: Formula, theory: Theory,
                            method="cache", cached_method=hit.method)
 
     # formulas identical up to bound-variable names need no backend at all
+    solution_normal = alpha_normalize(solution) if cache is None else \
+        cache.normal_form(solution)[0]
     if solution_normal == attempt_normal:
         verdict = Verdict(status="equivalent", method="syntactic")
         if cache is not None:

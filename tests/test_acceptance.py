@@ -27,17 +27,15 @@ from foleq.models import (
 )
 from foleq.mutate import INTENDED_STRATEGIES, MUTATIONS, mutate, mutate_all
 from foleq.parser import parse
-from foleq.profiles import (
-    EXISTS, FORALL, PrefixEntry, atom_quantifier_prefix, core_profile,
-    extract_guards,
-)
+from foleq.profiles import EXISTS, FORALL, PrefixEntry, extract_guards
 from foleq.prover import (
     BoundedSearchBackend, DecisionCache, decide_equivalence,
 )
-from foleq.syntax import Atom, Vocabulary, atoms_of, free_variables, to_str
+from foleq.syntax import Atom, Vocabulary, alpha_normalize, atoms_of, free_variables, to_str
 from foleq.theory import Theory
 
 from conftest import FormulaSampler
+from test_profiles import atom_quantifier_prefix, core_profile
 
 
 def ok(n, text):
@@ -385,9 +383,9 @@ def test_criterion_11_theory_oracle():
 
         axioms = [renamed(ax) for ax in sc.theory.axioms]
         rng.shuffle(axioms)
-        assert DecisionCache.key(renamed(attempt), renamed(solution),
-                                 Theory(sc.vocabulary, tuple(axioms))) == \
-            DecisionCache.key(solution, attempt, sc.theory)
+        assert DecisionCache().key(renamed(attempt), alpha_normalize(renamed(solution)),
+                                   Theory(sc.vocabulary, tuple(axioms))) == \
+            DecisionCache().key(solution, alpha_normalize(attempt), sc.theory)
         seen["keys"] += 1
 
     evaluators_agree()

@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from foleq import explain, harness, prover
+from foleq import cli, explain, harness, prover
 from foleq.harness import (
     Engine, PairRecord, RecordError, Report, _section, load_dataset, run_batch, run_pair,
 )
@@ -35,6 +35,12 @@ def record_obj(pair_id, psi, phi, relations=None, gamma=()):
 
 def write_dataset(path, objs):
     path.write_text("\n".join(json.dumps(o) for o in objs) + "\n")
+
+
+def duplicate_key(record: PairRecord) -> str:
+    """The record's key in run_batch's duplicate groups and, with the
+    backend's prefix, in the decision cache."""
+    return DecisionCache().key(record.solution, alpha_normalize(record.attempt), record.theory)
 
 
 @pytest.fixture
@@ -221,7 +227,7 @@ def test_cache_line_without_counter_asks_backend_once(tmp_path):
     rec = PairRecord.from_json(record_obj("old", "forall x P(x)", "exists x P(x)"))
     fresh = run_pair(rec, Engine.make(seed=5), both_methods=True)
     path = tmp_path / "cache.jsonl"
-    key = prover.backend_key(prover.BoundedSearchBackend(), rec.duplicate_key())
+    key = prover.backend_key(prover.BoundedSearchBackend(), duplicate_key(rec))
     path.write_text(json.dumps({"key": key, "status": "non-equivalent",
                                 "method": "bounded", "timestamp": 0}) + "\n")
     engine = Engine.make(seed=5, cache_path=str(path))
@@ -258,7 +264,7 @@ def test_run_pair_tells_a_constant_from_a_bound_variable_of_its_name():
     for obj in objs:
         obj["vocabulary"]["constants"] = ["v0"]
     same, other = map(PairRecord.from_json, objs)
-    assert same.duplicate_key() != other.duplicate_key()
+    assert duplicate_key(same) != duplicate_key(other)
     engine = Engine.make(seed=5)
     assert run_pair(same, engine)["verdict"] == {"status": "equivalent", "method": "syntactic"}
     served, fresh = run_pair(other, engine), run_pair(other, Engine.make(seed=5))
@@ -450,7 +456,7 @@ def reuse_records() -> list[PairRecord]:
             PairRecord(f"{label}/wider", wider, Theory(wider, sc.theory.axioms),
                        sol.formula, mutant),
         ]
-    assert len({r.duplicate_key() for r in records}) == 2
+    assert len({duplicate_key(r) for r in records}) == 2
     return records
 
 
@@ -503,7 +509,7 @@ def test_batch_searches_once_per_group_orientation_and_vocabulary(monkeypatch):
     search = harness.search_countermodel
 
     def counted(solution, attempt, theory, *args):
-        searched.append((DecisionCache.key(solution, attempt, theory),
+        searched.append((DecisionCache().key(solution, alpha_normalize(attempt), theory),
                          alpha_normalize(solution), vocabulary_key(theory.vocabulary)))
         return search(solution, attempt, theory, *args)
 
@@ -538,16 +544,31 @@ def one_solution_records() -> list[PairRecord]:
     return records
 
 
+def spy_solution_work(monkeypatch, records) -> list:
+    """A list that gets ("normal form", f) for each alpha_normalize of one
+    of the records' solutions, and ("strategy facts", f) for each
+    formula_facts of any formula f."""
+    made = []
+    # alpha_normalize also sees the candidates that equal the solution, so
+    # it counts the records' own copies of it, by identity
+    solutions = {id(r.solution) for r in records}
+    normalize, facts = prover.alpha_normalize, explain.formula_facts
+
+    def normalized(f):
+        if id(f) in solutions:
+            made.append(("normal form", f))
+        return normalize(f)
+
+    monkeypatch.setattr(prover, "alpha_normalize", normalized)
+    monkeypatch.setattr(explain, "formula_facts",
+                        lambda f: made.append(("strategy facts", f)) or facts(f))
+    return made
+
+
 def test_solution_facts_are_computed_once_per_engine(monkeypatch):
     records = one_solution_records()
     solution = records[0].solution
-    made = []
-    # alpha_normalize itself also sees the candidates that equal the solution
-    normal, facts = prover._normal_text, explain.formula_facts
-    monkeypatch.setattr(prover, "_normal_text",
-                        lambda f: made.append(("normal form", f)) or normal(f))
-    monkeypatch.setattr(explain, "formula_facts",
-                        lambda f: made.append(("strategy facts", f)) or facts(f))
+    made = spy_solution_work(monkeypatch, records)
     runs = []
     for _ in range(2):      # the second engine computes them again
         made.clear()
@@ -561,6 +582,20 @@ def test_solution_facts_are_computed_once_per_engine(monkeypatch):
     fresh = [without_timing(run_pair(r, Engine.make(seed=3), both_methods=True))
              for r in records]
     assert runs[0] == runs[1] == fresh
+
+
+def test_batch_normalizes_each_solution_once_per_engine(monkeypatch):
+    # the duplicate groups read the solution's normal form from the memo
+    # that the decisions read
+    records = one_solution_records()
+    made = spy_solution_work(monkeypatch, records)
+    run_batch(records, Engine.make(seed=3))
+    assert sorted(kind for kind, f in made if f == records[0].solution) == [
+        "normal form", "strategy facts"]
+    made.clear()
+    # the groups are made before the threads start
+    run_batch(records, Engine.make(seed=3), workers=2)
+    assert [kind for kind, f in made if kind == "normal form"] == ["normal form"]
 
 
 def test_batch_with_shared_solution_facts_parallel_matches_serial(monkeypatch):
@@ -879,7 +914,7 @@ def test_cli_drops_a_cached_counter_of_other_arities(tmp_path, capsys, case):
     write_dataset(data, [pair])
     pair_file.write_text(json.dumps(pair))
     key = prover.backend_key(prover.BoundedSearchBackend(),
-                             PairRecord.from_json(pair).duplicate_key())
+                             duplicate_key(PairRecord.from_json(pair)))
 
     def outputs(name, counter):
         cache = tmp_path / name
@@ -1020,6 +1055,46 @@ def test_engine_env_configuration(monkeypatch, tmp_path):
     assert engine.prover_config.timeout_ms == 1234
     monkeypatch.delenv("FOLEQ_PROVER")
     assert Engine.make().backend.name == "bounded"
+
+
+@pytest.mark.parametrize("value, modes", [("vampire,", ("vampire",)),
+                                          (" casc , ,casc_sat", ("casc", "casc_sat"))])
+def test_cli_drops_blank_prover_modes(tmp_path, monkeypatch, value, modes):
+    # a blank entry started a prover process of its own, with --mode ""
+    seen = []
+    monkeypatch.setattr(cli, "run_pair",
+                        lambda record, engine, **kw: seen.append(engine.prover_config.modes) or {})
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(record_obj("p", "forall x P(x)", "exists x P(x)")))
+    assert cli_main(["feedback", str(pair), "--prover", "fake-prover", "--modes", value]) == 0
+    assert seen == [modes]
+
+
+@pytest.mark.parametrize("value", [",", " , ", ""])
+def test_cli_rejects_modes_that_name_none(tmp_path, capsys, value):
+    data = tmp_path / "d.jsonl"
+    write_dataset(data, [record_obj("x", "forall x P(x)", "exists x P(x)")])
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["batch", str(data), "--report", str(tmp_path / "r.json"),
+                  f"--modes={value}"])
+    assert exit_.value.code == 2
+    assert "--modes must name at least one prover mode" in capsys.readouterr().err
+
+
+def test_modes_from_the_environment_drop_blanks_and_must_name_one(tmp_path, monkeypatch,
+                                                                   capsys):
+    monkeypatch.setenv("FOLEQ_MODES", "casc,, casc_sat,")
+    assert Engine.make().prover_config.modes == ("casc", "casc_sat")
+    monkeypatch.setenv("FOLEQ_MODES", " , ")
+    with pytest.raises(ValueError, match="FOLEQ_MODES must name at least one prover mode"):
+        Engine.make()
+    # an option given on the command line is not read from the environment
+    assert Engine.make(modes=("vampire",)).prover_config.modes == ("vampire",)
+    data = tmp_path / "d.jsonl"
+    write_dataset(data, [record_obj("x", "forall x P(x)", "exists x P(x)")])
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["batch", str(data), "--report", str(tmp_path / "r.json")])
+    assert exit_.value.code == 2 and "FOLEQ_MODES" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", ""])

@@ -7,15 +7,15 @@ from hypothesis import given, seed, settings, strategies as st
 
 from foleq.parser import parse
 from foleq.profiles import (
-    EXISTS, FORALL, PrefixEntry, add_guard, atom_occurrences, atom_quantifier_prefix,
-    binder_chain, core_profile, extract_guards, flip_quantifier, formula_profile,
-    permute_arguments, profiles_to_json, remove_guard, swap_implication,
-    toggle_negation,
+    EXISTS, FORALL, PrefixEntry, add_guard, atom_occurrences, binder_chain,
+    extract_guards, flip_quantifier, formula_profile, permute_arguments,
+    profiles_to_json, remove_guard, swap_implication, toggle_negation,
 )
 from foleq.profiles import BinderInfo, _occurrence
 from foleq.syntax import (
-    QUANTIFIERS, Atom, Eq, Forall, Iff, Implies, Not, Var, Vocabulary,
-    alpha_normalize, atoms_of, children, free_variables, subformulas, to_str,
+    QUANTIFIERS, Address, Atom, Eq, Formula, Forall, Iff, Implies, Not, Var, Vocabulary,
+    alpha_normalize, atoms_of, children, free_variables, subformula_at, subformulas,
+    to_str,
 )
 
 from conftest import FormulaSampler
@@ -32,6 +32,27 @@ def entry(kind, *positions):
 def atom_address(f, rel):
     return next(addr for addr, node in atoms_of(f)
                 if isinstance(node, Atom) and node.rel == rel)
+
+
+QuantPrefix = tuple[tuple[str, str], ...]  # (kind, variable)
+
+
+def atom_quantifier_prefix(f: Formula, atom_address: Address) -> QuantPrefix:
+    """Closest-binder sequence of the atom's bound variables.
+
+    For atoms below a biconditional the positive-side resolution is
+    returned.
+    """
+    node = subformula_at(f, atom_address)
+    if not isinstance(node, (Atom, Eq)):
+        raise TypeError(f"address {atom_address} points at {type(node).__name__}, not an atom")
+    occ = next(o for o in atom_occurrences(f) if o.address == atom_address and o.principal)
+    return tuple((b.kind, b.var) for b in occ.prefix)
+
+
+def core_profile(f: Formula) -> frozenset[tuple]:
+    """Profiles reduced to (symbol, valence, prefix type) triples."""
+    return frozenset(p.core for p in formula_profile(f))
 
 
 def test_profile_of_running_example():

@@ -759,12 +759,53 @@ def test_only_a_top_level_cache_hit_revalidates_its_model(monkeypatch, cache, ba
     assert swapped.counter == first.counter and swapped.direction == "too-restrictive"
     # and drops a model on which the pair agrees
     agreeing = Structure(1, {"P": frozenset({(0,)})}, {}, {})
-    cache.put(prover.backend_key(backend, DecisionCache.key(forall, exists, th)),
+    cache.put(prover.backend_key(backend, cache.key(forall, prover.alpha_normalize(exists), th)),
               Verdict(status="non-equivalent", counter=agreeing, method="bounded"))
     dropped = decide_equivalence(forall, exists, th, backend, cache)
     assert len(revalidated) == 2 and backend.calls == 1
     assert (dropped.status, dropped.counter, dropped.direction) == (
         "non-equivalent", None, None)
+
+
+PINNED_V = Vocabulary(relations={"P": 1, "Q": 2})
+PINNED_THEORY = Theory(PINNED_V, (parse("forall y forall x (Q(x,y) -> P(x))", PINNED_V),
+                                  parse("exists z P(z)", PINNED_V)))
+PINNED_PAIR = (parse("forall x exists y Q(x,y)", PINNED_V),
+               parse("exists w (P(w) & Q(w,w))", PINNED_V))
+# the key of PINNED_PAIR, and a line of a cache file that decided it, as
+# they were written before the key was made from the engine's memo
+PINNED_KEY = ('{"axioms": ["exists v0 P(v0)", "forall v0 forall v1 Q(v1, v0) -> P(v1)"], '
+              '"pair": ["exists v0 P(v0) & Q(v0, v0)", "forall v0 exists v1 Q(v0, v1)"]}')
+PINNED_LINE = {"key": "bounded:" + PINNED_KEY, "status": "non-equivalent", "method": "bounded",
+               "counter": {"size": 2, "relations": {"P": [[2]], "Q": [[2, 2]]},
+                           "functions": {}, "constants": {}},
+               "timestamp": 1792655570.2643538}
+
+
+def test_decision_cache_key_is_pinned():
+    solution, attempt = PINNED_PAIR
+    cache = DecisionCache()
+    key = cache.key(solution, prover.alpha_normalize(attempt), PINNED_THEORY)
+    assert key == PINNED_KEY
+    assert prover.backend_key(BoundedSearchBackend(), key) == PINNED_LINE["key"]
+    # swapped, renamed and with the axioms in the other order
+    renamed_attempt = parse("exists u (P(u) & Q(u,u))", PINNED_V)
+    renamed_solution = parse("forall a exists b Q(a,b)", PINNED_V)
+    swapped = cache.key(renamed_attempt, prover.alpha_normalize(renamed_solution),
+                        Theory(PINNED_V, PINNED_THEORY.axioms[::-1]))
+    assert swapped == PINNED_KEY
+
+
+def test_decision_cache_file_of_the_old_key_still_hits(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(json.dumps(PINNED_LINE) + "\n")
+    solution, attempt = PINNED_PAIR
+    backend = BoundedSearchBackend()
+    hit = decide_equivalence(solution, attempt, PINNED_THEORY, backend, DecisionCache(str(path)))
+    assert backend.calls == 0
+    assert (hit.status, hit.method, hit.cached_method) == ("non-equivalent", "cache", "bounded")
+    fresh = decide_equivalence(solution, attempt, PINNED_THEORY, backend)
+    assert (hit.counter, hit.direction) == (fresh.counter, fresh.direction)
 
 
 def test_decision_cache_keeps_solution_facts_by_value_up_to_its_bound(monkeypatch):
@@ -930,7 +971,8 @@ def test_cache_serves_no_direction(tmp_path, backend):
     forall, exists = parse("forall x P(x)", VP), parse("exists x P(x)", VP)
     assert decide_equivalence(exists, forall, th, backend).direction == "too-restrictive"
     path = tmp_path / "cache.jsonl"
-    old_line = {"key": DecisionCache.key(forall, exists, th), "status": "non-equivalent",
+    old_line = {"key": DecisionCache().key(forall, prover.alpha_normalize(exists), th),
+                "status": "non-equivalent",
                 "direction": "too-permissive", "method": "bounded", "timestamp": 0}
     path.write_text(json.dumps(old_line) + "\n")
     old = DecisionCache(str(path))

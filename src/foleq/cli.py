@@ -15,13 +15,14 @@ The prover path, modes, and timeout can also come from the environment
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
 from .harness import (
-    RECORD_ERRORS, Engine, PairRecord, load_dataset, parse_modes, parse_positive,
-    run_batch, run_pair,
+    Engine, PairRecord, load_dataset, parse_modes, parse_positive, run_batch, run_pair,
 )
+from .syntax import MALFORMED_INPUT
 from .definability import necessary_symbols
 from .profiles import profiles_to_json
 
@@ -49,16 +50,6 @@ def _add_engine_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache", help="decision cache file (JSON lines, appended)")
     p.add_argument("--first-only", action="store_true",
                    help="stop at the first strategy that yields an explanation")
-
-
-def _make_engine(args, parser: argparse.ArgumentParser) -> Engine:
-    try:
-        return Engine.make(prover_path=args.prover, modes=args.modes,
-                           timeout_ms=args.timeout_ms,
-                           strategy_timeout_ms=args.strategy_timeout_ms,
-                           seed=args.seed, cache_path=args.cache)
-    except ValueError as exc:   # a setting from the environment
-        parser.error(str(exc))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -91,13 +82,18 @@ def main(argv: list[str] | None = None) -> int:
     _add_engine_options(bt)
 
     args = parser.parse_args(argv)
-    engine = _make_engine(args, parser)
+    try:
+        engine = Engine.make(prover_path=args.prover, modes=args.modes, timeout_ms=args.timeout_ms,
+                             strategy_timeout_ms=args.strategy_timeout_ms, seed=args.seed,
+                             cache_path=args.cache)
+    except ValueError as exc:   # a setting from the environment
+        parser.error(str(exc))
 
     if args.command == "feedback":
         try:
             with open(args.pairfile, encoding="utf-8") as fh:
                 record = PairRecord.from_json(json.load(fh), default_id=args.pairfile)
-        except (*RECORD_ERRORS, OSError, UnicodeDecodeError) as exc:
+        except (*MALFORMED_INPUT, OSError) as exc:
             print(f"pair file error: {exc}", file=sys.stderr)
             return 2
         result = run_pair(record, engine, both_methods=args.both_methods,
@@ -116,20 +112,25 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         records, errors = load_dataset(args.dataset)
-    except (OSError, UnicodeDecodeError) as exc:    # the file, not a line of it
+    except OSError as exc:      # the file, not a line of it
         print(f"dataset error: {exc}", file=sys.stderr)
         return 2
     for message in errors:
         print(f"dataset error: {message}", file=sys.stderr)
     if errors and not args.lenient:
         return 2
-    report = run_batch(records, engine, both_methods=args.both_methods,
-                       first_only=args.first_only, workers=args.workers)
-    with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, indent=2)
-        fh.write("\n")
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
+    with contextlib.ExitStack() as files:
+        try:    # before any pair is decided, so that a bad path loses no run
+            report_file, *csv_file = [files.enter_context(open(path, "w", encoding="utf-8"))
+                                      for path in (args.report, args.csv) if path]
+        except OSError as exc:
+            print(f"report error: {exc}", file=sys.stderr)
+            return 2
+        report = run_batch(records, engine, both_methods=args.both_methods,
+                           first_only=args.first_only, workers=args.workers)
+        json.dump(report.to_json(), report_file, indent=2)
+        report_file.write("\n")
+        for fh in csv_file:
             fh.write(report.to_csv())
     summary = report.to_json()["total"]
     print(f"pairs: {summary['all']}  equivalent: {summary['equivalent']}  "

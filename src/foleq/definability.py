@@ -231,13 +231,13 @@ class NecessityCache(JsonlCache):
 def symbol_necessity(solution: Formula, theory: Theory, symbol: str, backend,
                      timeout_ms: int | None = None) -> str:
     """Necessity status of one symbol ("=" handled via the congruence
-    reduction)."""
+    reduction): the status of its Padoa query, which asks for no model."""
     if symbol == EQUALITY:
         star = star_transform(solution, theory)
         return symbol_necessity(star.formula, star.theory, star.equality_symbol,
                                 backend, timeout_ms)
     query = encode_padoa(solution, theory, {symbol})
-    result = backend.check_sat(query, timeout_ms=timeout_ms, want_model=False)
+    result = backend.check_sat(query, timeout_ms=timeout_ms)
     if result.status == "sat":
         return NECESSARY
     if result.status == "unsat":
@@ -254,11 +254,11 @@ def necessary_symbols(solution: Formula, theory: Theory, backend,
     `symbols` restricts the report to a subset (used to test lazily only
     the symbols a strategy actually cares about); restricted reports are
     merged into the cache incrementally, and only when a status was
-    computed.
+    computed. Without a cache, the call makes an in-memory one of its own.
     """
-    key = backend_key(backend, NecessityCache.key(solution, theory)) \
-        if cache is not None else None
-    cached = cache.get(key) if cache is not None else None
+    cache = NecessityCache() if cache is None else cache
+    key = backend_key(backend, NecessityCache.key(solution, theory))
+    cached = cache.get(key)
 
     rels, funcs, consts, uses_eq = symbols_of(solution)
     wanted = set(rels | funcs | consts)
@@ -274,6 +274,6 @@ def necessary_symbols(solution: Formula, theory: Theory, backend,
         statuses[s] = symbol_necessity(solution, theory, s, backend, timeout_ms)
         query_ids[s] = f"padoa:{s}"
     report = NecessityReport(statuses=statuses, query_ids=query_ids)
-    if cache is not None and fresh:
+    if fresh:
         cache.put(key, report)
     return report

@@ -20,10 +20,10 @@ distinct candidates (PER_STRATEGY, or COMBINED for Q-1+G-1). A
 confirmation reads the verdict's status alone.
 
 The strategies read the same facts of both formulas (`formula_facts`):
-atom occurrences, extended profiles, guards and prenex form. Those of
-the solution are the same for every attempt, so the engine's decision
-cache keeps them (`DecisionCache.facts`), and each solution's are
-computed once per engine.
+atom occurrences, extended profiles, guards and prenex form. Those of the
+solution are the same for every attempt, so the engine's decision cache
+keeps them (`DecisionCache.facts`), and each solution's are computed once
+per engine; a context given no cache makes one that its strategies share.
 
 Strategy identifiers: S-1 missing symbols, S-2 permuted arguments,
 S-3 wrong relation symbol, S-4 differing terms, Q-1 wrong quantifier
@@ -96,9 +96,8 @@ class StrategyContext:
     timeout_ms: int = 30_000
 
     def __post_init__(self):
-        sol = (formula_facts(self.solution) if self.cache is None else
-               self.cache.facts(("strategy", self.solution),
-                                lambda: formula_facts(self.solution)))
+        self.cache = DecisionCache() if self.cache is None else self.cache
+        sol = self.cache.facts(("strategy", self.solution), lambda: formula_facts(self.solution))
         self.sol_occurrences, self.sol_extended, self.sol_guards, _, self.sol_prenex = sol
         (self.att_occurrences, self.att_extended, self.att_guards, self.att_wrong,
          self.att_prenex) = formula_facts(self.attempt)

@@ -37,7 +37,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .syntax import Formula, FoleqError, Vocabulary, alpha_normalize, drop_vacuous, to_str
+from .syntax import (
+    MALFORMED_INPUT, Formula, FoleqError, Vocabulary, alpha_normalize, drop_vacuous, to_str,
+)
 from .parser import parse
 from .theory import Theory
 from .prover import (
@@ -93,24 +95,18 @@ class PairRecord:
         )
 
 
-# what reading one record can raise: malformed JSON, a missing field, a
-# field of the wrong type, a formula that does not parse
-RECORD_ERRORS = (json.JSONDecodeError, KeyError, FoleqError, TypeError)
-
-
 def load_dataset(path: str) -> tuple[list[PairRecord], list[str]]:
     """Parse a JSONL dataset; returns (records, per-line error messages)."""
     records: list[PairRecord] = []
     errors: list[str] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:    # bytes: a line that is not UTF-8 is a line error
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                obj = json.loads(line)
-                records.append(PairRecord.from_json(obj, default_id=f"line-{line_no}"))
-            except RECORD_ERRORS as exc:
+                text = line.decode("utf-8").strip()
+                if text:
+                    records.append(PairRecord.from_json(json.loads(text),
+                                                        default_id=f"line-{line_no}"))
+            except MALFORMED_INPUT as exc:
                 errors.append(f"line {line_no}: {exc}")
     return records, errors
 

@@ -20,8 +20,8 @@ import re
 
 from .syntax import (
     And, Atom, Const, Eq, Exists, Forall, Formula, FoleqError, Func, Iff,
-    Implies, Not, Or, Term, Var, Vocabulary, VocabularyError, check_vocabulary,
-    children,
+    IDENTIFIER, KEYWORDS, Implies, Not, Or, Term, Var, Vocabulary, VocabularyError,
+    check_vocabulary, children,
 )
 
 
@@ -29,8 +29,7 @@ class ParseError(FoleqError):
     """Input does not conform to the grammar; message carries the position."""
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct><->|->|[()~&|,=]))")
-_KEYWORDS = {"forall", "exists"}
+_TOKEN = re.compile(rf"\s*(?:(?P<ident>{IDENTIFIER.pattern})|(?P<punct><->|->|[()~&|,=]))")
 
 # The deepest nesting `parse` accepts: of its own rules (a '~', '(',
 # quantifier or function application each opens a level) and of the
@@ -115,7 +114,7 @@ class _Parser:
 
     def variable(self) -> str:
         tok = self.peek()
-        if tok is None or tok[0] != "ident" or tok[1] in _KEYWORDS:
+        if tok is None or tok[0] != "ident" or tok[1] in KEYWORDS:
             self.error("expected a variable name")
         name = tok[1]
         if self.vocab.declares(name):
@@ -212,7 +211,7 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input")
-        if tok[0] != "ident" or tok[1] in _KEYWORDS:
+        if tok[0] != "ident" or tok[1] in KEYWORDS:
             self.error("expected a term")
         name = tok[1]
         if name in self.vocab.functions:

@@ -5,14 +5,15 @@ theory's axioms conjoined with the negated biconditional of the pair are
 unsatisfiable, so deciding equivalence reduces to one satisfiability
 query.
 
-Two backends implement the query contract:
+Two backends implement the query contract, `check_sat(query, timeout_ms)`;
+a "sat" answer needs a model only for a query of origin "equivalence":
 
 * ExternalProverBackend drives an external first-order prover
   (e.g. Vampire) over the TPTP FOF format, racing one subprocess per
   configured mode and taking the first decisive SZS status. Finite
-  counter models are extracted by a second run in finite-model-builder
-  mode. The accepted model output format is pinned below; anything else
-  is reported as an error rather than guessed at.
+  models are extracted by a second run in finite-model-builder mode.
+  The accepted model output format is pinned below; anything else is
+  reported as an error rather than guessed at.
 
 * BoundedSearchBackend searches all structures of small sizes
   exhaustively (and randomly samples larger ones), which makes it sound
@@ -72,8 +73,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .syntax import (
-    And, Atom, Const, Eq, Exists, Forall, Formula, FoleqError, Func, Iff,
-    Implies, Not, Or, Var, Vocabulary, alpha_normalize, check_vocabulary,
+    MALFORMED_INPUT, And, Atom, Const, Eq, Exists, Forall, Formula, FoleqError, Func,
+    Iff, Implies, Not, Or, Var, Vocabulary, alpha_normalize, check_vocabulary,
     symbols_of, to_str,
 )
 from .theory import Theory
@@ -367,13 +368,12 @@ class ExternalProverBackend:
         self.debug_agreement = debug_agreement
         self.calls = 0
 
-    def check_sat(self, query: SatQuery, timeout_ms: int | None = None,
-                  want_model: bool = False) -> SatResult:
+    def check_sat(self, query: SatQuery, timeout_ms: int | None = None) -> SatResult:
         self.calls += 1
         timeout_ms = timeout_ms or self.config.timeout_ms
         problem = to_tptp(query)
         outcome = self._race(problem, timeout_ms)
-        if outcome.status == "sat" and want_model:
+        if outcome.status == "sat" and query.origin == "equivalence":
             model = self._extract_model(problem, query.vocabulary, timeout_ms)
             if model is not None:
                 return SatResult("sat", model=model)
@@ -630,11 +630,10 @@ class BoundedSearchBackend:
         self.calls = 0
         self.store = SharedLists()
 
-    def check_sat(self, query: SatQuery, timeout_ms: int | None = None,
-                  want_model: bool = True) -> SatResult:
+    def check_sat(self, query: SatQuery, timeout_ms: int | None = None) -> SatResult:
         # timeout_ms is accepted for interface compatibility; enumeration
         # cost is bounded by the budget instead
-        del timeout_ms, want_model
+        del timeout_ms
         self.calls += 1
         theory, vocab, store = query.theory, query.vocabulary, self.store
         number, own = store.number(theory), query.axioms[len(theory.axioms):]
@@ -686,14 +685,12 @@ class JsonlCache:
         self._torn = False          # the file's last line lacks its newline
         if path and os.path.exists(path):
             line = b""
-            # read as bytes: a line that is not UTF-8 raises in the `try`
-            # (UnicodeDecodeError is a ValueError), not before it
-            with open(path, "rb") as fh:
+            with open(path, "rb") as fh:    # bytes: a line that is not UTF-8 is skipped too
                 for line in fh:
                     try:
                         obj = json.loads(line.decode("utf-8"))
                         self._data[obj["key"]] = self._decode(obj)
-                    except (ValueError, LookupError, TypeError, AttributeError):
+                    except MALFORMED_INPUT:
                         continue
             self._torn = bool(line) and not line.endswith(b"\n")
 
@@ -828,34 +825,29 @@ def decide_equivalence(solution: Formula, attempt: Formula, theory: Theory,
     A counter structure, from the backend or a cache entry, is revalidated
     against the theory and the pair as asked, which gives its direction;
     an invalid one is dropped (the verdict stands, the structure does not).
-    Only a top-level decision (origin "equivalence") asks for a model, and
-    only its cache hits show one: a hit of any other origin gives the
-    status and method alone. The solution's normal form comes from the
-    cache (`DecisionCache.normal_form`).
+    Only a top-level decision (origin "equivalence") gets a model from the
+    backend, and only its cache hits show one: a hit of any other origin
+    gives the status and method alone. The solution's normal form comes
+    from the cache (`DecisionCache.normal_form`), made in memory if none is given.
     """
+    cache = DecisionCache() if cache is None else cache
     attempt_normal = alpha_normalize(attempt)
-    if cache is not None:
-        key = backend_key(backend, cache.key(solution, attempt_normal, theory))
-        hit = cache.get(key)
-        if hit is not None:
-            counter = direction = None
-            if origin == "equivalence":
-                counter, direction = revalidate_counter(hit.counter, solution, attempt, theory)
-            return Verdict(status=hit.status, counter=counter, direction=direction,
-                           method="cache", cached_method=hit.method)
+    key = backend_key(backend, cache.key(solution, attempt_normal, theory))
+    hit = cache.get(key)
+    if hit is not None:
+        counter, direction = revalidate_counter(hit.counter, solution, attempt, theory) \
+            if origin == "equivalence" else (None, None)
+        return Verdict(status=hit.status, counter=counter, direction=direction,
+                       method="cache", cached_method=hit.method)
 
     # formulas identical up to bound-variable names need no backend at all
-    solution_normal = alpha_normalize(solution) if cache is None else \
-        cache.normal_form(solution)[0]
-    if solution_normal == attempt_normal:
+    if cache.normal_form(solution)[0] == attempt_normal:
         verdict = Verdict(status="equivalent", method="syntactic")
-        if cache is not None:
-            cache.put(key, verdict)
+        cache.put(key, verdict)
         return verdict
 
     query = encode_equivalence(solution, attempt, theory, origin)
-    result = backend.check_sat(query, timeout_ms=timeout_ms,
-                               want_model=origin == "equivalence")
+    result = backend.check_sat(query, timeout_ms=timeout_ms)
 
     if result.status == "unsat":
         method = f"bounded<={result.bound}" if result.bound is not None else backend.name
@@ -867,8 +859,7 @@ def decide_equivalence(solution: Formula, attempt: Formula, theory: Theory,
     else:
         return Verdict(status="unknown", reason=result.reason)
 
-    if cache is not None:
-        cache.put(key, verdict)
+    cache.put(key, verdict)
     return verdict
 
 

@@ -8,12 +8,22 @@ across threads. Formula nodes are addressed by paths of child indices
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 
 class FoleqError(Exception):
     """Base class for all errors raised by this package."""
+
+
+# What reading a dataset line, a pair file or a cache line raises when it is
+# malformed: bad JSON or UTF-8, JSON nested too deep, a bad field or formula
+MALFORMED_INPUT = (ValueError, LookupError, TypeError, AttributeError, RecursionError, FoleqError)
+
+# the grammar's identifiers (`parser`) and the words that no symbol may be named
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+KEYWORDS = frozenset({"forall", "exists"})
 
 
 class VocabularyError(FoleqError):
@@ -80,7 +90,7 @@ class Vocabulary:
     @staticmethod
     def from_json(obj: dict) -> "Vocabulary":
         """The vocabulary of `to_json`'s form; VocabularyError names the
-        first field of another type."""
+        first field of another type, or a name the grammar cannot write."""
         if not isinstance(obj, dict):
             raise VocabularyError("a vocabulary must be an object")
         arities = {}
@@ -100,6 +110,9 @@ class Vocabulary:
         with_equality = obj.get("with_equality", True)
         if not isinstance(with_equality, bool):
             raise VocabularyError("with_equality must be true or false")
+        for name in [*arities["relations"], *arities["functions"], *constants]:
+            if not IDENTIFIER.fullmatch(name) or name in KEYWORDS:
+                raise VocabularyError(f"symbol name {name!r} is not an identifier")
         return Vocabulary(constants=frozenset(constants), with_equality=with_equality,
                           **arities)
 

@@ -5,8 +5,10 @@ criteria are statistical or corpus-wide; all random inputs are seeded, so
 every run checks the identical workload.
 """
 
+import hashlib
 import importlib.util
 import itertools
+import json
 import random
 import time
 from pathlib import Path
@@ -137,6 +139,12 @@ def test_criterion_04_catalogue_round_trip():
     ok(4, f"12/12 catalogue rows matched their strategy ({elapsed:.0f} s)")
 
 
+# sha256 over the JSON list of criterion 05's bundles, one per mutant
+# (equivalent ones too), in loop order. A change that means to change
+# answers updates it; any other change keeps it.
+CRITERION_05_BUNDLES = (280, "cb4e5849e2ec4022418c94bec384e07ed8f22201fb955783bfe251493f905406")
+
+
 def test_criterion_05_mutation_recall():
     start = time.perf_counter()
     engine = Engine.make(seed=23, strategy_timeout_ms=30_000)
@@ -144,6 +152,7 @@ def test_criterion_05_mutation_recall():
     explained = 0
     intended = 0
     per_family = {}
+    bundles = []
     for sc, sol in all_solutions():
         for family in MUTATIONS:
             mutant = mutate(sol.formula, family)
@@ -153,6 +162,7 @@ def test_criterion_05_mutation_recall():
                 sol.formula, mutant, sc.theory, engine.backend, engine.cache,
                 engine.necessity_cache, prover_config=engine.prover_config,
                 with_countermodel=False)
+            bundles.append(bundle.to_json())
             if bundle.verdict.status != "non-equivalent":
                 continue
             pairs += 1
@@ -173,6 +183,8 @@ def test_criterion_05_mutation_recall():
         for fam, c in sorted(per_family.items()))
     assert explained_ratio >= 0.80, detail
     assert intended_ratio >= 0.70, detail
+    digest = hashlib.sha256(json.dumps(bundles, sort_keys=True).encode()).hexdigest()
+    assert (len(bundles), digest) == CRITERION_05_BUNDLES
     ok(5, f"mutation recall over {pairs} non-equivalent mutants: "
           f"{explained_ratio:.1%} explained, {intended_ratio:.1%} by the "
           f"intended family ({elapsed:.0f} s)\n      {detail}")

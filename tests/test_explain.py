@@ -258,6 +258,23 @@ def test_explanations_do_not_depend_on_hash_seed():
     assert "Q-2" in {e["strategy"] for e in json.loads(outputs.pop())["explanations"]}
 
 
+def test_explanations_without_caches_equal_those_with_caches():
+    # a call given no caches makes its own, and a strategy context's is
+    # shared by its strategies: the backend may be asked less often, but
+    # every bundle is the one a call with caches gives
+    from foleq.corpus import all_solutions
+    from foleq.mutate import MUTATIONS, mutate
+    for sc, sol in all_solutions()[::5]:
+        for family in MUTATIONS:
+            mutant = mutate(sol.formula, family)
+            if mutant is None:
+                continue
+            cached = explain_nonequivalence(sol.formula, mutant, sc.theory, BoundedSearchBackend(),
+                                            DecisionCache(), NecessityCache())
+            bare = explain_nonequivalence(sol.formula, mutant, sc.theory, BoundedSearchBackend())
+            assert bare.to_json() == cached.to_json(), (sol.id, family)
+
+
 def test_doubly_mutated_attempts_never_crash():
     # attempts two edits away from the solution: explanations may or may
     # not exist, but the pipeline must stay well-formed throughout
@@ -297,13 +314,12 @@ class _NecessityBlindBackend:
         self._inner = BoundedSearchBackend()
         self.calls = 0
 
-    def check_sat(self, query, timeout_ms=None, want_model=True):
+    def check_sat(self, query, timeout_ms=None):
         self.calls += 1
         if query.origin == "definability":
             from foleq.prover import SatResult
             return SatResult("unknown", reason="timeout")
-        return self._inner.check_sat(query, timeout_ms=timeout_ms,
-                                     want_model=want_model)
+        return self._inner.check_sat(query, timeout_ms=timeout_ms)
 
 
 def test_s1_unverified_when_necessity_unknown():

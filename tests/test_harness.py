@@ -72,6 +72,14 @@ MALFORMED_VOCABULARIES = {
     "arity-float": {"relations": {"P": 1.5}},
     "arity-bool": {"relations": {"P": True}},
     "function-arity-zero": {"relations": {"P": 1}, "functions": {"f": 0}},
+    # names the grammar cannot write: an empty one made the prover's name
+    # mangling raise IndexError, which escaped a batch
+    "relation-name-empty": {"relations": {"P": 1, "": 1}},
+    "function-name-dash": {"relations": {"P": 1}, "functions": {"f-g": 1}},
+    "constant-name-digit-first": {"relations": {"P": 1}, "constants": ["1c"]},
+    "constant-name-keyword": {"relations": {"P": 1}, "constants": ["forall"]},
+    "relation-name-keyword": {"relations": {"P": 1, "exists": 0}},
+    "relation-name-not-ascii": {"relations": {"P": 1, "Q\u00e9": 1}},
 }
 
 
@@ -182,9 +190,9 @@ class _OriginCounter:
         self.name = inner.name
         self.origins = {}
 
-    def check_sat(self, query, timeout_ms=None, want_model=True):
+    def check_sat(self, query, timeout_ms=None):
         self.origins[query.origin] = self.origins.get(query.origin, 0) + 1
-        return self.inner.check_sat(query, timeout_ms=timeout_ms, want_model=want_model)
+        return self.inner.check_sat(query, timeout_ms=timeout_ms)
 
 
 def test_run_pair_both_methods_asks_backend_once(engine):
@@ -664,7 +672,7 @@ class _UndecidedProver:
     def __init__(self):
         self.calls = 0
 
-    def check_sat(self, query, timeout_ms=None, want_model=True):
+    def check_sat(self, query, timeout_ms=None):
         self.calls += 1
         return SatResult("unknown", reason="timeout")
 
@@ -782,6 +790,10 @@ def test_cli_feedback(tmp_path, capsys):
     assert "profiles" in out and "necessity" in out
 
 
+# a line the JSON decoder raises RecursionError on
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 @pytest.mark.parametrize("content, message", [
     (json.dumps({k: v for k, v in record_obj("cli", "P(a)", "P(a)").items() if k != "phi"}),
      "'phi'"),
@@ -789,6 +801,7 @@ def test_cli_feedback(tmp_path, capsys):
     (json.dumps(record_obj("cli", "forall x P(x)", 5)), "phi must be a string"),
     ("[1, 2]", "must be an object"),
     ("{nope", ""),
+    pytest.param(DEEP_JSON, "recursion", id="nested-100000-deep"),
 ])
 def test_cli_feedback_reports_a_malformed_pair_file(tmp_path, capsys, content, message):
     path = tmp_path / "pair.json"
@@ -819,8 +832,7 @@ def test_cli_feedback_reports_an_unreadable_pair_file(tmp_path, capsys, kind, me
 
 
 @pytest.mark.parametrize("lenient", [[], ["--lenient"]])
-@pytest.mark.parametrize("kind, message", [("missing", "No such file"),
-                                           ("not-utf-8", "utf-8")])
+@pytest.mark.parametrize("kind, message", [("missing", "No such file")])
 def test_cli_batch_reports_an_unreadable_dataset(tmp_path, capsys, kind, message, lenient):
     report = tmp_path / "r.json"
     assert cli_main(["batch", str(_unreadable(tmp_path, kind)), "--report", str(report),
@@ -830,6 +842,67 @@ def test_cli_batch_reports_an_unreadable_dataset(tmp_path, capsys, kind, message
     assert captured.err.startswith("dataset error: ") and message in captured.err
     assert "Traceback" not in captured.err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("lenient", [[], ["--lenient"]])
+def test_cli_batch_reports_a_line_that_is_not_utf_8(tmp_path, capsys, lenient):
+    # one such line made the whole dataset an error, even under --lenient
+    path = tmp_path / "data.jsonl"
+    good = json.dumps(record_obj("good", "forall x P(x)", "exists x P(x)")).encode()
+    path.write_bytes(good + b"\n\xff\xfe" + good + b"\n")
+    report = tmp_path / "r.json"
+    code = cli_main(["batch", str(path), "--report", str(report), *lenient])
+    err = capsys.readouterr().err
+    assert "dataset error: line 2: 'utf-8' codec can't decode" in err
+    assert "Traceback" not in err
+    if lenient:
+        assert code == 0 and json.loads(report.read_text())["total"]["all"] == 1
+    else:
+        assert code == 2 and not report.exists()
+
+
+def test_deeply_nested_json_is_a_dataset_error(tmp_path, capsys):
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(record_obj("good", "forall x P(x)", "exists x P(x)"))
+                    + "\n" + DEEP_JSON + "\n")
+    records, errors = load_dataset(str(path))
+    assert [r.id for r in records] == ["good"]
+    assert len(errors) == 1 and errors[0].startswith("line 2: ")
+    report = tmp_path / "r.json"
+    assert cli_main(["batch", str(path), "--report", str(report)]) == 2
+    assert cli_main(["batch", str(path), "--report", str(report), "--lenient"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads(report.read_text())["total"]["all"] == 1
+
+
+def test_deeply_nested_json_cache_line_is_skipped(tmp_path):
+    data = tmp_path / "d.jsonl"
+    write_dataset(data, [record_obj("x", "forall x P(x)", "exists x P(x)")])
+    cache = tmp_path / "cache.jsonl"
+    for path in (cache, tmp_path / "cache.jsonl.necessity"):
+        path.write_text(DEEP_JSON + "\n")
+    assert len(DecisionCache(str(cache))) == 0
+    report = tmp_path / "r.json"
+    assert cli_main(["batch", str(data), "--report", str(report), "--cache", str(cache)]) == 0
+    assert json.loads(report.read_text())["total"]["all"] == 1
+
+
+@pytest.mark.parametrize("option", ["--report", "--csv"])
+def test_cli_batch_checks_its_report_paths_before_deciding(tmp_path, capsys, monkeypatch,
+                                                           option):
+    # an unwritable path was found only after the whole batch had run
+    data = tmp_path / "d.jsonl"
+    write_dataset(data, [record_obj("x", "forall x P(x)", "exists x P(x)")])
+    batches = []
+    monkeypatch.setattr(cli, "run_batch", lambda *args, **kwargs: batches.append(args)
+                        or run_batch(*args, **kwargs))
+    paths = {"--report": tmp_path / "r.json", "--csv": tmp_path / "r.csv",
+             option: tmp_path / "missing" / "out"}
+    assert cli_main(["batch", str(data), *(str(x) for item in paths.items() for x in item)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not batches
+    assert captured.err.startswith("report error: ") and "missing" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("value", ["0", "-2", "1.5", "two", ""])
@@ -1166,7 +1239,7 @@ class _WitnessBackend:
         self.witness = witness
         self.calls = 0
 
-    def check_sat(self, query, timeout_ms=None, want_model=True):
+    def check_sat(self, query, timeout_ms=None):
         from foleq.prover import SatResult
         self.calls += 1
         if query.origin == "definability":

@@ -246,6 +246,26 @@ def test_only_top_level_decisions_ask_for_a_model(tmp_path):
     assert len(log.read_text().splitlines()) == 1
 
 
+def test_only_equivalence_queries_ask_the_prover_for_a_model(tmp_path):
+    # the query's origin alone decides whether a "sat" answer gets a
+    # finite-model-builder run
+    log = tmp_path / "fmb.log"
+    exe = make_prover(tmp_path, {
+        "vampire": {"stdout": "% SZS status Satisfiable\n"},
+        "vampire+fmb": {"stdout": MODEL_BLOCK, "log": str(log)},
+    })
+    backend = ExternalProverBackend(ProverConfig(executable=exe, modes=("vampire",)))
+    forall, exists, th = parse("forall x P(x)", VP), parse("exists x P(x)", VP), Theory(VP)
+    for query in (encode_equivalence(forall, exists, th, "strategy-candidate"),
+                  encode_padoa(forall, th, {"P"})):
+        result = backend.check_sat(query)
+        assert (result.status, result.model) == ("sat", None)
+    assert not log.exists()
+    result = backend.check_sat(encode_equivalence(forall, exists, th))
+    assert result.status == "sat" and result.model.relations["P"] == {(0,)}
+    assert len(log.read_text().splitlines()) == 1
+
+
 def test_unparsable_output_is_unknown(tmp_path):
     exe = make_prover(tmp_path, {"default": {"stdout": "segfault\n"}})
     backend = ExternalProverBackend(ProverConfig(executable=exe, modes=("vampire",)))
